@@ -21,15 +21,20 @@ two outcomes.  Two kinds of randomness sit on top:
   independent (product) space, and `classical_max_linear` the full
   mixture space.
 
-Enumeration is exhaustive below a configurable cap and refuses loudly
-above it.  Outcome encoding: decode entries are 1 for outcome "e" and
-0 for outcome "d".
+Linear bounds are exact without enumerating decoders: a linear witness
+is affine in p_e, and for a fixed encoder the best decoder picks every
+(message, measurement) bit on its own, so the maximum is found in closed
+form per encoder, over all encoders at once.  The brute-force
+`enumerate_deterministic` stays as the reference these results are
+tested against.  Every search refuses loudly when its strategy count
+exceeds a configurable cap.  Outcome encoding: decode entries are 1 for
+outcome "e" and 0 for outcome "d".
 """
 
 from __future__ import annotations
 
 import itertools
-import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -147,7 +152,12 @@ def strategy_table(
             p_e += w * _deterministic_pe(s, n_prep, n_meas)
     else:
         p_e = _deterministic_pe(strategy, n_prep, n_meas)
-    return ProbabilityTable(p_e, 1.0 - p_e, np.zeros((n_prep, n_meas)))
+    return _pe_table(p_e)
+
+
+def _pe_table(p_e: np.ndarray) -> ProbabilityTable:
+    """The no-loss table whose outcome-"e" probabilities are `p_e`."""
+    return ProbabilityTable(p_e, 1.0 - p_e, np.zeros(p_e.shape))
 
 
 def _deterministic_pe(s: DeterministicStrategy, n_prep: int, n_meas: int) -> np.ndarray:
@@ -192,6 +202,51 @@ def enumerate_deterministic(
     return _generate()
 
 
+def _lex_grid(base: int, length: int) -> np.ndarray:
+    """Every tuple in range(base)**length as a row, in itertools.product order.
+
+    C-contiguous: numpy's matrix products may round differently on strided
+    operands, and the determinant climbs are meant to repeat bit for bit.
+    """
+    return np.ascontiguousarray(np.indices((base,) * length).reshape(length, -1).T)
+
+
+def _affine_coefficients(
+    witness: TableFunctional, n_prep: int, n_meas: int
+) -> tuple[float, np.ndarray]:
+    """(c0, C) with witness(table) = c0 + sum(C * p_e) for an affine witness,
+    read off the all-"d" table and the n_prep * n_meas unit tables."""
+    zero = np.zeros((n_prep, n_meas))
+    c0 = witness(_pe_table(zero))
+    coef = np.empty((n_prep, n_meas))
+    for i, j in np.ndindex(n_prep, n_meas):
+        unit = zero.copy()
+        unit[i, j] = 1.0
+        coef[i, j] = witness(_pe_table(unit)) - c0
+    return c0, coef
+
+
+def _check_affine(
+    witness: TableFunctional, c0: float, coef: np.ndarray, p_e: np.ndarray, value: float
+) -> None:
+    """Refuse a witness that (c0, C) does not reproduce at the maximizer
+    `p_e` (where it took `value`), at all-"e" and at a fixed interior table."""
+    interior = np.random.default_rng(0).random(coef.shape)
+    ones = np.ones(coef.shape)
+    tol = 1e-9 * (1.0 + abs(c0) + np.abs(coef).sum())
+    for table, got in (
+        (p_e, value),
+        (ones, witness(_pe_table(ones))),
+        (interior, witness(_pe_table(interior))),
+    ):
+        expected = c0 + float(np.sum(coef * table))
+        if not math.isclose(got, expected, rel_tol=0.0, abs_tol=tol):
+            raise ValueError(
+                f"witness is not affine in p_e: it gives {got!r} where its unit-table "
+                f"coefficients predict {expected!r}"
+            )
+
+
 def classical_max_linear(
     witness: TableFunctional,
     d: int,
@@ -201,17 +256,44 @@ def classical_max_linear(
 ) -> tuple[float, DeterministicStrategy]:
     """Exact maximum of a linear table functional over all mixtures.
 
-    By convexity the maximum is attained at a deterministic strategy,
-    so exhaustive enumeration is an exact certificate.
+    By convexity the maximum is attained at a deterministic strategy.
+    Writing the witness as c0 + sum(C * p_e), an encoder sends the mass
+    S[m, j] = sum(C[i, j] for i with encode(i) = m) to decode bit (m, j),
+    so its best decoder sets exactly the bits with S > 0.  All d**n_prep
+    encoders are scored at once; ties go to the first strategy in
+    `enumerate_deterministic` order, and the value returned is the
+    witness evaluated at that strategy.  Raises ValueError if the witness
+    is not affine in p_e.
     """
-    best_value = -np.inf
-    best = None
-    for s in enumerate_deterministic(d, n_prep, n_meas, cap=cap):
-        value = witness(strategy_table(s, n_prep, n_meas))
-        if value > best_value:
-            best_value, best = value, s
-    assert best is not None
-    return best_value, best
+    if d < 1:
+        raise ValueError(f"message dimension must be >= 1, got {d}")
+    _check_cap(strategy_count(d, n_prep, n_meas), cap)
+    c0, coef = _affine_coefficients(witness, n_prep, n_meas)
+
+    # mass[e, m, j] = S[m, j] of encoder e; the message of preparation i
+    # is axis i of the encoder grid, as in enumerate_deterministic.
+    mass = np.zeros((1, d, n_meas))
+    eye = np.eye(d)[:, :, None]
+    for row in coef:
+        mass = (mass[:, None] + eye * row).reshape(-1, d, n_meas)
+    bits = mass > 0.0
+    # Score each encoder by the table its best decoder produces, summed row
+    # by row: strategies that produce the same table tie exactly.
+    index = np.arange(len(bits))
+    score = np.zeros(len(bits))
+    for i in range(n_prep):
+        message = index // d ** (n_prep - 1 - i) % d
+        score += np.where(bits[index, message], coef[i], 0.0).sum(axis=1)
+    best = int(np.argmax(score))
+
+    strategy = DeterministicStrategy(
+        encode=tuple(int(m) for m in np.unravel_index(best, (d,) * n_prep)),
+        decode=tuple(tuple(int(b) for b in row) for row in bits[best]),
+    )
+    table = strategy_table(strategy, n_prep, n_meas)
+    value = witness(table)
+    _check_affine(witness, c0, coef, table.p_e, value)
+    return value, strategy
 
 
 # ---------------------------------------------------------------------------
@@ -248,27 +330,34 @@ class DetBoundResult:
         }
 
 
-def _abs_det2(w: np.ndarray) -> float:
-    return abs(w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0])
+# Restarts climbed together; bounds the (restarts, candidates, 2, 2) stacks.
+_RESTART_BLOCK = 64
+
+
+def _abs_det2(w: np.ndarray) -> np.ndarray:
+    """|det| of each 2x2 matrix in a (..., 2, 2) stack."""
+    return np.abs(w[..., 0, 0] * w[..., 1, 1] - w[..., 0, 1] * w[..., 1, 0])
 
 
 def _best_coordinate_move(
     w: np.ndarray, candidates: np.ndarray
-) -> tuple[float, int, float]:
-    """Exact line search toward each candidate vertex matrix.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact line search from each matrix w[r] toward each candidate
+    vertex matrix candidates[r, k].
 
     Along w(t) = (1-t) w + t b the determinant is quadratic in t, so
     |det| on [0, 1] peaks at an endpoint or the interior extremum.
-    Returns (best |det|, candidate index, t).
+    Returns per row r: (best |det|, candidate index, t).
     """
+    w = w[:, None]
     delta = candidates - w
-    det_w = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
-    det_delta = delta[:, 0, 0] * delta[:, 1, 1] - delta[:, 0, 1] * delta[:, 1, 0]
+    det_w = w[..., 0, 0] * w[..., 1, 1] - w[..., 0, 1] * w[..., 1, 0]
+    det_delta = delta[..., 0, 0] * delta[..., 1, 1] - delta[..., 0, 1] * delta[..., 1, 0]
     cross = (
-        w[0, 0] * delta[:, 1, 1]
-        + delta[:, 0, 0] * w[1, 1]
-        - w[0, 1] * delta[:, 1, 0]
-        - delta[:, 0, 1] * w[1, 0]
+        w[..., 0, 0] * delta[..., 1, 1]
+        + delta[..., 0, 0] * w[..., 1, 1]
+        - w[..., 0, 1] * delta[..., 1, 0]
+        - delta[..., 0, 1] * w[..., 1, 0]
     )
     at_one = np.abs(det_w + cross + det_delta)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -278,11 +367,60 @@ def _best_coordinate_move(
     at_star = np.where(
         valid, np.abs(det_w + cross * t_star + det_delta * t_star**2), -np.inf
     )
-    best_at_one = int(np.argmax(at_one))
-    best_at_star = int(np.argmax(at_star))
-    if at_star[best_at_star] > at_one[best_at_one]:
-        return float(at_star[best_at_star]), best_at_star, float(t_star[best_at_star])
-    return float(at_one[best_at_one]), best_at_one, 1.0
+    rows = np.arange(len(w))
+    best_at_one = np.argmax(at_one, axis=1)
+    best_at_star = np.argmax(at_star, axis=1)
+    one = at_one[rows, best_at_one]
+    star = at_star[rows, best_at_star]
+    use_star = star > one
+    return (
+        np.where(use_star, star, one),
+        np.where(use_star, best_at_star, best_at_one),
+        np.where(use_star, t_star[rows, best_at_star], 1.0),
+    )
+
+
+def _climb(
+    ce: np.ndarray, dd: np.ndarray, children: list[np.random.SeedSequence]
+) -> np.ndarray:
+    """|det W| that coordinate ascent reaches from each child's Dirichlet
+    starting point, all children climbing in lockstep.
+
+    Each round moves the encoder mixture x, then the decoder mixture y,
+    of every climb still improving; a climb stops after a round with no
+    move, or after 200 rounds.
+    """
+    # Each start is computed on its own, so a restart climbs the same way
+    # whichever block it falls in.
+    ce_flat, dd_flat = ce.reshape(len(ce), -1), dd.reshape(len(dd), -1)
+    x, y = [], []
+    for rng in map(np.random.default_rng, children):
+        x.append(np.dot(rng.dirichlet(np.ones(len(ce)))[None], ce_flat))
+        y.append(np.dot(rng.dirichlet(np.ones(len(dd)))[None], dd_flat))
+    x = np.concatenate(x).reshape(-1, *ce.shape[1:])  # (R, 2, d)
+    y = np.concatenate(y).reshape(-1, *dd.shape[1:])  # (R, d, 2)
+    w = x @ y
+    current = _abs_det2(w)
+    active = np.arange(len(children))
+    for _ in range(200):
+        if not active.size:
+            break
+        xa, ya, wa, ca = x[active], y[active], w[active], current[active]
+        enc_val, a, t = _best_coordinate_move(wa, ce @ ya[:, None])
+        enc_moved = enc_val > ca + 1e-15
+        t = t[enc_moved, None, None]
+        xa[enc_moved] = (1.0 - t) * xa[enc_moved] + t * ce[a[enc_moved]]
+        wa[enc_moved] = xa[enc_moved] @ ya[enc_moved]
+        ca[enc_moved] = _abs_det2(wa[enc_moved])
+        dec_val, b, t = _best_coordinate_move(wa, xa[:, None] @ dd)
+        dec_moved = dec_val > ca + 1e-15
+        t = t[dec_moved, None, None]
+        ya[dec_moved] = (1.0 - t) * ya[dec_moved] + t * dd[b[dec_moved]]
+        wa[dec_moved] = xa[dec_moved] @ ya[dec_moved]
+        ca[dec_moved] = _abs_det2(wa[dec_moved])
+        x[active], y[active], w[active], current[active] = xa, ya, wa, ca
+        active = active[enc_moved | dec_moved]
+    return current
 
 
 def classical_max_det(
@@ -299,71 +437,51 @@ def classical_max_det(
     All deterministic strategies are checked exhaustively; on top of
     that, seeded random-restart coordinate ascent runs over the product
     of the encoder-mixture and decoder-mixture simplices, with an exact
-    quadratic line search per coordinate move.  The maximum of the
-    bilinear objective is attained at a vertex pair, so the climbs are
-    a numerical confirmation rather than an extension of the bound.
+    quadratic line search per coordinate move.  Restarts climb in
+    lockstep blocks; restart k always starts from the k-th child of
+    SeedSequence(seed), so the result depends only on (restarts, seed).
+    The maximum of the bilinear objective is attained at a vertex pair,
+    so the climbs are a numerical confirmation rather than an extension
+    of the bound.
     """
     if d < 2:
         raise ValueError(f"determinant search needs message dimension >= 2, got {d}")
     if n_prep < 4 or n_meas < 2:
         raise ValueError("determinant witness needs >= 4 preparations and >= 2 measurements")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     _check_cap(strategy_count(d, n_prep, n_meas), cap)
 
     contrast = np.zeros((2, n_prep))
     contrast[0, 0], contrast[0, 1] = 1.0, -1.0
     contrast[1, 2], contrast[1, 3] = 1.0, -1.0
 
-    encoders = list(itertools.product(range(d), repeat=n_prep))
-    decoders = list(itertools.product(itertools.product((0, 1), repeat=n_meas), repeat=d))
-
+    encoders = _lex_grid(d, n_prep)  # (n_enc, n_prep) messages
+    decoders = _lex_grid(2, d * n_meas).reshape(-1, d, n_meas)  # (n_dec, d, n_meas) bits
     # contrast @ one-hot(encoder): shape (n_enc, 2, d)
-    ce = np.zeros((len(encoders), 2, d))
-    for a, enc in enumerate(encoders):
-        onehot = np.zeros((n_prep, d))
-        onehot[np.arange(n_prep), enc] = 1.0
-        ce[a] = contrast @ onehot
+    ce = contrast @ (encoders[:, :, None] == np.arange(d)).astype(float)
     # p_d rows of each decoder, first two measurement columns: (n_dec, d, 2)
-    dd = np.array([[[1.0 - row[j] for j in range(2)] for row in dec] for dec in decoders])
+    dd = 1.0 - decoders[:, :, :2].astype(float)
 
     det_max = -1.0
     best_pair = (0, 0)
     for a in range(len(encoders)):
-        w_all = ce[a] @ dd  # (n_dec, 2, 2)
-        dets = np.abs(w_all[:, 0, 0] * w_all[:, 1, 1] - w_all[:, 0, 1] * w_all[:, 1, 0])
+        dets = _abs_det2(ce[a] @ dd)
         b = int(np.argmax(dets))
         if dets[b] > det_max:
             det_max, best_pair = float(dets[b]), (a, b)
 
     mixture_max = 0.0
     root = np.random.SeedSequence(seed)
-    for child in root.spawn(restarts):
-        rng = np.random.default_rng(child)
-        u = rng.dirichlet(np.ones(len(encoders)))
-        v = rng.dirichlet(np.ones(len(decoders)))
-        x = np.tensordot(u, ce, axes=1)  # (2, d)
-        y = np.tensordot(v, dd, axes=1)  # (d, 2)
-        w = x @ y
-        current = _abs_det2(w)
-        for _ in range(200):
-            improved = False
-            enc_val, a, t = _best_coordinate_move(w, ce @ y)
-            if enc_val > current + 1e-15:
-                x = (1.0 - t) * x + t * ce[a]
-                w = x @ y
-                current = _abs_det2(w)
-                improved = True
-            dec_val, b, t = _best_coordinate_move(w, x @ dd)
-            if dec_val > current + 1e-15:
-                y = (1.0 - t) * y + t * dd[b]
-                w = x @ y
-                current = _abs_det2(w)
-                improved = True
-            if not improved:
-                break
-        mixture_max = max(mixture_max, current)
+    for start in range(0, restarts, _RESTART_BLOCK):
+        children = root.spawn(min(_RESTART_BLOCK, restarts - start))
+        mixture_max = max(mixture_max, float(_climb(ce, dd, children).max()))
 
     a, b = best_pair
-    strategy = DeterministicStrategy(encode=encoders[a], decode=decoders[b])
+    strategy = DeterministicStrategy(
+        encode=tuple(encoders[a].tolist()),
+        decode=tuple(tuple(row) for row in decoders[b].tolist()),
+    )
     return DetBoundResult(
         value=max(det_max, mixture_max),
         strategy=strategy,
@@ -388,26 +506,25 @@ def setting_aware_max(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Exact witness maximum when the encoder also sees the measurement
-    index, enumerated over encode: (i, j) -> m and decode: (m, j) -> outcome."""
+    index, over encode: (i, j) -> m and decode: (m, j) -> outcome.
+
+    With d >= 2 every cell's outcome is free, so the maximum of
+    c0 + sum(C * p_e) is c0 + sum(max(C, 0)); with d = 1 a column shares
+    one outcome, giving c0 + sum_j max(0, sum_i C[i, j]).  The value is
+    the witness evaluated at that table.  Raises ValueError if the
+    witness is not affine in p_e.
+    """
     if d < 1:
         raise ValueError(f"message dimension must be >= 1, got {d}")
-    count = d ** (n_prep * n_meas) * 2 ** (d * n_meas)
-    _check_cap(count, cap)
-    decode_rows = list(itertools.product((0, 1), repeat=n_meas))
-    best = -np.inf
-    for encode in itertools.product(range(d), repeat=n_prep * n_meas):
-        for decode in itertools.product(decode_rows, repeat=d):
-            p_e = np.array(
-                [
-                    [float(decode[encode[i * n_meas + j]][j]) for j in range(n_meas)]
-                    for i in range(n_prep)
-                ]
-            )
-            table = ProbabilityTable(p_e, 1.0 - p_e, np.zeros((n_prep, n_meas)))
-            value = witness(table)
-            if value > best:
-                best = value
-    return float(best)
+    _check_cap(d ** (n_prep * n_meas) * 2 ** (d * n_meas), cap)
+    c0, coef = _affine_coefficients(witness, n_prep, n_meas)
+    if d == 1:
+        p_e = np.broadcast_to(coef.sum(axis=0) > 0.0, coef.shape).astype(float)
+    else:
+        p_e = (coef > 0.0).astype(float)
+    value = witness(_pe_table(p_e))
+    _check_affine(witness, c0, coef, p_e, value)
+    return float(value)
 
 
 def retrocausal_value(
@@ -441,7 +558,3 @@ def retrocausal_max(
         return causal
     leaked = setting_aware_max(witness, d, n_prep, n_meas, cap=cap)
     return (1.0 - leak) * causal + leak * leaked
-
-
-def strategy_to_json(strategy: DeterministicStrategy | MixedStrategy) -> str:
-    return json.dumps(strategy.to_json_dict(), indent=2, sort_keys=True) + "\n"

@@ -27,7 +27,15 @@ from .classical import (
 from .qubits import ZeroProbabilityBranch
 from .scenario import ProbabilityTable, Scenario, probability_table
 from .spacetime import Schedule, validate
-from .trials import CountTable, InsufficientStatisticsError, RunPlan, bootstrap_report, estimate, sample
+from .trials import (
+    MIN_RESAMPLES,
+    CountTable,
+    InsufficientStatisticsError,
+    RunPlan,
+    bootstrap_report,
+    estimate,
+    sample,
+)
 from .witness import WitnessReport, dimension_witness, report_from_table
 
 DW_TERMS = (
@@ -196,6 +204,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    resamples = 10_000 if args.resamples is None else args.resamples
+    if resamples < MIN_RESAMPLES:
+        raise ConfigError(f"--resamples must be >= {MIN_RESAMPLES}, got {resamples}")
     try:
         counts = CountTable.from_csv(args.counts)
     except FileNotFoundError as exc:
@@ -204,8 +215,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise ConfigError(f"counts file {args.counts}: {exc}") from exc
     out = _outdir(Path(args.out) if args.out else None)
     fair_sampling = args.fair_sampling if args.fair_sampling is not None else True
+    seed = 0 if args.seed is None else args.seed
     estimated = estimate(counts, fair_sampling)
-    report = bootstrap_report(counts, args.resamples or 10_000, args.seed or 0, fair_sampling)
+    report = bootstrap_report(counts, resamples, seed, fair_sampling)
     _write_table_csv(out / "estimated.csv", estimated)
     _write_witness(out, report)
     _print_report(report)
@@ -214,8 +226,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    if args.restarts < 0:
+        raise ConfigError(f"--restarts must be >= 0, got {args.restarts}")
     out = _outdir(Path(args.out) if args.out else None)
-    seed = args.seed or 0
+    seed = 0 if args.seed is None else args.seed
     if args.witness == "idw":
         value, strategy = classical_max_linear(dimension_witness, args.dimension, 3, 2)
         payload = {

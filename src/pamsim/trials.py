@@ -28,6 +28,7 @@ from .witness import (
 
 ROUND_ROBIN = "round-robin"
 RANDOM_PER_TRIAL = "random-per-trial"
+MIN_RESAMPLES = 100
 
 _SAMPLE_KEY = 0
 _BOOTSTRAP_KEY = 1
@@ -89,6 +90,10 @@ class CountTable:
                 raise ValueError(f"counts CSV must have columns {sorted(required)}")
             for row in reader:
                 key = (int(row["i"]), int(row["j"]))
+                if min(key) < 0:
+                    raise ValueError(
+                        f"negative cell index {key} on line {reader.line_num} of counts CSV"
+                    )
                 if key in cells:
                     raise ValueError(f"duplicate cell {key} in counts CSV")
                 cells[key] = (int(row["n_e"]), int(row["n_d"]), int(row["n_none"]))
@@ -217,8 +222,8 @@ def bootstrap_report(
     the plug-in estimates, uncertainties are resample standard
     deviations, and sigma_* are violations of the classical bounds.
     """
-    if resamples < 100:
-        raise ValueError(f"resamples must be >= 100, got {resamples}")
+    if resamples < MIN_RESAMPLES:
+        raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
     observed = estimate(c, fair_sampling)
     point_det = det_witness(observed) if observed.n_prep >= 4 else None
     point_idw = dimension_witness(observed)

@@ -1,13 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pamsim.classical import (
     DeterministicStrategy,
     EnumerationCapExceeded,
     MixedStrategy,
     RetrocausalStrategy,
+    _climb,
     classical_max_det,
     classical_max_linear,
     enumerate_deterministic,
@@ -17,10 +21,118 @@ from pamsim.classical import (
     strategy_count,
     strategy_table,
 )
-from pamsim.witness import det_witness, dimension_witness
+from pamsim.scenario import ProbabilityTable
+from pamsim.witness import det_witness, dimension_witness, retrocausality
 
 ALWAYS_E = DeterministicStrategy(encode=(0, 0, 0, 0), decode=((1, 1),))
 ALWAYS_D = DeterministicStrategy(encode=(0, 0, 0, 0), decode=((0, 0),))
+
+# (d, n_prep, n_meas) cases checked against brute-force enumeration
+ORACLE_CASES = ((1, 3, 2), (2, 3, 2), (3, 3, 2), (4, 3, 2), (2, 4, 2), (3, 4, 3))
+
+
+def brute_force_linear(witness, d, n_prep, n_meas):
+    """Witness at every deterministic strategy; the first maximum is kept.
+
+    Values are cached per table, so each distinct table is evaluated once.
+    """
+    cache = {}
+    best_value, best = -np.inf, None
+    for s in enumerate_deterministic(d, n_prep, n_meas):
+        key = np.array(s.decode)[list(s.encode)].tobytes()
+        if key not in cache:
+            cache[key] = witness(strategy_table(s, n_prep, n_meas))
+        if cache[key] > best_value:
+            best_value, best = cache[key], s
+    return best_value, best
+
+
+def brute_force_setting_aware(witness, d, n_prep, n_meas):
+    """Witness at every encode: (i, j) -> m, decode: (m, j) -> outcome."""
+    cache = {}
+    decode_rows = list(itertools.product((0, 1), repeat=n_meas))
+    for encode in itertools.product(range(d), repeat=n_prep * n_meas):
+        for decode in itertools.product(decode_rows, repeat=d):
+            p_e = np.array(
+                [
+                    [float(decode[encode[i * n_meas + j]][j]) for j in range(n_meas)]
+                    for i in range(n_prep)
+                ]
+            )
+            key = p_e.tobytes()
+            if key not in cache:
+                cache[key] = witness(ProbabilityTable(p_e, 1.0 - p_e, np.zeros_like(p_e)))
+    return max(cache.values())
+
+
+def affine_witness(c0, coef_e, coef_d):
+    """c0 + sum(coef_e * p_e) + sum(coef_d * p_d)."""
+    return lambda t: float(c0 + np.sum(coef_e * t.p_e) + np.sum(coef_d * t.p_d))
+
+
+def random_witness(seed, n_prep, n_meas):
+    rng = np.random.default_rng(seed)
+    shape = (n_prep, n_meas)
+    return affine_witness(rng.normal(), rng.normal(size=shape), rng.normal(size=shape))
+
+
+def integer_witnesses(n_prep, n_meas):
+    """Affine witnesses with small integer coefficients: exact arithmetic,
+    many ties."""
+    coefs = st.lists(
+        st.integers(-3, 3), min_size=n_prep * n_meas, max_size=n_prep * n_meas
+    ).map(lambda v: np.array(v, dtype=float).reshape(n_prep, n_meas))
+    return st.builds(affine_witness, st.integers(-5, 5), coefs, coefs)
+
+
+def quadratic_witness(t):
+    return float(t.p_e[0, 0] * t.p_e[1, 0])
+
+
+def reference_climb(ce, dd, child):
+    """One restart of the coordinate ascent, one 2x2 matrix at a time."""
+
+    def det(w):
+        return w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
+
+    def best_move(w, candidates):
+        # best endpoint move; an interior extremum wins only if strictly better
+        at_one, at_star = [], []
+        for b in candidates:
+            delta = b - w
+            cross = (
+                w[0, 0] * delta[1, 1] + delta[0, 0] * w[1, 1]
+                - w[0, 1] * delta[1, 0] - delta[0, 1] * w[1, 0]
+            )
+            at_one.append(abs(det(w) + cross + det(delta)))
+            t = -cross / (2.0 * det(delta)) if det(delta) != 0.0 else math.nan
+            if 0.0 < t < 1.0:
+                at_star.append((abs(det(w) + cross * t + det(delta) * t**2), t))
+            else:
+                at_star.append((-math.inf, 0.0))
+        a = int(np.argmax(at_one))
+        k = int(np.argmax([v for v, _ in at_star]))
+        if at_star[k][0] > at_one[a]:
+            return at_star[k][0], k, at_star[k][1]
+        return at_one[a], a, 1.0
+
+    rng = np.random.default_rng(child)
+    x = np.tensordot(rng.dirichlet(np.ones(len(ce))), ce, axes=1)
+    y = np.tensordot(rng.dirichlet(np.ones(len(dd))), dd, axes=1)
+    current = abs(det(x @ y))
+    for _ in range(200):
+        improved = False
+        value, a, t = best_move(x @ y, ce @ y)
+        if value > current + 1e-15:
+            x = (1.0 - t) * x + t * ce[a]
+            current, improved = abs(det(x @ y)), True
+        value, b, t = best_move(x @ y, x @ dd)
+        if value > current + 1e-15:
+            y = (1.0 - t) * y + t * dd[b]
+            current, improved = abs(det(x @ y)), True
+        if not improved:
+            break
+    return current
 
 
 class TestStrategyTable:
@@ -112,6 +224,77 @@ class TestLinearBounds:
             assert mixed_value == pytest.approx(expected, abs=1e-12)
 
 
+class TestLinearBoundOracle:
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_dimension_witness_matches_enumeration(self, case):
+        assert classical_max_linear(dimension_witness, *case) == brute_force_linear(
+            dimension_witness, *case
+        )
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_random_witness_matches_enumeration(self, case, seed):
+        witness = random_witness(seed, *case[1:])
+        assert classical_max_linear(witness, *case) == brute_force_linear(witness, *case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), witness=integer_witnesses(3, 2))
+    def test_ties_go_to_first_strategy(self, d, witness):
+        assert classical_max_linear(witness, d, 3, 2) == brute_force_linear(witness, d, 3, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        picks=st.lists(st.integers(0, 127), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    def test_mixture_never_exceeds_bound(self, picks, data):
+        strategies = list(enumerate_deterministic(2, 3, 2))
+        weights = data.draw(
+            st.lists(st.floats(0.01, 1.0), min_size=len(picks), max_size=len(picks))
+        )
+        total = sum(weights)
+        mix = MixedStrategy(
+            components=tuple((w / total, strategies[p]) for w, p in zip(weights, picks))
+        )
+        bound, _ = classical_max_linear(dimension_witness, 2, 3, 2)
+        assert dimension_witness(strategy_table(mix, 3, 2)) <= bound + 1e-12
+
+    @pytest.mark.parametrize("witness", (quadratic_witness, det_witness))
+    def test_rejects_non_affine_witness(self, witness):
+        with pytest.raises(ValueError, match="not affine"):
+            classical_max_linear(witness, 2, 4, 2)
+
+
+class TestSettingAwareOracle:
+    # the oracle cases with at most 5e4 setting-aware strategies; the
+    # others would take minutes to hours to enumerate
+    CASES = tuple(
+        c for c in ORACLE_CASES if c[0] ** (c[1] * c[2]) * 2 ** (c[0] * c[2]) <= 50_000
+    )
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_dimension_witness_matches_enumeration(self, case):
+        assert setting_aware_max(dimension_witness, *case) == brute_force_setting_aware(
+            dimension_witness, *case
+        )
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_random_witness_matches_enumeration(self, case, seed):
+        witness = random_witness(seed, *case[1:])
+        assert setting_aware_max(witness, *case) == brute_force_setting_aware(witness, *case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 2), witness=integer_witnesses(3, 2))
+    def test_integer_witness_matches_enumeration(self, d, witness):
+        assert setting_aware_max(witness, d, 3, 2) == brute_force_setting_aware(witness, d, 3, 2)
+
+    @pytest.mark.parametrize("witness", (quadratic_witness, det_witness))
+    def test_rejects_non_affine_witness(self, witness):
+        with pytest.raises(ValueError, match="not affine"):
+            setting_aware_max(witness, 2, 4, 2)
+
+
 class TestDeterminantBound:
     def test_every_d2_deterministic_strategy_is_singular(self):
         dets = [
@@ -161,6 +344,37 @@ class TestDeterminantBound:
         with pytest.raises(ValueError):
             classical_max_det(1)
 
+    def test_rejects_negative_restarts(self):
+        with pytest.raises(ValueError, match="restarts"):
+            classical_max_det(2, restarts=-3)
+
+    @pytest.mark.parametrize("restarts", (0, 1, 64, 65, 130))
+    def test_reproducible_across_block_sizes(self, restarts):
+        first = classical_max_det(2, restarts=restarts, seed=17)
+        assert classical_max_det(2, restarts=restarts, seed=17) == first
+        assert first.restarts == restarts
+        assert first.mixture_max <= 1e-9
+
+    def test_lockstep_climb_matches_single_climbs(self):
+        # small integer vertex matrices with several local maxima
+        rng = np.random.default_rng(2)
+        ce = rng.integers(-1, 2, size=(30, 2, 4)).astype(float)
+        dd = rng.integers(0, 2, size=(30, 4, 2)).astype(float)
+        children = np.random.SeedSequence(4).spawn(40)
+        reached = _climb(ce, dd, children)
+        expected = [reference_climb(ce, dd, child) for child in children]
+        np.testing.assert_allclose(reached, expected, rtol=1e-12)
+        assert len(set(np.round(reached, 9))) >= 3  # the climbs end in different places
+
+    def test_more_restarts_extend_the_same_climbs(self):
+        # restart k starts from the k-th seed child whatever the total, so
+        # the best value can only grow with the restart count
+        maxima = [
+            classical_max_det(2, restarts=r, seed=17).mixture_max for r in (0, 1, 64, 65, 130)
+        ]
+        assert maxima[0] == 0.0
+        assert maxima == sorted(maxima)
+
 
 class TestRetrocausal:
     def test_no_leak_equals_base(self):
@@ -193,6 +407,12 @@ class TestRetrocausal:
                 )
                 r = max((value - 3.0) / 4.0, 0.0)
                 assert r <= leak + 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(leak=st.floats(0.0, 1.0))
+    def test_optimal_retrocausality_never_exceeds_leak(self, leak):
+        value = retrocausal_max(dimension_witness, 2, 3, 2, leak)
+        assert retrocausality(value) <= leak + 1e-12
 
     def test_leak_domain(self):
         base = MixedStrategy(components=((1.0, ALWAYS_E),))

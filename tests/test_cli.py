@@ -123,6 +123,21 @@ class TestSimulateAndReport:
     def test_report_missing_counts(self, tmp_path):
         assert main(["report", "--counts", str(tmp_path / "nope.csv")]) == 1
 
+    def test_report_rejects_zero_resamples(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", DET_SCENARIO, seed=321)
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(sim_out)]) == 0
+        counts = str(sim_out / "counts.csv")
+        rep_out = tmp_path / "rep"
+        assert main(["report", "--counts", counts, "--resamples", "0", "--out", str(rep_out)]) == 1
+        assert not (rep_out / "witness.json").exists()
+
+    def test_report_negative_index_is_config_error(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("i,j,n_e,n_d,n_none\n-1,0,50,50,0\n1,0,50,50,0\n")
+        assert main(["report", "--counts", str(counts), "--out", str(tmp_path)]) == 1
+        assert "negative cell index" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_idw_d2_certificate(self, tmp_path):
@@ -145,6 +160,19 @@ class TestBounds:
         assert payload["deterministic_max"] == 0.0
         assert payload["mixture_max"] <= 1e-9
         assert payload["n_strategies"] == 256
+
+    def test_negative_restarts_exit_code(self, tmp_path):
+        argv = ["bounds", "--witness", "det", "-d", "2", "--restarts", "-3", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert not (tmp_path / "bounds.json").exists()
+
+    def test_zero_restarts_is_deterministic_only(self, tmp_path):
+        argv = ["bounds", "--witness", "det", "-d", "3", "--restarts", "0", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        payload = read_json(tmp_path / "bounds.json")
+        assert payload["restarts"] == 0
+        assert payload["mixture_max"] == 0.0
+        assert payload["value"] == payload["deterministic_max"] == 1.0
 
     def test_enumeration_cap_exit_code(self, tmp_path):
         # 8^3 * 2^16 = 33,554,432 strategies exceeds the default cap
