@@ -109,6 +109,8 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
             if getattr(args, "trials", None) is not None
             else cfg.plan.trials_per_setting
         )
+        if trials < 1:
+            raise ConfigError(f"--trials must be >= 1, got {trials}")
         cfg.plan = RunPlan(
             trials_per_setting=trials, seed=seed, setting_order=cfg.plan.setting_order
         )
@@ -168,6 +170,12 @@ def _require(cfg_value, what: str):
     return cfg_value
 
 
+def _check_resamples(resamples: int) -> int:
+    if resamples < MIN_RESAMPLES:
+        raise ConfigError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
+    return resamples
+
+
 def _cmd_predict(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
     scenario = _require(cfg.scenario, "scenario")
@@ -190,11 +198,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
     scenario = _require(cfg.scenario, "scenario")
     plan = _require(cfg.plan, "plan")
+    resamples = _check_resamples(cfg.resamples)
     out = _outdir(cfg.outputs)
     table = probability_table(scenario)
     counts = sample(table, plan)
     estimated = estimate(counts, scenario.fair_sampling)
-    report = bootstrap_report(counts, cfg.resamples, plan.seed, scenario.fair_sampling)
+    report = bootstrap_report(counts, resamples, plan.seed, scenario.fair_sampling)
     counts.to_csv(out / "counts.csv")
     _write_table_csv(out / "estimated.csv", estimated)
     _write_witness(out, report)
@@ -204,9 +213,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    resamples = 10_000 if args.resamples is None else args.resamples
-    if resamples < MIN_RESAMPLES:
-        raise ConfigError(f"--resamples must be >= {MIN_RESAMPLES}, got {resamples}")
+    resamples = _check_resamples(10_000 if args.resamples is None else args.resamples)
     try:
         counts = CountTable.from_csv(args.counts)
     except FileNotFoundError as exc:

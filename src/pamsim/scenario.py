@@ -52,6 +52,8 @@ class Scenario:
             raise ValueError("scenario needs at least one preparation phase")
         if len(self.betas) == 0:
             raise ValueError("scenario needs at least one measurement phase")
+        if not all(math.isfinite(phase) for phase in (*self.alphas, *self.betas)):
+            raise ValueError("preparation and measurement phases must be finite")
         _check_noise_params(self.visibility, self.efficiency)
         object.__setattr__(self, "alphas", tuple(canonical_phase(a) for a in self.alphas))
         object.__setattr__(self, "betas", tuple(canonical_phase(b) for b in self.betas))
@@ -135,11 +137,12 @@ class ProbabilityTable:
             p_none = np.asarray(self.p_none, dtype=float)
         if p_e.shape != p_d.shape or p_e.shape != p_none.shape or p_e.ndim != 2:
             raise ValueError("probability arrays must share one 2-d shape")
+        # written so that NaN, which fails every comparison, is rejected
         for name, arr in (("p_e", p_e), ("p_d", p_d), ("p_none", p_none)):
-            if arr.min() < -TABLE_TOL or arr.max() > 1.0 + TABLE_TOL:
+            if not (arr.min() >= -TABLE_TOL and arr.max() <= 1.0 + TABLE_TOL):
                 raise ValueError(f"{name} has entries outside [0, 1]")
         total = p_e + p_d + p_none
-        if np.abs(total - 1.0).max() > TABLE_TOL:
+        if not np.abs(total - 1.0).max() <= TABLE_TOL:
             raise ValueError("cell probabilities must sum to 1")
         object.__setattr__(self, "p_e", p_e)
         object.__setattr__(self, "p_d", p_d)

@@ -5,13 +5,17 @@ independent of evaluation order: `sample` uses spawn key (0,) and one
 child stream per cell in row-major order (plus one leading stream for
 the random setting order), `bootstrap_report` uses spawn key (1,) and
 one child stream per cell, drawing all resamples of that cell in a
-single vectorized call.
+single vectorized call.  Bootstrap cells are drawn concurrently, one
+job per cell on at most one thread per usable CPU; as each cell owns
+its stream, the output does not depend on the number of threads.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +25,13 @@ from .witness import (
     DET_CLASSICAL_BOUND,
     I_DW_CLASSICAL_BOUND,
     WitnessReport,
+    abs_det,
     det_witness,
     dimension_witness,
+    idw_sum,
     retrocausality,
+    sigma_violation,
+    witness_entries,
 )
 
 ROUND_ROBIN = "round-robin"
@@ -186,30 +194,30 @@ def estimate(c: CountTable, fair_sampling: bool) -> ProbabilityTable:
     return ProbabilityTable(c.n_e / trials, c.n_d / trials, c.n_none / trials)
 
 
-def _witness_arrays(
-    n_e: np.ndarray, n_d: np.ndarray, n_none: np.ndarray, fair_sampling: bool
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """(|det W|, I_DW) per resample from stacked counts (B, n_prep, n_meas)."""
-    if fair_sampling:
-        denom = n_e + n_d
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _resample_cell(
+    stream: np.random.SeedSequence, counts: tuple[int, int, int], resamples: int, fair: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-resample (<D>, p_d) vectors of one cell, drawn from its own stream."""
+    freqs = np.array(counts, dtype=float)
+    rng = np.random.default_rng(stream)
+    draws = rng.multinomial(sum(counts), freqs / freqs.sum(), size=resamples)
+    # counts are integers far below 2**53, so int64 sums and true division
+    # give exactly the floats that float arithmetic on the counts would
+    n_e, n_d, n_none = draws.T
+    denom = n_e + n_d
+    if fair:
         if denom.min() <= 0:
-            raise InsufficientStatisticsError(
-                "a bootstrap resample emptied a postselected cell"
-            )
+            raise InsufficientStatisticsError("a bootstrap resample emptied a postselected cell")
     else:
-        denom = n_e + n_d + n_none
-    p_e = n_e / denom
+        denom += n_none
     p_d = n_d / denom
-    det_abs = None
-    if p_d.shape[1] >= 4:
-        w00 = p_d[:, 0, 0] - p_d[:, 1, 0]
-        w01 = p_d[:, 0, 1] - p_d[:, 1, 1]
-        w10 = p_d[:, 2, 0] - p_d[:, 3, 0]
-        w11 = p_d[:, 2, 1] - p_d[:, 3, 1]
-        det_abs = np.abs(w00 * w11 - w01 * w10)
-    dv = p_e - p_d
-    i_dw = dv[:, 0, 0] + dv[:, 0, 1] + dv[:, 1, 0] - dv[:, 1, 1] - dv[:, 2, 0]
-    return det_abs, i_dw
+    return n_e / denom - p_d, p_d
 
 
 def bootstrap_report(
@@ -222,48 +230,40 @@ def bootstrap_report(
     the plug-in estimates, uncertainties are resample standard
     deviations, and sigma_* are violations of the classical bounds.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
     observed = estimate(c, fair_sampling)
     point_det = det_witness(observed) if observed.n_prep >= 4 else None
     point_idw = dimension_witness(observed)
 
-    trials = c.n_trials
-    root = np.random.SeedSequence(seed, spawn_key=(_BOOTSTRAP_KEY,))
-    streams = root.spawn(c.n_prep * c.n_meas)
-    shape = (resamples, c.n_prep, c.n_meas)
-    n_e = np.empty(shape)
-    n_d = np.empty(shape)
-    n_none = np.empty(shape)
-    for i in range(c.n_prep):
-        for j in range(c.n_meas):
-            rng = np.random.default_rng(streams[i * c.n_meas + j])
-            freqs = np.array([c.n_e[i, j], c.n_d[i, j], c.n_none[i, j]], dtype=float)
-            draws = rng.multinomial(int(trials[i, j]), freqs / freqs.sum(), size=resamples)
-            n_e[:, i, j], n_d[:, i, j], n_none[:, i, j] = draws[:, 0], draws[:, 1], draws[:, 2]
+    cells = [(i, j) for i in range(c.n_prep) for j in range(c.n_meas)]
+    streams = np.random.SeedSequence(seed, spawn_key=(_BOOTSTRAP_KEY,)).spawn(len(cells))
+    counts = [(int(c.n_e[ij]), int(c.n_d[ij]), int(c.n_none[ij])) for ij in cells]
+    job = partial(_resample_cell, resamples=resamples, fair=fair_sampling)
+    with ThreadPoolExecutor(max_workers=min(len(cells), _usable_cpus())) as pool:
+        # map yields in cell order and re-raises the first failing cell's error
+        d, p_d = (dict(zip(cells, column)) for column in zip(*pool.map(job, streams, counts)))
 
-    det_samples, idw_samples = _witness_arrays(n_e, n_d, n_none, fair_sampling)
+    idw_samples = idw_sum(d)
     r_samples = np.maximum((idw_samples - I_DW_CLASSICAL_BOUND) / 4.0, 0.0)
-
     uncertainties = {
         "i_dw": float(np.std(idw_samples, ddof=1)),
         "r": float(np.std(r_samples, ddof=1)),
     }
-    sigma_idw = None
-    if uncertainties["i_dw"] > 0.0:
-        sigma_idw = max((point_idw - I_DW_CLASSICAL_BOUND) / uncertainties["i_dw"], 0.0)
-    sigma_det = None
-    if det_samples is not None:
-        uncertainties["det_abs"] = float(np.std(det_samples, ddof=1))
-        if uncertainties["det_abs"] > 0.0:
-            sigma_det = max(
-                (point_det - DET_CLASSICAL_BOUND) / uncertainties["det_abs"], 0.0
-            )
+    if point_det is not None:
+        uncertainties["det_abs"] = float(np.std(abs_det(witness_entries(p_d)), ddof=1))
+
+    def sigma(point, name, bound):
+        err = uncertainties.get(name, 0.0)
+        return sigma_violation(point, err, bound) if err > 0.0 else None
+
     return WitnessReport(
         i_dw=point_idw,
         det_abs=point_det,
-        sigma_det=sigma_det,
-        sigma_idw=sigma_idw,
+        sigma_det=sigma(point_det, "det_abs", DET_CLASSICAL_BOUND),
+        sigma_idw=sigma(point_idw, "i_dw", I_DW_CLASSICAL_BOUND),
         uncertainties=uncertainties,
         r=retrocausality(point_idw),
     )

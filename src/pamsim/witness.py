@@ -42,19 +42,29 @@ def witness_matrix(t: ProbabilityTable) -> np.ndarray:
             f"witness matrix needs >= 4 preparations and >= 2 measurements, "
             f"got {t.n_prep} x {t.n_meas}"
         )
-    pd = t.p_d
-    return np.array(
-        [
-            [pd[0, 0] - pd[1, 0], pd[0, 1] - pd[1, 1]],
-            [pd[2, 0] - pd[3, 0], pd[2, 1] - pd[3, 1]],
-        ]
+    return np.array(witness_entries(t.p_d))
+
+
+def witness_entries(p_d):
+    """W as nested rows, from p_d looked up as p_d[i, j].
+
+    The cells may be scalars (a table's array) or per-resample vectors
+    (a dict keyed by (i, j)); the arithmetic is the same either way.
+    """
+    return (
+        (p_d[0, 0] - p_d[1, 0], p_d[0, 1] - p_d[1, 1]),
+        (p_d[2, 0] - p_d[3, 0], p_d[2, 1] - p_d[3, 1]),
     )
+
+
+def abs_det(w):
+    """|w00 w11 - w01 w10| for nested rows of scalars or vectors."""
+    return abs(w[0][0] * w[1][1] - w[0][1] * w[1][0])
 
 
 def det_witness(t: ProbabilityTable) -> float:
     """|det W| of the witness matrix."""
-    w = witness_matrix(t)
-    return abs(w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0])
+    return abs_det(witness_matrix(t))
 
 
 def dimension_witness(t: ProbabilityTable) -> float:
@@ -64,8 +74,12 @@ def dimension_witness(t: ProbabilityTable) -> float:
             f"dimension witness needs >= 3 preparations and >= 2 measurements, "
             f"got {t.n_prep} x {t.n_meas}"
         )
-    d = t.d_values()
-    return float(d[0, 0] + d[0, 1] + d[1, 0] - d[1, 1] - d[2, 0])
+    return float(idw_sum(t.d_values()))
+
+
+def idw_sum(d):
+    """The five-term I_DW sum from <D_ij> looked up as d[i, j] (see witness_entries)."""
+    return d[0, 0] + d[0, 1] + d[1, 0] - d[1, 1] - d[2, 0]
 
 
 def retrocausality(i_dw: float) -> float:

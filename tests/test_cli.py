@@ -132,6 +132,31 @@ class TestSimulateAndReport:
         assert main(["report", "--counts", counts, "--resamples", "0", "--out", str(rep_out)]) == 1
         assert not (rep_out / "witness.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags, config_resamples, message",
+        [
+            (["--resamples", "0"], 500, "resamples must be >= 100"),
+            ([], 99, "resamples must be >= 100"),
+            (["--trials", "0"], 500, "--trials must be >= 1"),
+            (["--trials", "-3"], 500, "--trials must be >= 1"),
+        ],
+    )
+    def test_simulate_bad_sizes_are_config_errors(
+        self, tmp_path, capsys, flags, config_resamples, message
+    ):
+        cfg = write_config(tmp_path / "cfg.json", DET_SCENARIO, resamples=config_resamples)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "witness.json").exists()
+
+    def test_nan_phase_is_config_error(self, tmp_path, capsys):
+        scenario = dict(DET_SCENARIO, alphas_pi=[math.nan, 1.0, -0.5, 0.5])
+        cfg = write_config(tmp_path / "cfg.json", scenario)
+        for command in ("predict", "simulate"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+            assert "finite" in capsys.readouterr().err
+
     def test_report_negative_index_is_config_error(self, tmp_path, capsys):
         counts = tmp_path / "counts.csv"
         counts.write_text("i,j,n_e,n_d,n_none\n-1,0,50,50,0\n1,0,50,50,0\n")

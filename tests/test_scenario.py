@@ -99,6 +99,16 @@ class TestProbabilityTable:
         with pytest.raises(ValueError):
             ProbabilityTable(np.array([[1.2]]), np.array([[-0.2]]), np.array([[0.0]]))
 
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_nan_entries_rejected(self, column):
+        cells = [np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]), np.array([[0.0, 0.0]])]
+        cells[column][0, 1] = math.nan
+        with pytest.raises(ValueError):
+            ProbabilityTable(*cells)
+        if column < 2:
+            with pytest.raises(ValueError):
+                ProbabilityTable(cells[0], cells[1])  # p_none derived from a NaN
+
 
 class TestHeraldedTable:
     @pytest.mark.parametrize("settings", [det_witness_settings, dimension_witness_settings])
@@ -155,3 +165,12 @@ class TestScenarioConfig:
             Scenario((), (0.0,))
         with pytest.raises(ValueError):
             Scenario((0.0,), ())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phases_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Scenario((0.0, bad), (0.0,))
+        with pytest.raises(ValueError, match="finite"):
+            Scenario((0.0,), (bad, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            Scenario.from_json_dict({"alphas_pi": [bad], "betas_pi": [0.0]})

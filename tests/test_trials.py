@@ -1,8 +1,15 @@
-import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pamsim
+from pamsim import trials
 from pamsim.scenario import (
     ProbabilityTable,
     det_witness_settings,
@@ -17,6 +24,14 @@ from pamsim.trials import (
     bootstrap_report,
     estimate,
     sample,
+)
+from pamsim.witness import (
+    DET_CLASSICAL_BOUND,
+    I_DW_CLASSICAL_BOUND,
+    WitnessReport,
+    det_witness,
+    dimension_witness,
+    retrocausality,
 )
 
 
@@ -139,6 +154,141 @@ class TestBootstrap:
         )
         with pytest.raises(ValueError):
             bootstrap_report(counts, resamples=50, seed=0, fair_sampling=True)
+
+
+def sequential_bootstrap_report(c, resamples, seed, fair_sampling):
+    """Reference: every cell drawn in row-major order into (B, n_prep, n_meas) arrays."""
+    observed = estimate(c, fair_sampling)
+    point_det = det_witness(observed) if observed.n_prep >= 4 else None
+    point_idw = dimension_witness(observed)
+    trials_ = c.n_trials
+    root = np.random.SeedSequence(seed, spawn_key=(1,))
+    streams = root.spawn(c.n_prep * c.n_meas)
+    shape = (resamples, c.n_prep, c.n_meas)
+    n_e, n_d, n_none = np.empty(shape), np.empty(shape), np.empty(shape)
+    for i in range(c.n_prep):
+        for j in range(c.n_meas):
+            rng = np.random.default_rng(streams[i * c.n_meas + j])
+            freqs = np.array([c.n_e[i, j], c.n_d[i, j], c.n_none[i, j]], dtype=float)
+            draws = rng.multinomial(int(trials_[i, j]), freqs / freqs.sum(), size=resamples)
+            n_e[:, i, j], n_d[:, i, j], n_none[:, i, j] = draws[:, 0], draws[:, 1], draws[:, 2]
+    if fair_sampling:
+        denom = n_e + n_d
+        if denom.min() <= 0:
+            raise InsufficientStatisticsError("a bootstrap resample emptied a postselected cell")
+    else:
+        denom = n_e + n_d + n_none
+    p_e, p_d = n_e / denom, n_d / denom
+    dv = p_e - p_d
+    idw = dv[:, 0, 0] + dv[:, 0, 1] + dv[:, 1, 0] - dv[:, 1, 1] - dv[:, 2, 0]
+    r = np.maximum((idw - I_DW_CLASSICAL_BOUND) / 4.0, 0.0)
+    unc = {"i_dw": float(np.std(idw, ddof=1)), "r": float(np.std(r, ddof=1))}
+    sigma_idw = sigma_det = None
+    if unc["i_dw"] > 0.0:
+        sigma_idw = max((point_idw - I_DW_CLASSICAL_BOUND) / unc["i_dw"], 0.0)
+    if point_det is not None:
+        w00 = p_d[:, 0, 0] - p_d[:, 1, 0]
+        w01 = p_d[:, 0, 1] - p_d[:, 1, 1]
+        w10 = p_d[:, 2, 0] - p_d[:, 3, 0]
+        w11 = p_d[:, 2, 1] - p_d[:, 3, 1]
+        unc["det_abs"] = float(np.std(np.abs(w00 * w11 - w01 * w10), ddof=1))
+        if unc["det_abs"] > 0.0:
+            sigma_det = max((point_det - DET_CLASSICAL_BOUND) / unc["det_abs"], 0.0)
+    return WitnessReport(
+        i_dw=point_idw,
+        det_abs=point_det,
+        sigma_det=sigma_det,
+        sigma_idw=sigma_idw,
+        uncertainties=unc,
+        r=retrocausality(point_idw),
+    )
+
+
+def workers(monkeypatch, n):
+    monkeypatch.setattr(trials, "_usable_cpus", lambda: n)
+
+
+def counts_for(settings_fn, fair, seed, trials_per_setting=5000):
+    s = settings_fn(visibility=0.9, efficiency=0.4, fair_sampling=fair)
+    return sample(probability_table(s), RunPlan(trials_per_setting, seed=seed))
+
+
+class TestConcurrentBootstrap:
+    @pytest.mark.parametrize("settings_fn", [dimension_witness_settings, det_witness_settings])
+    @pytest.mark.parametrize("fair", [True, False])
+    @pytest.mark.parametrize("resamples", [101, 333])
+    def test_matches_sequential_oracle(self, settings_fn, fair, resamples):
+        counts = counts_for(settings_fn, fair, seed=resamples)
+        expected = sequential_bootstrap_report(counts, resamples, 17, fair).to_json()
+        assert bootstrap_report(counts, resamples, 17, fair).to_json() == expected
+
+    @pytest.mark.parametrize("settings_fn", [dimension_witness_settings, det_witness_settings])
+    @pytest.mark.parametrize("fair", [True, False])
+    def test_independent_of_worker_count(self, monkeypatch, settings_fn, fair):
+        counts = counts_for(settings_fn, fair, seed=3)
+        n_cells = counts.n_prep * counts.n_meas
+        reports = []
+        for n in (1, n_cells):
+            workers(monkeypatch, n)
+            reports.append(bootstrap_report(counts, 257, 5, fair).to_json())
+        assert reports[0] == reports[1]
+        assert reports[0] == sequential_bootstrap_report(counts, 257, 5, fair).to_json()
+
+    def test_extra_cells_keep_their_streams(self):
+        # a 5 x 3 table: cells outside the witnesses still take their stream slots
+        rng = np.random.default_rng(0)
+        n_e, n_d, n_none = rng.integers(50, 500, size=(3, 5, 3))
+        counts = CountTable(n_e, n_d, n_none)
+        for fair in (True, False):
+            expected = sequential_bootstrap_report(counts, 199, 9, fair).to_json()
+            assert bootstrap_report(counts, 199, 9, fair).to_json() == expected
+
+    @pytest.mark.parametrize("n_workers", [1, 6])
+    def test_emptied_postselected_cell_raises(self, monkeypatch, n_workers):
+        # cell (2, 1) has one detection in 10001 trials: some resample empties it
+        workers(monkeypatch, n_workers)
+        n_e, n_d = np.full((3, 2), 500), np.full((3, 2), 500)
+        n_none = np.zeros((3, 2), dtype=int)
+        n_e[2, 1], n_d[2, 1], n_none[2, 1] = 1, 0, 10_000
+        counts = CountTable(n_e, n_d, n_none)
+        with pytest.raises(InsufficientStatisticsError):
+            sequential_bootstrap_report(counts, 100, 0, True)
+        with pytest.raises(InsufficientStatisticsError, match="emptied a postselected cell"):
+            bootstrap_report(counts, 100, 0, True)
+        bootstrap_report(counts, 100, 0, False)  # no postselection, nothing to empty
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(trials.os, "sched_getaffinity", raising=False)
+        assert trials._usable_cpus() == (trials.os.cpu_count() or 1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(st.integers(1, 300), st.integers(1, 300), st.integers(0, 300)),
+            min_size=8,
+            max_size=8,
+        ),
+        n_prep=st.sampled_from([3, 4]),
+        seed=st.integers(0, 2**32 - 1),
+        fair=st.booleans(),
+    )
+    def test_same_seed_same_report(self, cells, n_prep, seed, fair):
+        n_e, n_d, n_none = (np.array(col[: n_prep * 2]).reshape(n_prep, 2) for col in zip(*cells))
+        counts = CountTable(n_e, n_d, n_none)
+        first = bootstrap_report(counts, 100, seed, fair)
+        again = bootstrap_report(counts, 100, seed, fair)
+        assert first == again
+        assert first.to_json() == again.to_json()
+
+
+def test_import_does_not_load_thread_pool():
+    # the pool is imported by bootstrap_report itself, keeping package import lean
+    code = "import sys, pamsim; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(pamsim.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "False"
 
 
 class TestCountTableCsv:
