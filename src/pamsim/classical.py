@@ -27,8 +27,9 @@ is affine in p_e, and for a fixed encoder the best decoder picks every
 form per encoder, over all encoders at once.  The brute-force
 `enumerate_deterministic` stays as the reference these results are
 tested against.  Every search refuses loudly when its strategy count
-exceeds a configurable cap.  Outcome encoding: decode entries are 1 for
-outcome "e" and 0 for outcome "d".
+exceeds `DEFAULT_ENUMERATION_CAP` (`enumerate_deterministic` takes its
+own cap).  Outcome encoding: decode entries are 1 for outcome "e" and 0
+for outcome "d".
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .scenario import ProbabilityTable
+from .witness import DET_CONTRAST, abs_det, check_shape, det
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -174,7 +176,7 @@ def strategy_count(d: int, n_prep: int, n_meas: int) -> int:
     return d**n_prep * 2 ** (d * n_meas)
 
 
-def _check_cap(count: int, cap: int) -> None:
+def _check_cap(count: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
     if count > cap:
         raise EnumerationCapExceeded(
             f"{count} strategies exceed the enumeration cap of {cap}"
@@ -252,7 +254,6 @@ def classical_max_linear(
     d: int,
     n_prep: int,
     n_meas: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[float, DeterministicStrategy]:
     """Exact maximum of a linear table functional over all mixtures.
 
@@ -267,7 +268,7 @@ def classical_max_linear(
     """
     if d < 1:
         raise ValueError(f"message dimension must be >= 1, got {d}")
-    _check_cap(strategy_count(d, n_prep, n_meas), cap)
+    _check_cap(strategy_count(d, n_prep, n_meas))
     c0, coef = _affine_coefficients(witness, n_prep, n_meas)
 
     # mass[e, m, j] = S[m, j] of encoder e; the message of preparation i
@@ -334,9 +335,9 @@ class DetBoundResult:
 _RESTART_BLOCK = 64
 
 
-def _abs_det2(w: np.ndarray) -> np.ndarray:
-    """|det| of each 2x2 matrix in a (..., 2, 2) stack."""
-    return np.abs(w[..., 0, 0] * w[..., 1, 1] - w[..., 0, 1] * w[..., 1, 0])
+def _entries(w: np.ndarray) -> np.ndarray:
+    """A (..., 2, 2) stack as nested rows w[k][l] of (...) arrays, for `det`."""
+    return np.moveaxis(w, (-2, -1), (0, 1))
 
 
 def _best_coordinate_move(
@@ -349,15 +350,14 @@ def _best_coordinate_move(
     |det| on [0, 1] peaks at an endpoint or the interior extremum.
     Returns per row r: (best |det|, candidate index, t).
     """
-    w = w[:, None]
-    delta = candidates - w
-    det_w = w[..., 0, 0] * w[..., 1, 1] - w[..., 0, 1] * w[..., 1, 0]
-    det_delta = delta[..., 0, 0] * delta[..., 1, 1] - delta[..., 0, 1] * delta[..., 1, 0]
+    w = _entries(w[:, None])
+    delta = _entries(candidates) - w
+    det_w, det_delta = det(w), det(delta)
     cross = (
-        w[..., 0, 0] * delta[..., 1, 1]
-        + delta[..., 0, 0] * w[..., 1, 1]
-        - w[..., 0, 1] * delta[..., 1, 0]
-        - delta[..., 0, 1] * w[..., 1, 0]
+        w[0][0] * delta[1][1]
+        + delta[0][0] * w[1][1]
+        - w[0][1] * delta[1][0]
+        - delta[0][1] * w[1][0]
     )
     at_one = np.abs(det_w + cross + det_delta)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -367,7 +367,7 @@ def _best_coordinate_move(
     at_star = np.where(
         valid, np.abs(det_w + cross * t_star + det_delta * t_star**2), -np.inf
     )
-    rows = np.arange(len(w))
+    rows = np.arange(len(candidates))
     best_at_one = np.argmax(at_one, axis=1)
     best_at_star = np.argmax(at_star, axis=1)
     one = at_one[rows, best_at_one]
@@ -400,7 +400,7 @@ def _climb(
     x = np.concatenate(x).reshape(-1, *ce.shape[1:])  # (R, 2, d)
     y = np.concatenate(y).reshape(-1, *dd.shape[1:])  # (R, d, 2)
     w = x @ y
-    current = _abs_det2(w)
+    current = abs_det(_entries(w))
     active = np.arange(len(children))
     for _ in range(200):
         if not active.size:
@@ -411,13 +411,13 @@ def _climb(
         t = t[enc_moved, None, None]
         xa[enc_moved] = (1.0 - t) * xa[enc_moved] + t * ce[a[enc_moved]]
         wa[enc_moved] = xa[enc_moved] @ ya[enc_moved]
-        ca[enc_moved] = _abs_det2(wa[enc_moved])
+        ca[enc_moved] = abs_det(_entries(wa[enc_moved]))
         dec_val, b, t = _best_coordinate_move(wa, xa[:, None] @ dd)
         dec_moved = dec_val > ca + 1e-15
         t = t[dec_moved, None, None]
         ya[dec_moved] = (1.0 - t) * ya[dec_moved] + t * dd[b[dec_moved]]
         wa[dec_moved] = xa[dec_moved] @ ya[dec_moved]
-        ca[dec_moved] = _abs_det2(wa[dec_moved])
+        ca[dec_moved] = abs_det(_entries(wa[dec_moved]))
         x[active], y[active], w[active], current[active] = xa, ya, wa, ca
         active = active[enc_moved | dec_moved]
     return current
@@ -429,7 +429,6 @@ def classical_max_det(
     n_meas: int = 2,
     restarts: int = 10_000,
     seed: int = 0,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> DetBoundResult:
     """Maximize |det W| over d-dimensional strategies with independent
     encoder/decoder randomness.
@@ -446,27 +445,25 @@ def classical_max_det(
     """
     if d < 2:
         raise ValueError(f"determinant search needs message dimension >= 2, got {d}")
-    if n_prep < 4 or n_meas < 2:
-        raise ValueError("determinant witness needs >= 4 preparations and >= 2 measurements")
+    check_shape("determinant witness", (n_prep, n_meas), DET_CONTRAST.shape[::-1])
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
-    _check_cap(strategy_count(d, n_prep, n_meas), cap)
+    _check_cap(strategy_count(d, n_prep, n_meas))
 
-    contrast = np.zeros((2, n_prep))
-    contrast[0, 0], contrast[0, 1] = 1.0, -1.0
-    contrast[1, 2], contrast[1, 3] = 1.0, -1.0
+    n_rows, n_cols = DET_CONTRAST.shape  # W is n_rows x n_rows
+    contrast = np.pad(DET_CONTRAST, ((0, 0), (0, n_prep - n_cols)))
 
     encoders = _lex_grid(d, n_prep)  # (n_enc, n_prep) messages
     decoders = _lex_grid(2, d * n_meas).reshape(-1, d, n_meas)  # (n_dec, d, n_meas) bits
     # contrast @ one-hot(encoder): shape (n_enc, 2, d)
     ce = contrast @ (encoders[:, :, None] == np.arange(d)).astype(float)
-    # p_d rows of each decoder, first two measurement columns: (n_dec, d, 2)
-    dd = 1.0 - decoders[:, :, :2].astype(float)
+    # p_d rows of each decoder, first n_rows measurement columns: (n_dec, d, n_rows)
+    dd = 1.0 - decoders[:, :, :n_rows].astype(float)
 
     det_max = -1.0
     best_pair = (0, 0)
     for a in range(len(encoders)):
-        dets = _abs_det2(ce[a] @ dd)
+        dets = abs_det(_entries(ce[a] @ dd))
         b = int(np.argmax(dets))
         if dets[b] > det_max:
             det_max, best_pair = float(dets[b]), (a, b)
@@ -503,7 +500,6 @@ def setting_aware_max(
     d: int,
     n_prep: int,
     n_meas: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Exact witness maximum when the encoder also sees the measurement
     index, over encode: (i, j) -> m and decode: (m, j) -> outcome.
@@ -516,7 +512,7 @@ def setting_aware_max(
     """
     if d < 1:
         raise ValueError(f"message dimension must be >= 1, got {d}")
-    _check_cap(d ** (n_prep * n_meas) * 2 ** (d * n_meas), cap)
+    _check_cap(d ** (n_prep * n_meas) * 2 ** (d * n_meas))
     c0, coef = _affine_coefficients(witness, n_prep, n_meas)
     if d == 1:
         p_e = np.broadcast_to(coef.sum(axis=0) > 0.0, coef.shape).astype(float)
@@ -532,7 +528,6 @@ def retrocausal_value(
     strat: RetrocausalStrategy,
     n_prep: int,
     n_meas: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Witness value of a retrocausal strategy: with probability `leak`
     the encoder sees the setting and plays the best setting-aware
@@ -540,7 +535,7 @@ def retrocausal_value(
     base_value = witness(strategy_table(strat.base, n_prep, n_meas))
     if strat.leak == 0.0:
         return base_value
-    leaked = setting_aware_max(witness, strat.base.dimension, n_prep, n_meas, cap=cap)
+    leaked = setting_aware_max(witness, strat.base.dimension, n_prep, n_meas)
     return (1.0 - strat.leak) * base_value + strat.leak * leaked
 
 
@@ -550,11 +545,10 @@ def retrocausal_max(
     n_prep: int,
     n_meas: int,
     leak: float,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Maximum witness value at a given leak probability (optimal base)."""
-    causal, _ = classical_max_linear(witness, d, n_prep, n_meas, cap=cap)
+    causal, _ = classical_max_linear(witness, d, n_prep, n_meas)
     if leak == 0.0:
         return causal
-    leaked = setting_aware_max(witness, d, n_prep, n_meas, cap=cap)
+    leaked = setting_aware_max(witness, d, n_prep, n_meas)
     return (1.0 - leak) * causal + leak * leaked

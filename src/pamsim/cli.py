@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .classical import (
     EnumerationCapExceeded,
@@ -36,15 +37,7 @@ from .trials import (
     estimate,
     sample,
 )
-from .witness import WitnessReport, dimension_witness, report_from_table
-
-DW_TERMS = (
-    ("D_00", 0, 0, 1),
-    ("D_01", 0, 1, 1),
-    ("D_10", 1, 0, 1),
-    ("D_11", 1, 1, -1),
-    ("D_20", 2, 0, -1),
-)
+from .witness import IDW_COEF, WitnessReport, dimension_witness, report_from_table
 
 
 class ConfigError(Exception):
@@ -143,8 +136,9 @@ def _write_dw_terms_csv(path: Path, table: ProbabilityTable) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["term", "i", "j", "sign", "value"])
-        for name, i, j, sign in DW_TERMS:
-            writer.writerow([name, i, j, sign, repr(float(d[i, j]))])
+        for (i, j), sign in np.ndenumerate(IDW_COEF):
+            if sign:
+                writer.writerow([f"D_{i}{j}", i, j, sign, repr(float(d[i, j]))])
 
 
 def _write_witness(out: Path, report: WitnessReport) -> None:
@@ -233,24 +227,22 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    if args.restarts < 0:
-        raise ConfigError(f"--restarts must be >= 0, got {args.restarts}")
+    least = 1 if args.witness == "idw" else 2
+    if args.dimension < least:
+        raise ConfigError(f"--dimension must be >= {least}, got {args.dimension}")
     out = _outdir(Path(args.out) if args.out else None)
-    seed = 0 if args.seed is None else args.seed
     if args.witness == "idw":
-        value, strategy = classical_max_linear(dimension_witness, args.dimension, 3, 2)
+        value, strategy = classical_max_linear(dimension_witness, args.dimension, *IDW_COEF.shape)
         payload = {
             "witness": "idw",
             "dimension": args.dimension,
             "value": value,
-            "n_strategies": strategy_count(args.dimension, 3, 2),
+            "n_strategies": strategy_count(args.dimension, *IDW_COEF.shape),
             "strategy": strategy.to_json_dict(),
         }
         print(f"classical I_DW bound (d={args.dimension}): {value:.6g}")
     else:
-        result = classical_max_det(
-            args.dimension, restarts=args.restarts, seed=seed
-        )
+        result = classical_max_det(args.dimension, restarts=args.restarts, seed=args.seed)
         payload = {"witness": "det", "dimension": args.dimension, **result.to_json_dict()}
         print(
             f"classical |det W| bound (d={args.dimension}): deterministic max "
@@ -300,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, config=True):
         if config:
             p.add_argument("--config", required=True, help="run configuration JSON")
-        p.add_argument("--seed", type=int, help="override the RNG seed")
+        p.add_argument("--seed", type=_non_negative_int, help="override the RNG seed")
         p.add_argument("--resamples", type=int, help="bootstrap resample count")
         p.add_argument(
             "--fair-sampling",
@@ -328,8 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="classical witness bounds by enumeration/search")
     p.add_argument("--witness", choices=("idw", "det"), required=True)
     p.add_argument("--dimension", "-d", type=int, default=2, help="message dimension")
-    p.add_argument("--restarts", type=int, default=10_000, help="mixture-search restarts")
-    p.add_argument("--seed", type=int, help="mixture-search seed")
+    p.add_argument(
+        "--restarts", type=_non_negative_int, default=10_000, help="mixture-search restarts"
+    )
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="mixture-search seed")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=_cmd_bounds)
 
@@ -339,6 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spacetime)
 
     return parser
+
+
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _parse_bool(text: str) -> bool:

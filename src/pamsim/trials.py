@@ -23,6 +23,7 @@ import numpy as np
 from .scenario import ProbabilityTable
 from .witness import (
     DET_CLASSICAL_BOUND,
+    DET_CONTRAST,
     I_DW_CLASSICAL_BOUND,
     WitnessReport,
     abs_det,
@@ -130,6 +131,8 @@ class RunPlan:
     def __post_init__(self):
         if self.trials_per_setting < 1:
             raise ValueError("trials_per_setting must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.setting_order not in (ROUND_ROBIN, RANDOM_PER_TRIAL):
             raise ValueError(
                 f"setting_order must be {ROUND_ROBIN!r} or {RANDOM_PER_TRIAL!r}, "
@@ -235,7 +238,7 @@ def bootstrap_report(
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
     observed = estimate(c, fair_sampling)
-    point_det = det_witness(observed) if observed.n_prep >= 4 else None
+    point_det = det_witness(observed) if observed.n_prep >= DET_CONTRAST.shape[1] else None
     point_idw = dimension_witness(observed)
 
     cells = [(i, j) for i in range(c.n_prep) for j in range(c.n_meas)]
@@ -247,10 +250,9 @@ def bootstrap_report(
         d, p_d = (dict(zip(cells, column)) for column in zip(*pool.map(job, streams, counts)))
 
     idw_samples = idw_sum(d)
-    r_samples = np.maximum((idw_samples - I_DW_CLASSICAL_BOUND) / 4.0, 0.0)
     uncertainties = {
         "i_dw": float(np.std(idw_samples, ddof=1)),
-        "r": float(np.std(r_samples, ddof=1)),
+        "r": float(np.std(retrocausality(idw_samples), ddof=1)),
     }
     if point_det is not None:
         uncertainties["det_abs"] = float(np.std(abs_det(witness_entries(p_d)), ddof=1))

@@ -1,16 +1,14 @@
 """Witness quantities computed from a probability table.
 
-Index convention (0-based): with preparations i = 0..3 and
-measurements j = 0..1, the 2x2 witness matrix is
+Index convention (0-based): preparations i, measurements j.  Each
+witness is defined once, as a +-1 matrix that every other path (the
+bootstrap, the CLI term dump, the classical bounds) derives from:
 
-    W[k, l] = p_d(2k, l) - p_d(2k+1, l),    k, l in {0, 1}
+    W[k, l] = sum_i DET_CONTRAST[k, i] p_d(i, l) = p_d(2k, l) - p_d(2k+1, l)
+    I_DW = sum_ij IDW_COEF[i, j] <D_ij> = <D_00> + <D_01> + <D_10> - <D_11> - <D_20>
 
-i.e. rows pair up consecutive preparations and columns follow the
-measurement index.  The linear dimension witness uses the first three
-preparations:
-
-    I_DW = <D_00> + <D_01> + <D_10> - <D_11> - <D_20>,
-    <D_ij> = p_e(i, j) - p_d(i, j)
+with <D_ij> = p_e(i, j) - p_d(i, j) and k, l in {0, 1}: rows of W pair
+up consecutive preparations, its columns follow the measurement index.
 
 Classical bounds for message dimension 2: det(W) = 0 for independent
 devices, I_DW <= 3 even with shared randomness (see `classical`).  The
@@ -29,19 +27,27 @@ import numpy as np
 
 from .scenario import ProbabilityTable
 
+IDW_COEF = np.array([[1, 1], [1, -1], [-1, 0]])  # on <D_ij>, (preparation, measurement)
+DET_CONTRAST = np.array([[1, -1, 0, 0], [0, 0, 1, -1]])  # on p_d, (row of W, preparation)
+
 I_DW_CLASSICAL_BOUND = 3.0
 DET_CLASSICAL_BOUND = 0.0
 I_DW_QUANTUM = 1.0 + 2.0 * math.sqrt(2.0)
 R_QUANTUM = (math.sqrt(2.0) - 1.0) / 2.0
 
 
+def check_shape(what: str, shape: tuple[int, int], needed: tuple[int, int]) -> None:
+    """Refuse an (n_prep, n_meas) shape smaller than `needed`."""
+    if shape[0] < needed[0] or shape[1] < needed[1]:
+        raise ValueError(
+            f"{what} needs >= {needed[0]} preparations and >= {needed[1]} measurements, "
+            f"got {shape[0]} x {shape[1]}"
+        )
+
+
 def witness_matrix(t: ProbabilityTable) -> np.ndarray:
     """The 2x2 matrix of paired p_d differences."""
-    if t.n_prep < 4 or t.n_meas < 2:
-        raise ValueError(
-            f"witness matrix needs >= 4 preparations and >= 2 measurements, "
-            f"got {t.n_prep} x {t.n_meas}"
-        )
+    check_shape("witness matrix", t.p_d.shape, DET_CONTRAST.shape[::-1])
     return np.array(witness_entries(t.p_d))
 
 
@@ -49,17 +55,24 @@ def witness_entries(p_d):
     """W as nested rows, from p_d looked up as p_d[i, j].
 
     The cells may be scalars (a table's array) or per-resample vectors
-    (a dict keyed by (i, j)); the arithmetic is the same either way.
+    (a dict keyed by (i, j)); the arithmetic is the same either way:
+    an in-order sum over the nonzero contrast entries.
     """
-    return (
-        (p_d[0, 0] - p_d[1, 0], p_d[0, 1] - p_d[1, 1]),
-        (p_d[2, 0] - p_d[3, 0], p_d[2, 1] - p_d[3, 1]),
+    n_cols = len(DET_CONTRAST)  # W is square
+    return tuple(
+        tuple(sum(c * p_d[i, l] for i, c in enumerate(row) if c) for l in range(n_cols))
+        for row in DET_CONTRAST
     )
 
 
+def det(w):
+    """w00 w11 - w01 w10 for nested rows w[k][l] of scalars or arrays."""
+    return w[0][0] * w[1][1] - w[0][1] * w[1][0]
+
+
 def abs_det(w):
-    """|w00 w11 - w01 w10| for nested rows of scalars or vectors."""
-    return abs(w[0][0] * w[1][1] - w[0][1] * w[1][0])
+    """|det w| (see det)."""
+    return abs(det(w))
 
 
 def det_witness(t: ProbabilityTable) -> float:
@@ -69,22 +82,19 @@ def det_witness(t: ProbabilityTable) -> float:
 
 def dimension_witness(t: ProbabilityTable) -> float:
     """Signed five-term sum of <D_ij> = p_e - p_d."""
-    if t.n_prep < 3 or t.n_meas < 2:
-        raise ValueError(
-            f"dimension witness needs >= 3 preparations and >= 2 measurements, "
-            f"got {t.n_prep} x {t.n_meas}"
-        )
+    check_shape("dimension witness", t.p_d.shape, IDW_COEF.shape)
     return float(idw_sum(t.d_values()))
 
 
 def idw_sum(d):
-    """The five-term I_DW sum from <D_ij> looked up as d[i, j] (see witness_entries)."""
-    return d[0, 0] + d[0, 1] + d[1, 0] - d[1, 1] - d[2, 0]
+    """I_DW from <D_ij> looked up as d[i, j] (see witness_entries)."""
+    return sum(c * d[ij] for ij, c in np.ndenumerate(IDW_COEF) if c)
 
 
-def retrocausality(i_dw: float) -> float:
-    """R = max((I_DW - 3)/4, 0)."""
-    return max((i_dw - I_DW_CLASSICAL_BOUND) / 4.0, 0.0)
+def retrocausality(i_dw: float | np.ndarray) -> float | np.ndarray:
+    """R = max((I_DW - 3)/4, 0); elementwise for an array of I_DW values."""
+    excess = (i_dw - I_DW_CLASSICAL_BOUND) / 4.0
+    return np.maximum(excess, 0.0) if np.ndim(excess) else max(excess, 0.0)
 
 
 def sigma_violation(value: float, std_err: float, bound: float) -> float:
@@ -154,24 +164,17 @@ class WitnessReport:
         )
 
     def to_csv_row(self) -> str:
+        values = self.to_json_dict()
+        errors = values.pop("uncertainties")
+        row = {k: values.get(k, errors.get(k.removesuffix("_err"))) for k in CSV_FIELDS}
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
         writer.writeheader()
-        row = {
-            "det_abs": self.det_abs,
-            "i_dw": self.i_dw,
-            "r": self.r,
-            "sigma_det": self.sigma_det,
-            "sigma_idw": self.sigma_idw,
-            "det_abs_err": self.uncertainties.get("det_abs"),
-            "i_dw_err": self.uncertainties.get("i_dw"),
-            "r_err": self.uncertainties.get("r"),
-        }
         writer.writerow({k: ("" if v is None else repr(v)) for k, v in row.items()})
         return buf.getvalue()
 
 
 def report_from_table(t: ProbabilityTable) -> WitnessReport:
     """Analytic witness report (no uncertainties) from an exact table."""
-    det_abs = det_witness(t) if t.n_prep >= 4 else None
+    det_abs = det_witness(t) if t.n_prep >= DET_CONTRAST.shape[1] else None
     return WitnessReport(i_dw=dimension_witness(t), det_abs=det_abs)

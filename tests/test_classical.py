@@ -11,6 +11,7 @@ from pamsim.classical import (
     EnumerationCapExceeded,
     MixedStrategy,
     RetrocausalStrategy,
+    _affine_coefficients,
     _climb,
     classical_max_det,
     classical_max_linear,
@@ -22,7 +23,7 @@ from pamsim.classical import (
     strategy_table,
 )
 from pamsim.scenario import ProbabilityTable
-from pamsim.witness import det_witness, dimension_witness, retrocausality
+from pamsim.witness import IDW_COEF, det_witness, dimension_witness, retrocausality
 
 ALWAYS_E = DeterministicStrategy(encode=(0, 0, 0, 0), decode=((1, 1),))
 ALWAYS_D = DeterministicStrategy(encode=(0, 0, 0, 0), decode=((0, 0),))
@@ -225,6 +226,11 @@ class TestLinearBounds:
 
 
 class TestLinearBoundOracle:
+    def test_dimension_witness_coefficients_are_the_idw_matrix(self):
+        c0, coef = _affine_coefficients(dimension_witness, 3, 2)
+        assert c0 == -IDW_COEF.sum()
+        np.testing.assert_array_equal(coef, 2 * IDW_COEF)
+
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_dimension_witness_matches_enumeration(self, case):
         assert classical_max_linear(dimension_witness, *case) == brute_force_linear(

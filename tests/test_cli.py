@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -52,6 +53,24 @@ class TestPredict:
         report = read_json(tmp_path / "witness.json")
         assert abs(report["i_dw"] - I_DW_QUANTUM) < 1e-12
         assert abs(report["r"] - R_QUANTUM) < 1e-12
+
+    @pytest.mark.parametrize(
+        "config", ["det_witness_ideal", "dimension_witness_ideal", "fitted_no_fsa"]
+    )
+    def test_dw_terms_sum_to_reported_i_dw(self, configs_dir, tmp_path, config):
+        rc = main(["predict", "--config", str(configs_dir / f"{config}.json"), "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "dw_terms.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["term"], r["i"], r["j"], r["sign"]) for r in rows] == [
+            ("D_00", "0", "0", "1"),
+            ("D_01", "0", "1", "1"),
+            ("D_10", "1", "0", "1"),
+            ("D_11", "1", "1", "-1"),
+            ("D_20", "2", "0", "-1"),
+        ]
+        signed_sum = sum(int(r["sign"]) * float(r["value"]) for r in rows)
+        assert signed_sum == read_json(tmp_path / "witness.json")["i_dw"]
 
     def test_zero_visibility(self, tmp_path):
         scenario = dict(DET_SCENARIO, visibility=0.0)
@@ -199,6 +218,13 @@ class TestBounds:
         assert payload["mixture_max"] == 0.0
         assert payload["value"] == payload["deterministic_max"] == 1.0
 
+    @pytest.mark.parametrize("witness, dimension", [("idw", "0"), ("idw", "-1"), ("det", "1")])
+    def test_out_of_range_dimension_exit_code(self, tmp_path, capsys, witness, dimension):
+        argv = ["bounds", "--witness", witness, "-d", dimension, "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert f"--dimension must be >= {1 if witness == 'idw' else 2}" in capsys.readouterr().err
+        assert not (tmp_path / "bounds.json").exists()
+
     def test_enumeration_cap_exit_code(self, tmp_path):
         # 8^3 * 2^16 = 33,554,432 strategies exceeds the default cap
         assert main(["bounds", "--witness", "idw", "-d", "8", "--out", str(tmp_path)]) == 2
@@ -236,6 +262,25 @@ class TestSpacetime:
 class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, config_seed, message",
+        [
+            (["simulate", "--seed", "-1"], 123, "argument --seed: expected a non-negative"),
+            (["report", "--seed", "-1"], 123, "argument --seed: expected a non-negative"),
+            (["bounds", "--witness", "det", "--seed", "-3"], 123, "argument --seed: expected"),
+            (["simulate"], -1, "cfg.json: seed must be >= 0, got -1"),
+        ],
+    )
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, argv, config_seed, message):
+        cfg = write_config(tmp_path / "cfg.json", DET_SCENARIO, seed=config_seed)
+        counts = tmp_path / "counts.csv"
+        counts.write_text("i,j,n_e,n_d,n_none\n0,0,50,50,0\n")
+        inputs = {"simulate": ["--config", cfg], "report": ["--counts", str(counts)]}
+        out = tmp_path / "out"
+        assert main([*argv, *inputs.get(argv[0], []), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_required_flag(self):
         assert main(["predict"]) == 1

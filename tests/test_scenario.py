@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pamsim.qubits import Ket4, PHI_PLUS, born, phase_ket
 from pamsim.scenario import (
@@ -17,6 +19,10 @@ from pamsim.scenario import (
 from pamsim.witness import det_witness
 
 SQ2 = math.sqrt(2.0)
+PHASES = st.floats(-10.0, 10.0)
+# Far below 1e-300 a cell's detected probability underflows to 0 and
+# postselection refuses it with ValueError rather than returning a table.
+EFFICIENCIES = st.floats(1e-9, 1.0)
 
 
 class TestQuantumCell:
@@ -86,6 +92,18 @@ class TestProbabilityTable:
         table = probability_table(s)
         np.testing.assert_allclose(table.p_e + table.p_d + table.p_none, 1.0, atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alphas=st.lists(PHASES, min_size=1, max_size=5),
+        betas=st.lists(PHASES, min_size=1, max_size=3),
+        visibility=st.floats(0.0, 1.0),
+        efficiency=EFFICIENCIES,
+    )
+    def test_postselected_cells_sum_to_one(self, alphas, betas, visibility, efficiency):
+        table = probability_table(Scenario(tuple(alphas), tuple(betas), visibility, efficiency))
+        np.testing.assert_allclose(table.p_e + table.p_d, 1.0, rtol=0, atol=1e-12)
+        assert table.p_none.max() == 0.0
+
     def test_fair_sampling_removes_efficiency(self):
         full = probability_table(det_witness_settings(visibility=0.8, efficiency=1.0))
         lossy = probability_table(det_witness_settings(visibility=0.8, efficiency=0.3))
@@ -120,6 +138,24 @@ class TestHeraldedTable:
             np.testing.assert_allclose(heralded.p_e, direct.p_e, atol=1e-12)
             np.testing.assert_allclose(heralded.p_d, direct.p_d, atol=1e-12)
             np.testing.assert_allclose(heralded.p_none, direct.p_none, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alphas=st.lists(PHASES, min_size=1, max_size=5),
+        betas=st.lists(PHASES, min_size=1, max_size=3),
+        visibility=st.floats(0.0, 1.0),
+        efficiency=EFFICIENCIES,
+        fair=st.booleans(),
+    )
+    def test_matches_direct_preparation_everywhere(
+        self, alphas, betas, visibility, efficiency, fair
+    ):
+        s = Scenario(tuple(alphas), tuple(betas), visibility, efficiency, fair)
+        direct, heralded = probability_table(s), heralded_table(s, PHI_PLUS)
+        for name in ("p_e", "p_d", "p_none"):
+            np.testing.assert_allclose(
+                getattr(heralded, name), getattr(direct, name), rtol=0, atol=1e-12
+            )
 
     def test_product_pair_is_flat(self):
         s = det_witness_settings(efficiency=0.5, fair_sampling=False)

@@ -110,6 +110,12 @@ class TestRetrocausality:
         # Eq-faithful: (3.445 - 3) / 4
         assert retrocausality(3.445) == pytest.approx(0.11125, abs=1e-12)
 
+    def test_vector_matches_scalar(self):
+        grid = np.linspace(0.0, 5.0, 101)
+        assert retrocausality(grid).tolist() == [retrocausality(float(x)) for x in grid]
+        # a Python float keeps witness.csv's repr free of numpy's type name
+        assert type(retrocausality(3.445)) is float
+
     def test_monotone_and_lipschitz(self):
         grid = np.linspace(0.0, 5.0, 101)
         values = [retrocausality(x) for x in grid]
