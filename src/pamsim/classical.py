@@ -380,25 +380,45 @@ def _best_coordinate_move(
     )
 
 
+def _start_points(
+    ce: np.ndarray, dd: np.ndarray, children: list[np.random.SeedSequence]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each child's Dirichlet(1, ..., 1) encoder and decoder mixtures,
+    projected onto the vertex matrices: x (R, 2, d) and y (R, d, 2).
+
+    Dirichlet(1, ..., 1) is unit exponentials times the reciprocal of
+    their in-order sum, which is how Generator.dirichlet computes it.
+    Each child draws its encoder weights, then its decoder weights, as
+    one exponential row; the normalisation runs on the whole block, with
+    cumsum keeping the in-order sum.  The projection is a stacked
+    (R, 1, K) @ (K, M) matmul because that takes the same vector-matrix
+    path as one row at a time; a 2-D matmul rounds some rows differently.
+    So a restart starts, and climbs, the same way whichever block it
+    falls in.
+    """
+    n_enc = len(ce)
+    e = np.stack(
+        [np.random.default_rng(c).standard_exponential(n_enc + len(dd)) for c in children]
+    )
+    points = []
+    for weights, vertices in ((e[:, :n_enc], ce), (e[:, n_enc:], dd)):
+        weights = weights * (1.0 / np.cumsum(weights, axis=1)[:, -1:])
+        mixed = weights[:, None] @ vertices.reshape(len(vertices), -1)
+        points.append(mixed.reshape(-1, *vertices.shape[1:]))
+    return points[0], points[1]
+
+
 def _climb(
     ce: np.ndarray, dd: np.ndarray, children: list[np.random.SeedSequence]
 ) -> np.ndarray:
     """|det W| that coordinate ascent reaches from each child's Dirichlet
-    starting point, all children climbing in lockstep.
+    starting point (`_start_points`), all children climbing in lockstep.
 
     Each round moves the encoder mixture x, then the decoder mixture y,
     of every climb still improving; a climb stops after a round with no
     move, or after 200 rounds.
     """
-    # Each start is computed on its own, so a restart climbs the same way
-    # whichever block it falls in.
-    ce_flat, dd_flat = ce.reshape(len(ce), -1), dd.reshape(len(dd), -1)
-    x, y = [], []
-    for rng in map(np.random.default_rng, children):
-        x.append(np.dot(rng.dirichlet(np.ones(len(ce)))[None], ce_flat))
-        y.append(np.dot(rng.dirichlet(np.ones(len(dd)))[None], dd_flat))
-    x = np.concatenate(x).reshape(-1, *ce.shape[1:])  # (R, 2, d)
-    y = np.concatenate(y).reshape(-1, *dd.shape[1:])  # (R, d, 2)
+    x, y = _start_points(ce, dd, children)
     w = x @ y
     current = abs_det(_entries(w))
     active = np.arange(len(children))

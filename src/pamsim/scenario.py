@@ -164,7 +164,11 @@ class ProbabilityTable:
         """Renormalize every cell onto the detected outcomes (p_none -> 0)."""
         det = self.p_e + self.p_d
         if det.min() <= 0.0:
-            raise ValueError("cannot postselect a cell with zero detection probability")
+            bad = np.argwhere(det <= 0.0)[0]
+            raise ValueError(
+                f"cannot postselect cell (i={bad[0]}, j={bad[1]}): "
+                "its detection probability is 0"
+            )
         zeros = np.zeros_like(self.p_e)
         return ProbabilityTable(self.p_e / det, self.p_d / det, zeros)
 

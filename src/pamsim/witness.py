@@ -77,7 +77,7 @@ def abs_det(w):
 
 def det_witness(t: ProbabilityTable) -> float:
     """|det W| of the witness matrix."""
-    return abs_det(witness_matrix(t))
+    return float(abs_det(witness_matrix(t)))
 
 
 def dimension_witness(t: ProbabilityTable) -> float:
@@ -101,7 +101,7 @@ def sigma_violation(value: float, std_err: float, bound: float) -> float:
     """Standard deviations by which `value` exceeds `bound` (clamped at 0)."""
     if std_err <= 0.0:
         raise ValueError(f"std_err must be positive, got {std_err}")
-    return max((value - bound) / std_err, 0.0)
+    return float(max((value - bound) / std_err, 0.0))
 
 
 CSV_FIELDS = (

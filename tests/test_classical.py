@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pamsim import classical
 from pamsim.classical import (
     DeterministicStrategy,
     EnumerationCapExceeded,
@@ -13,6 +15,7 @@ from pamsim.classical import (
     RetrocausalStrategy,
     _affine_coefficients,
     _climb,
+    _start_points,
     classical_max_det,
     classical_max_linear,
     enumerate_deterministic,
@@ -30,6 +33,8 @@ ALWAYS_D = DeterministicStrategy(encode=(0, 0, 0, 0), decode=((0, 0),))
 
 # (d, n_prep, n_meas) cases checked against brute-force enumeration
 ORACLE_CASES = ((1, 3, 2), (2, 3, 2), (3, 3, 2), (4, 3, 2), (2, 4, 2), (3, 4, 3))
+# (d, n_prep) cases whose determinant-search starting points are checked bit for bit
+START_CASES = ((2, 4), (3, 4), (4, 4), (5, 4), (2, 5), (3, 5))
 
 
 def brute_force_linear(witness, d, n_prep, n_meas):
@@ -134,6 +139,35 @@ def reference_climb(ce, dd, child):
         if not improved:
             break
     return current
+
+
+def per_restart_start_points(ce, dd, children):
+    """Dirichlet starting points drawn and projected one restart at a time:
+    the reference that `_start_points` must match bit for bit."""
+    ce_flat, dd_flat = ce.reshape(len(ce), -1), dd.reshape(len(dd), -1)
+    x, y = [], []
+    for rng in map(np.random.default_rng, children):
+        x.append(np.dot(rng.dirichlet(np.ones(len(ce)))[None], ce_flat))
+        y.append(np.dot(rng.dirichlet(np.ones(len(dd)))[None], dd_flat))
+    return (
+        np.concatenate(x).reshape(-1, *ce.shape[1:]),
+        np.concatenate(y).reshape(-1, *dd.shape[1:]),
+    )
+
+
+@functools.cache
+def det_search_vertices(d, n_prep):
+    """The (ce, dd) vertex matrices `classical_max_det` climbs over."""
+    seen = []
+
+    def record(ce, dd, children):
+        seen.append((ce, dd))
+        return np.zeros(len(children))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classical, "_climb", record)
+        classical_max_det(d, n_prep=n_prep, restarts=1)
+    return seen[0]
 
 
 class TestStrategyTable:
@@ -380,6 +414,28 @@ class TestDeterminantBound:
         ]
         assert maxima[0] == 0.0
         assert maxima == sorted(maxima)
+
+
+class TestDetStartPoints:
+    @pytest.mark.parametrize("n_children", (1, 63, 64, 65))
+    @pytest.mark.parametrize("d, n_prep", START_CASES)
+    def test_climbs_reach_what_per_restart_starts_reach(
+        self, monkeypatch, d, n_prep, n_children
+    ):
+        ce, dd = det_search_vertices(d, n_prep)
+        children = np.random.SeedSequence(10 * d + n_prep).spawn(n_children)
+        reached = _climb(ce, dd, children)
+        monkeypatch.setattr(classical, "_start_points", per_restart_start_points)
+        assert reached.tobytes() == _climb(ce, dd, children).tobytes()
+
+    @pytest.mark.parametrize("d, n_prep", START_CASES)
+    def test_block_projection_rounds_like_one_row_at_a_time(self, d, n_prep):
+        # a plain 2-D matmul over the block rounds many of these rows differently
+        ce, dd = det_search_vertices(d, n_prep)
+        children = np.random.SeedSequence(5).spawn(64)
+        block = _start_points(ce, dd, children)
+        rows = per_restart_start_points(ce, dd, children)
+        assert [m.tobytes() for m in block] == [m.tobytes() for m in rows]
 
 
 class TestRetrocausal:

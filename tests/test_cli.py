@@ -182,6 +182,33 @@ class TestSimulateAndReport:
         assert main(["report", "--counts", str(counts), "--out", str(tmp_path)]) == 1
         assert "negative cell index" in capsys.readouterr().err
 
+    def test_underflowed_efficiency_is_a_domain_error(self, tmp_path, capsys):
+        scenario = dict(DET_SCENARIO, visibility=0.0, efficiency=5e-324)
+        cfg = write_config(tmp_path / "cfg.json", scenario)
+        assert main(["predict", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "cell (i=0, j=0): its detection probability is 0" in err
+
+
+BUNDLED_CONFIGS = ("det_witness_ideal", "dimension_witness_ideal", "fitted_no_fsa")
+
+
+class TestWitnessCsv:
+    @pytest.mark.parametrize("config", BUNDLED_CONFIGS)
+    @pytest.mark.parametrize(
+        "command",
+        (["predict"], ["simulate", "--trials", "2000", "--resamples", "200"]),
+        ids=("predict", "simulate"),
+    )
+    def test_every_field_is_a_number(self, configs_dir, tmp_path, config, command):
+        cfg = str(configs_dir / f"{config}.json")
+        assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "witness.csv", newline="", encoding="utf-8") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["i_dw"] and row["r"]
+        for value in filter(None, row.values()):
+            float(value)
+
 
 class TestBounds:
     def test_idw_d2_certificate(self, tmp_path):

@@ -127,6 +127,20 @@ class TestProbabilityTable:
             with pytest.raises(ValueError):
                 ProbabilityTable(cells[0], cells[1])  # p_none derived from a NaN
 
+    def test_postselection_names_the_undetected_cell(self):
+        table = ProbabilityTable(
+            np.array([[0.5], [0.0]]), np.array([[0.5], [0.0]]), np.array([[0.0], [1.0]])
+        )
+        with pytest.raises(ValueError, match=r"cell \(i=1, j=0\): its detection probability is 0"):
+            table.postselected()
+
+    @pytest.mark.parametrize("build", (probability_table, heralded_table))
+    def test_underflowed_efficiency_names_the_cell(self, build):
+        # at efficiency 5e-324 every detection probability rounds to 0
+        s = det_witness_settings(visibility=0.0, efficiency=5e-324, fair_sampling=True)
+        with pytest.raises(ValueError, match=r"cell \(i=0, j=0\): its detection probability is 0"):
+            build(s)
+
 
 class TestHeraldedTable:
     @pytest.mark.parametrize("settings", [det_witness_settings, dimension_witness_settings])
