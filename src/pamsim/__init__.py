@@ -10,7 +10,6 @@ from .qubits import (
     Ket2,
     Ket4,
     PHI_PLUS,
-    PSI_PLUS,
     ZeroProbabilityBranch,
     born,
     canonical_phase,
@@ -29,13 +28,9 @@ from .scenario import (
 from .classical import (
     DeterministicStrategy,
     EnumerationCapExceeded,
-    MixedStrategy,
-    RetrocausalStrategy,
     classical_max_det,
     classical_max_linear,
-    enumerate_deterministic,
     retrocausal_max,
-    retrocausal_value,
     setting_aware_max,
     strategy_table,
 )

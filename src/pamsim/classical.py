@@ -5,10 +5,10 @@ m in {0..d-1} and decodes (message, measurement index) into one of the
 two outcomes.  Two kinds of randomness sit on top:
 
 - *Shared* randomness: an arbitrary convex mixture of deterministic
-  strategies (`MixedStrategy`), where one random variable selects the
-  encoder and decoder jointly.  Linear witnesses such as the dimension
-  witness are maximized at deterministic strategies by convexity, so
-  their bounds hold against shared randomness too.
+  strategies, where one random variable selects the encoder and decoder
+  jointly.  Linear witnesses such as the dimension witness are
+  maximized at deterministic strategies by convexity, so their bounds
+  hold against shared randomness too.
 
 - *Independent* randomness: the encoder and decoder are randomized
   separately, with no correlation between them.  This is the
@@ -24,20 +24,18 @@ two outcomes.  Two kinds of randomness sit on top:
 Linear bounds are exact without enumerating decoders: a linear witness
 is affine in p_e, and for a fixed encoder the best decoder picks every
 (message, measurement) bit on its own, so the maximum is found in closed
-form per encoder, over all encoders at once.  The brute-force
-`enumerate_deterministic` stays as the reference these results are
-tested against.  Every search refuses loudly when its strategy count
-exceeds `DEFAULT_ENUMERATION_CAP` (`enumerate_deterministic` takes its
-own cap).  Outcome encoding: decode entries are 1 for outcome "e" and 0
-for outcome "d".
+form per encoder, over all encoders at once.  The test suite checks
+these results against brute-force enumeration.  `classical_max_linear`
+and `classical_max_det` refuse loudly when their strategy count exceeds
+`DEFAULT_ENUMERATION_CAP`.  Outcome encoding: decode entries are 1 for
+outcome "e" and 0 for outcome "d".
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -72,89 +70,18 @@ class DeterministicStrategy:
         if any(bit not in (0, 1) for row in self.decode for bit in row):
             raise ValueError("decode entries must be 0 (outcome d) or 1 (outcome e)")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.decode)
-
     def to_json_dict(self) -> dict:
         return {
             "encode": list(self.encode),
             "decode": [["e" if bit else "d" for bit in row] for row in self.decode],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DeterministicStrategy":
-        return cls(
-            encode=tuple(int(m) for m in d["encode"]),
-            decode=tuple(
-                tuple(1 if out == "e" else 0 for out in row) for row in d["decode"]
-            ),
-        )
-
-
-@dataclass(frozen=True)
-class MixedStrategy:
-    """Convex mixture of deterministic strategies (shared randomness)."""
-
-    components: tuple[tuple[float, DeterministicStrategy], ...]
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("mixture needs at least one component")
-        weights = [w for w, _ in self.components]
-        if min(weights) < 0.0:
-            raise ValueError("mixture weights must be non-negative")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights sum to {sum(weights)}, expected 1")
-        dims = {s.dimension for _, s in self.components}
-        if len(dims) != 1:
-            raise ValueError("all mixture components must share one message dimension")
-
-    @property
-    def dimension(self) -> int:
-        return self.components[0][1].dimension
-
-    def to_json_dict(self) -> dict:
-        return {
-            "components": [
-                {"weight": w, "strategy": s.to_json_dict()} for w, s in self.components
-            ]
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MixedStrategy":
-        return cls(
-            components=tuple(
-                (float(c["weight"]), DeterministicStrategy.from_json_dict(c["strategy"]))
-                for c in d["components"]
-            )
-        )
-
-
-@dataclass(frozen=True)
-class RetrocausalStrategy:
-    """Causal base model plus a probability `leak` of seeing the
-    measurement index before encoding."""
-
-    base: MixedStrategy
-    leak: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.leak <= 1.0:
-            raise ValueError(f"leak probability must be in [0, 1], got {self.leak}")
-
 
 def strategy_table(
-    strategy: DeterministicStrategy | MixedStrategy, n_prep: int, n_meas: int
+    strategy: DeterministicStrategy, n_prep: int, n_meas: int
 ) -> ProbabilityTable:
     """Evaluate a strategy into outcome probabilities (p_none = 0)."""
-    if isinstance(strategy, MixedStrategy):
-        p_e = np.zeros((n_prep, n_meas))
-        for w, s in strategy.components:
-            p_e += w * _deterministic_pe(s, n_prep, n_meas)
-    else:
-        p_e = _deterministic_pe(strategy, n_prep, n_meas)
-    return _pe_table(p_e)
+    return _pe_table(_deterministic_pe(strategy, n_prep, n_meas))
 
 
 def _pe_table(p_e: np.ndarray) -> ProbabilityTable:
@@ -176,32 +103,11 @@ def strategy_count(d: int, n_prep: int, n_meas: int) -> int:
     return d**n_prep * 2 ** (d * n_meas)
 
 
-def _check_cap(count: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
-    if count > cap:
+def _check_cap(count: int) -> None:
+    if count > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapExceeded(
-            f"{count} strategies exceed the enumeration cap of {cap}"
+            f"{count} strategies exceed the enumeration cap of {DEFAULT_ENUMERATION_CAP}"
         )
-
-
-def enumerate_deterministic(
-    d: int, n_prep: int, n_meas: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[DeterministicStrategy]:
-    """Yield every deterministic strategy exactly once.
-
-    Refuses immediately (before yielding anything) if the strategy
-    count exceeds `cap`.
-    """
-    if d < 1:
-        raise ValueError(f"message dimension must be >= 1, got {d}")
-    _check_cap(strategy_count(d, n_prep, n_meas), cap)
-
-    def _generate() -> Iterator[DeterministicStrategy]:
-        decode_rows = list(itertools.product((0, 1), repeat=n_meas))
-        for encode in itertools.product(range(d), repeat=n_prep):
-            for decode in itertools.product(decode_rows, repeat=d):
-                yield DeterministicStrategy(encode=encode, decode=decode)
-
-    return _generate()
 
 
 def _lex_grid(base: int, length: int) -> np.ndarray:
@@ -262,7 +168,7 @@ def classical_max_linear(
     S[m, j] = sum(C[i, j] for i with encode(i) = m) to decode bit (m, j),
     so its best decoder sets exactly the bits with S > 0.  All d**n_prep
     encoders are scored at once; ties go to the first strategy in
-    `enumerate_deterministic` order, and the value returned is the
+    lexicographic (encode, decode) order, and the value returned is the
     witness evaluated at that strategy.  Raises ValueError if the witness
     is not affine in p_e.
     """
@@ -272,7 +178,7 @@ def classical_max_linear(
     c0, coef = _affine_coefficients(witness, n_prep, n_meas)
 
     # mass[e, m, j] = S[m, j] of encoder e; the message of preparation i
-    # is axis i of the encoder grid, as in enumerate_deterministic.
+    # is axis i of the encoder grid, so encoders run in lexicographic order.
     mass = np.zeros((1, d, n_meas))
     eye = np.eye(d)[:, :, None]
     for row in coef:
@@ -532,7 +438,6 @@ def setting_aware_max(
     """
     if d < 1:
         raise ValueError(f"message dimension must be >= 1, got {d}")
-    _check_cap(d ** (n_prep * n_meas) * 2 ** (d * n_meas))
     c0, coef = _affine_coefficients(witness, n_prep, n_meas)
     if d == 1:
         p_e = np.broadcast_to(coef.sum(axis=0) > 0.0, coef.shape).astype(float)
@@ -541,22 +446,6 @@ def setting_aware_max(
     value = witness(_pe_table(p_e))
     _check_affine(witness, c0, coef, p_e, value)
     return float(value)
-
-
-def retrocausal_value(
-    witness: TableFunctional,
-    strat: RetrocausalStrategy,
-    n_prep: int,
-    n_meas: int,
-) -> float:
-    """Witness value of a retrocausal strategy: with probability `leak`
-    the encoder sees the setting and plays the best setting-aware
-    strategy, otherwise the causal base model runs."""
-    base_value = witness(strategy_table(strat.base, n_prep, n_meas))
-    if strat.leak == 0.0:
-        return base_value
-    leaked = setting_aware_max(witness, strat.base.dimension, n_prep, n_meas)
-    return (1.0 - strat.leak) * base_value + strat.leak * leaked
 
 
 def retrocausal_max(

@@ -49,7 +49,6 @@ class RunConfig:
     scenario: Scenario | None = None
     plan: RunPlan | None = None
     resamples: int = 10_000
-    schedule: Schedule | None = None
     outputs: Path | None = None
 
 
@@ -73,8 +72,6 @@ def load_run_config(path: str) -> RunConfig:
             cfg.plan = RunPlan.from_json_dict(raw["plan"])
         if "resamples" in raw:
             cfg.resamples = int(raw["resamples"])
-        if "schedule" in raw:
-            cfg.schedule = Schedule.from_json_dict(raw["schedule"])
         if "outputs" in raw:
             cfg.outputs = Path(raw["outputs"])
     except (ValueError, TypeError) as exc:

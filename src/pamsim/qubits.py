@@ -30,8 +30,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-NORM_TOL = 1e-12
-
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -54,17 +52,6 @@ class Ket2:
     a_h: complex
     a_v: complex
 
-    @classmethod
-    def normalize(cls, a_h: complex, a_v: complex) -> "Ket2":
-        n = math.sqrt(abs(a_h) ** 2 + abs(a_v) ** 2)
-        if n < NORM_TOL:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(a_h / n, a_v / n)
-
-    def norm_error(self) -> float:
-        """Deviation of |a_H|^2 + |a_V|^2 from 1."""
-        return abs(abs(self.a_h) ** 2 + abs(self.a_v) ** 2 - 1.0)
-
 
 @dataclass(frozen=True)
 class Ket4:
@@ -74,13 +61,6 @@ class Ket4:
     hv: complex
     vh: complex
     vv: complex
-
-    @classmethod
-    def normalize(cls, hh: complex, hv: complex, vh: complex, vv: complex) -> "Ket4":
-        n = math.sqrt(abs(hh) ** 2 + abs(hv) ** 2 + abs(vh) ** 2 + abs(vv) ** 2)
-        if n < NORM_TOL:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(hh / n, hv / n, vh / n, vv / n)
 
     def norm_error(self) -> float:
         return abs(
@@ -124,6 +104,5 @@ def herald(pair: Ket4, alice_phase: float, alice_outcome: int) -> tuple[float, K
     return prob, Ket2(b_h / n, b_v / n)
 
 
-# Bell states used by the heralded-preparation model.
+# Bell state used by the heralded-preparation model.
 PHI_PLUS = Ket4(1.0 / _SQRT2, 0.0, 0.0, 1.0 / _SQRT2)
-PSI_PLUS = Ket4(0.0, 1.0 / _SQRT2, 1.0 / _SQRT2, 0.0)

@@ -25,10 +25,8 @@ cell is renormalized to p_e + p_d = 1 (which removes eta entirely).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -87,11 +85,6 @@ class Scenario:
             )
         except KeyError as exc:
             raise ValueError(f"scenario config is missing key {exc}") from exc
-
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "Scenario":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def det_witness_settings(

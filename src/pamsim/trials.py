@@ -141,11 +141,14 @@ class RunPlan:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunPlan":
-        return cls(
-            trials_per_setting=int(d["trials_per_setting"]),
-            seed=int(d.get("seed", 0)),
-            setting_order=str(d.get("setting_order", ROUND_ROBIN)),
-        )
+        try:
+            return cls(
+                trials_per_setting=int(d["trials_per_setting"]),
+                seed=int(d.get("seed", 0)),
+                setting_order=str(d.get("setting_order", ROUND_ROBIN)),
+            )
+        except KeyError as exc:
+            raise ValueError(f"plan config is missing key {exc}") from exc
 
 
 def _cell_pvals(t: ProbabilityTable, i: int, j: int) -> np.ndarray:
@@ -204,9 +207,13 @@ def _usable_cpus() -> int:
 
 
 def _resample_cell(
-    stream: np.random.SeedSequence, counts: tuple[int, int, int], resamples: int, fair: bool
+    cell: tuple[int, int],
+    stream: np.random.SeedSequence,
+    counts: tuple[int, int, int],
+    resamples: int,
+    fair: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-resample (<D>, p_d) vectors of one cell, drawn from its own stream."""
+    """Per-resample (<D>, p_d) vectors of `cell`, drawn from its own stream."""
     freqs = np.array(counts, dtype=float)
     rng = np.random.default_rng(stream)
     draws = rng.multinomial(sum(counts), freqs / freqs.sum(), size=resamples)
@@ -216,7 +223,9 @@ def _resample_cell(
     denom = n_e + n_d
     if fair:
         if denom.min() <= 0:
-            raise InsufficientStatisticsError("a bootstrap resample emptied a postselected cell")
+            raise InsufficientStatisticsError(
+                f"a bootstrap resample emptied a postselected cell (i={cell[0]}, j={cell[1]})"
+            )
     else:
         denom += n_none
     p_d = n_d / denom
@@ -247,7 +256,8 @@ def bootstrap_report(
     job = partial(_resample_cell, resamples=resamples, fair=fair_sampling)
     with ThreadPoolExecutor(max_workers=min(len(cells), _usable_cpus())) as pool:
         # map yields in cell order and re-raises the first failing cell's error
-        d, p_d = (dict(zip(cells, column)) for column in zip(*pool.map(job, streams, counts)))
+        drawn = pool.map(job, cells, streams, counts)
+        d, p_d = (dict(zip(cells, column)) for column in zip(*drawn))
 
     idw_samples = idw_sum(d)
     uncertainties = {

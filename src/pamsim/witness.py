@@ -152,17 +152,6 @@ class WitnessReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "WitnessReport":
-        return cls(
-            i_dw=d["i_dw"],
-            det_abs=d.get("det_abs"),
-            sigma_det=d.get("sigma_det"),
-            sigma_idw=d.get("sigma_idw"),
-            uncertainties=dict(d.get("uncertainties", {})),
-            r=d.get("r"),
-        )
-
     def to_csv_row(self) -> str:
         values = self.to_json_dict()
         errors = values.pop("uncertainties")

@@ -8,14 +8,12 @@ import math
 from time import perf_counter
 
 import numpy as np
+from oracles import enumerate_deterministic, mixture_table
 
 from pamsim.classical import (
     classical_max_det,
-    enumerate_deterministic,
     retrocausal_max,
-    retrocausal_value,
-    MixedStrategy,
-    RetrocausalStrategy,
+    setting_aware_max,
     strategy_table,
 )
 from pamsim.cli import main
@@ -218,16 +216,14 @@ def test_criterion_8_retrocausality_interpolation():
 
     rng = np.random.default_rng(SEED)
     strategies = list(enumerate_deterministic(2, 3, 2))
+    leaked = setting_aware_max(dimension_witness, 2, 3, 2)
     bound_ok = True
     for leak in np.linspace(0.0, 1.0, 11):
         picks = rng.choice(len(strategies), size=4, replace=False)
         weights = rng.dirichlet(np.ones(4))
-        base = MixedStrategy(
-            components=tuple((weights[k], strategies[p]) for k, p in enumerate(picks))
-        )
-        value = retrocausal_value(
-            dimension_witness, RetrocausalStrategy(base=base, leak=float(leak)), 3, 2
-        )
+        components = [(weights[k], strategies[p]) for k, p in enumerate(picks)]
+        base = dimension_witness(mixture_table(components, 3, 2))
+        value = (1 - leak) * base + leak * leaked
         achieved_r = max((value - 3.0) / 4.0, 0.0)
         if achieved_r > leak + 1e-12:
             bound_ok = False

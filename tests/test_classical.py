@@ -1,26 +1,24 @@
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import enumerate_deterministic, mixture_table
 
 from pamsim import classical
 from pamsim.classical import (
     DeterministicStrategy,
     EnumerationCapExceeded,
-    MixedStrategy,
-    RetrocausalStrategy,
     _affine_coefficients,
     _climb,
     _start_points,
     classical_max_det,
     classical_max_linear,
-    enumerate_deterministic,
     retrocausal_max,
-    retrocausal_value,
     setting_aware_max,
     strategy_count,
     strategy_table,
@@ -178,8 +176,7 @@ class TestStrategyTable:
         assert table.p_none.max() == 0.0
 
     def test_uniform_mixture(self):
-        mix = MixedStrategy(components=((0.5, ALWAYS_E), (0.5, ALWAYS_D)))
-        table = strategy_table(mix, 4, 2)
+        table = mixture_table(((0.5, ALWAYS_E), (0.5, ALWAYS_D)), 4, 2)
         np.testing.assert_allclose(table.p_e, 0.5)
         np.testing.assert_allclose(table.p_d, 0.5)
 
@@ -194,15 +191,12 @@ class TestStrategyTable:
         with pytest.raises(ValueError):
             DeterministicStrategy(encode=(0,), decode=((1, 3),))
 
-    def test_mixture_weight_validation(self):
-        with pytest.raises(ValueError):
-            MixedStrategy(components=((0.6, ALWAYS_E), (0.6, ALWAYS_D)))
-        with pytest.raises(ValueError):
-            MixedStrategy(components=((-0.5, ALWAYS_E), (1.5, ALWAYS_D)))
-
     def test_json_round_trip(self):
         s = DeterministicStrategy(encode=(0, 1, 1, 0), decode=((1, 0), (0, 1)))
-        assert DeterministicStrategy.from_json_dict(s.to_json_dict()) == s
+        data = json.loads(json.dumps(s.to_json_dict()))
+        assert data == {"encode": [0, 1, 1, 0], "decode": [["e", "d"], ["d", "e"]]}
+        decode = tuple(tuple(int(out == "e") for out in row) for row in data["decode"])
+        assert DeterministicStrategy(tuple(data["encode"]), decode) == s
 
 
 class TestEnumeration:
@@ -216,8 +210,11 @@ class TestEnumeration:
         assert len(seen) == 128
 
     def test_cap_refusal_is_immediate(self):
+        def never(table):
+            raise AssertionError("witness evaluated before the cap check")
+
         with pytest.raises(EnumerationCapExceeded, match=str(strategy_count(8, 3, 2))):
-            enumerate_deterministic(8, 3, 2, cap=10_000)
+            classical_max_linear(never, 8, 3, 2)
 
 
 class TestLinearBounds:
@@ -249,12 +246,10 @@ class TestLinearBounds:
         for _ in range(20):
             picks = rng.choice(len(strategies), size=4, replace=False)
             weights = rng.dirichlet(np.ones(4))
-            mix = MixedStrategy(
-                components=tuple((weights[k], strategies[p]) for k, p in enumerate(picks))
-            )
-            mixed_value = dimension_witness(strategy_table(mix, 3, 2))
+            components = [(weights[k], strategies[p]) for k, p in enumerate(picks)]
+            mixed_value = dimension_witness(mixture_table(components, 3, 2))
             expected = sum(
-                w * dimension_witness(strategy_table(s, 3, 2)) for w, s in mix.components
+                w * dimension_witness(strategy_table(s, 3, 2)) for w, s in components
             )
             assert mixed_value == pytest.approx(expected, abs=1e-12)
 
@@ -293,11 +288,9 @@ class TestLinearBoundOracle:
             st.lists(st.floats(0.01, 1.0), min_size=len(picks), max_size=len(picks))
         )
         total = sum(weights)
-        mix = MixedStrategy(
-            components=tuple((w / total, strategies[p]) for w, p in zip(weights, picks))
-        )
+        mix = mixture_table([(w / total, strategies[p]) for w, p in zip(weights, picks)], 3, 2)
         bound, _ = classical_max_linear(dimension_witness, 2, 3, 2)
-        assert dimension_witness(strategy_table(mix, 3, 2)) <= bound + 1e-12
+        assert dimension_witness(mix) <= bound + 1e-12
 
     @pytest.mark.parametrize("witness", (quadratic_witness, det_witness))
     def test_rejects_non_affine_witness(self, witness):
@@ -372,8 +365,8 @@ class TestDeterminantBound:
         b = DeterministicStrategy(encode=(0, 0, 0, 1), decode=((1, 1), (1, 0)))
         assert det_witness(strategy_table(a, 4, 2)) == 0.0
         assert det_witness(strategy_table(b, 4, 2)) == 0.0
-        mix = MixedStrategy(components=((0.5, a), (0.5, b)))
-        assert det_witness(strategy_table(mix, 4, 2)) == pytest.approx(0.25, abs=1e-12)
+        mix = mixture_table(((0.5, a), (0.5, b)), 4, 2)
+        assert det_witness(mix) == pytest.approx(0.25, abs=1e-12)
 
     def test_seeded_search_is_deterministic(self):
         r1 = classical_max_det(2, restarts=100, seed=9)
@@ -440,10 +433,9 @@ class TestDetStartPoints:
 
 class TestRetrocausal:
     def test_no_leak_equals_base(self):
-        base = MixedStrategy(components=((1.0, ALWAYS_E),))
-        strat = RetrocausalStrategy(base=base, leak=0.0)
-        expected = dimension_witness(strategy_table(base, 3, 2))
-        assert retrocausal_value(dimension_witness, strat, 3, 2) == expected
+        for d in (1, 2, 3):
+            base, _ = classical_max_linear(dimension_witness, d, 3, 2)
+            assert retrocausal_max(dimension_witness, d, 3, 2, leak=0.0) == base
 
     def test_full_leak_reaches_five(self):
         assert setting_aware_max(dimension_witness, 2, 3, 2) == 5.0
@@ -454,19 +446,23 @@ class TestRetrocausal:
             4.0, abs=1e-12
         )
 
+    @pytest.mark.parametrize("d", (5, 6, 7))
+    def test_setting_aware_bound_has_no_strategy_cap(self, d):
+        # a closed form: d**(n_prep*n_meas) * 2**(d*n_meas) strategies are never listed
+        assert setting_aware_max(dimension_witness, d, 3, 2) == 5.0
+        assert retrocausal_max(dimension_witness, d, 3, 2, 0.3) == 5.0
+
     def test_retrocausality_never_exceeds_leak(self):
         rng = np.random.default_rng(33)
         strategies = list(enumerate_deterministic(2, 3, 2))
+        leaked = setting_aware_max(dimension_witness, 2, 3, 2)
         for leak in (0.0, 0.1, 0.25, 0.5, 0.8, 1.0):
             for _ in range(5):
                 picks = rng.choice(len(strategies), size=3, replace=False)
                 weights = rng.dirichlet(np.ones(3))
-                base = MixedStrategy(
-                    components=tuple((weights[k], strategies[p]) for k, p in enumerate(picks))
-                )
-                value = retrocausal_value(
-                    dimension_witness, RetrocausalStrategy(base=base, leak=leak), 3, 2
-                )
+                components = [(weights[k], strategies[p]) for k, p in enumerate(picks)]
+                base = dimension_witness(mixture_table(components, 3, 2))
+                value = (1 - leak) * base + leak * leaked
                 r = max((value - 3.0) / 4.0, 0.0)
                 assert r <= leak + 1e-12
 
@@ -475,8 +471,3 @@ class TestRetrocausal:
     def test_optimal_retrocausality_never_exceeds_leak(self, leak):
         value = retrocausal_max(dimension_witness, 2, 3, 2, leak)
         assert retrocausality(value) <= leak + 1e-12
-
-    def test_leak_domain(self):
-        base = MixedStrategy(components=((1.0, ALWAYS_E),))
-        with pytest.raises(ValueError):
-            RetrocausalStrategy(base=base, leak=1.5)

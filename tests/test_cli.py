@@ -182,6 +182,25 @@ class TestSimulateAndReport:
         assert main(["report", "--counts", str(counts), "--out", str(tmp_path)]) == 1
         assert "negative cell index" in capsys.readouterr().err
 
+    def test_report_names_the_emptied_cell(self, tmp_path, capsys):
+        # 2 detections in 302 trials per cell: some resample empties cell (0, 0)
+        counts = tmp_path / "counts.csv"
+        rows = [f"{i},{j},1,1,300" for i in range(4) for j in range(2)]
+        counts.write_text("i,j,n_e,n_d,n_none\n" + "\n".join(rows) + "\n")
+        argv = ["report", "--counts", str(counts), "--resamples", "100", "--out", str(tmp_path)]
+        assert main(argv + ["--fair-sampling", "true"]) == 2
+        err = capsys.readouterr().err
+        assert "emptied a postselected cell (i=0, j=0)" in err
+        assert main(argv + ["--fair-sampling", "false"]) == 0
+
+    def test_plan_without_trials_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": DET_SCENARIO, "plan": {"seed": 1}}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err
+        assert "trials_per_setting" in err
+
     def test_underflowed_efficiency_is_a_domain_error(self, tmp_path, capsys):
         scenario = dict(DET_SCENARIO, visibility=0.0, efficiency=5e-324)
         cfg = write_config(tmp_path / "cfg.json", scenario)

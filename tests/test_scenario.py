@@ -188,11 +188,9 @@ class TestHeraldedTable:
 
 
 class TestScenarioConfig:
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         s = dimension_witness_settings(visibility=0.88, efficiency=0.2, fair_sampling=False)
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(s.to_json_dict()))
-        loaded = Scenario.from_json_file(path)
+        loaded = Scenario.from_json_dict(json.loads(json.dumps(s.to_json_dict())))
         assert loaded == s
 
     def test_pi_units(self):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -161,7 +162,7 @@ class TestWitnessReport:
             sigma_idw=4.0,
             uncertainties={"i_dw": 0.2, "det_abs": 0.075, "r": 0.05},
         )
-        again = WitnessReport.from_json_dict(report.to_json_dict())
+        again = WitnessReport(**json.loads(report.to_json()))
         assert again == report
 
     def test_csv_row(self):
