@@ -212,9 +212,9 @@ def classical_max_linear(
 class DetBoundResult:
     """Outcome of the determinant-witness search.
 
-    `value` is the overall maximum found; `deterministic_max` is exact
-    (exhaustive), `mixture_max` is the best value reached by the seeded
-    hill climbs over independent encoder/decoder randomization.
+    `value` is the exact bound `deterministic_max`, as |det W| peaks at a
+    vertex (deterministic) pair; `mixture_max` is the best value that the
+    seeded hill climbs over independent encoder/decoder randomization reached.
     """
 
     value: float
@@ -366,8 +366,8 @@ def classical_max_det(
     lockstep blocks; restart k always starts from the k-th child of
     SeedSequence(seed), so the result depends only on (restarts, seed).
     The maximum of the bilinear objective is attained at a vertex pair,
-    so the climbs are a numerical confirmation rather than an extension
-    of the bound.
+    so the returned value is the exhaustive maximum and the climbs are a
+    numerical confirmation rather than an extension of the bound.
     """
     if d < 2:
         raise ValueError(f"determinant search needs message dimension >= 2, got {d}")
@@ -406,7 +406,7 @@ def classical_max_det(
         decode=tuple(tuple(row) for row in decoders[b].tolist()),
     )
     return DetBoundResult(
-        value=max(det_max, mixture_max),
+        value=det_max,
         strategy=strategy,
         deterministic_max=det_max,
         mixture_max=mixture_max,
@@ -456,6 +456,9 @@ def retrocausal_max(
     leak: float,
 ) -> float:
     """Maximum witness value at a given leak probability (optimal base)."""
+    # written so that NaN, which fails every comparison, is refused
+    if not 0.0 <= leak <= 1.0:
+        raise ValueError(f"leak must be in [0, 1], got {leak}")
     causal, _ = classical_max_linear(witness, d, n_prep, n_meas)
     if leak == 0.0:
         return causal

@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .classical import (
     strategy_count,
 )
 from .qubits import ZeroProbabilityBranch
-from .scenario import ProbabilityTable, Scenario, probability_table
+from .scenario import ProbabilityTable, Scenario, probability_table, read_section
 from .spacetime import Schedule, validate
 from .trials import (
     MIN_RESAMPLES,
@@ -44,12 +44,22 @@ class ConfigError(Exception):
     """Unusable configuration input (missing file, bad JSON, bad schema)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """A run's inputs from its config file; `_apply_overrides` applies the flags."""
+
     scenario: Scenario | None = None
     plan: RunPlan | None = None
     resamples: int = 10_000
     outputs: Path | None = None
+
+
+_RUN_CONFIG_KEYS = {
+    "scenario": Scenario.from_json_dict,
+    "plan": RunPlan.from_json_dict,
+    "resamples": int,
+    "outputs": Path,
+}
 
 
 def _load_json(path: str) -> dict:
@@ -63,52 +73,32 @@ def _load_json(path: str) -> dict:
 
 
 def load_run_config(path: str) -> RunConfig:
-    raw = _load_json(path)
-    cfg = RunConfig()
     try:
-        if "scenario" in raw:
-            cfg.scenario = Scenario.from_json_dict(raw["scenario"])
-        if "plan" in raw:
-            cfg.plan = RunPlan.from_json_dict(raw["plan"])
-        if "resamples" in raw:
-            cfg.resamples = int(raw["resamples"])
-        if "outputs" in raw:
-            cfg.outputs = Path(raw["outputs"])
+        return RunConfig(**read_section(_load_json(path), _RUN_CONFIG_KEYS, "top-level"))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from exc
-    return cfg
+
+
+def _given(values: dict) -> dict:
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "out", None) is not None:
-        cfg.outputs = Path(args.out)
-    if getattr(args, "resamples", None) is not None:
-        cfg.resamples = args.resamples
-    if getattr(args, "fair_sampling", None) is not None and cfg.scenario is not None:
-        cfg.scenario = Scenario(
-            alphas=cfg.scenario.alphas,
-            betas=cfg.scenario.betas,
-            visibility=cfg.scenario.visibility,
-            efficiency=cfg.scenario.efficiency,
-            fair_sampling=args.fair_sampling,
-        )
+    """`cfg` with each value that a flag in `args` gives in place of its own."""
+    flag = vars(args).get
+    if flag("trials") is not None and args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    top = _given({"resamples": flag("resamples"), "outputs": flag("out")})
+    if cfg.scenario is not None and flag("fair_sampling") is not None:
+        top["scenario"] = replace(cfg.scenario, fair_sampling=args.fair_sampling)
     if cfg.plan is not None:
-        seed = args.seed if getattr(args, "seed", None) is not None else cfg.plan.seed
-        trials = (
-            args.trials
-            if getattr(args, "trials", None) is not None
-            else cfg.plan.trials_per_setting
-        )
-        if trials < 1:
-            raise ConfigError(f"--trials must be >= 1, got {trials}")
-        cfg.plan = RunPlan(
-            trials_per_setting=trials, seed=seed, setting_order=cfg.plan.setting_order
-        )
-    return cfg
+        plan = _given({"seed": flag("seed"), "trials_per_setting": flag("trials")})
+        top["plan"] = replace(cfg.plan, **plan)
+    return replace(cfg, **top)
 
 
-def _outdir(cfg_outputs: Path | None) -> Path:
-    out = cfg_outputs if cfg_outputs is not None else Path("out")
+def _outdir(outputs: Path | None) -> Path:
+    out = outputs if outputs is not None else Path("out")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -204,18 +194,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    resamples = _check_resamples(10_000 if args.resamples is None else args.resamples)
+    resamples = _check_resamples(args.resamples)
     try:
         counts = CountTable.from_csv(args.counts)
     except FileNotFoundError as exc:
         raise ConfigError(f"counts file not found: {args.counts}") from exc
     except ValueError as exc:
         raise ConfigError(f"counts file {args.counts}: {exc}") from exc
-    out = _outdir(Path(args.out) if args.out else None)
-    fair_sampling = args.fair_sampling if args.fair_sampling is not None else True
-    seed = 0 if args.seed is None else args.seed
-    estimated = estimate(counts, fair_sampling)
-    report = bootstrap_report(counts, resamples, seed, fair_sampling)
+    out = _outdir(args.out)
+    estimated = estimate(counts, args.fair_sampling)
+    report = bootstrap_report(counts, resamples, args.seed, args.fair_sampling)
     _write_table_csv(out / "estimated.csv", estimated)
     _write_witness(out, report)
     _print_report(report)
@@ -227,7 +215,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     least = 1 if args.witness == "idw" else 2
     if args.dimension < least:
         raise ConfigError(f"--dimension must be >= {least}, got {args.dimension}")
-    out = _outdir(Path(args.out) if args.out else None)
+    out = _outdir(args.out)
     if args.witness == "idw":
         value, strategy = classical_max_linear(dimension_witness, args.dimension, *IDW_COEF.shape)
         payload = {
@@ -262,8 +250,8 @@ def _cmd_spacetime(args: argparse.Namespace) -> int:
     for cond in report.conditions:
         status = "PASS" if cond.passed else "FAIL"
         print(f"{cond.name} {status}: {cond.description} ({cond.detail})")
-    if args.out:
-        out = _outdir(Path(args.out))
+    if args.out is not None:
+        out = _outdir(args.out)
         _write_text(
             out / "spacetime.json",
             json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
@@ -285,34 +273,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Prepare-and-measure experiment simulator and analyzer.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "config": dict(required=True, help="run configuration JSON"),
+        "seed": dict(type=_non_negative_int, help="RNG seed"),
+        "resamples": dict(type=int, help="bootstrap resample count"),
+        "fair_sampling": dict(type=_parse_bool, metavar="BOOL", help="postselect (true/false)"),
+        "out": dict(type=Path, help="output directory"),
+    }
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="run configuration JSON")
-        p.add_argument("--seed", type=_non_negative_int, help="override the RNG seed")
-        p.add_argument("--resamples", type=int, help="bootstrap resample count")
-        p.add_argument(
-            "--fair-sampling",
-            type=_parse_bool,
-            default=None,
-            metavar="BOOL",
-            help="override postselection on detected events (true/false)",
-        )
-        p.add_argument("--out", help="output directory")
+    def add(p, *names):
+        for name in names:
+            p.add_argument("--" + name.replace("_", "-"), **flags[name])
 
     p = sub.add_parser("predict", help="analytic probabilities and witness report")
-    common(p)
+    add(p, "config", "fair_sampling", "out")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("simulate", help="finite sampled run with bootstrap errors")
-    common(p)
+    add(p, "config", "seed", "resamples", "fair_sampling", "out")
     p.add_argument("--trials", type=int, help="override trials per setting")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("report", help="analyze an existing counts CSV")
     p.add_argument("--counts", required=True, help="counts CSV (i,j,n_e,n_d,n_none)")
-    common(p, config=False)
-    p.set_defaults(func=_cmd_report)
+    add(p, "seed", "resamples", "fair_sampling", "out")
+    # with no config file to read, report takes the config fields' defaults
+    p.set_defaults(
+        func=_cmd_report,
+        seed=RunPlan.seed,
+        resamples=RunConfig.resamples,
+        fair_sampling=Scenario.fair_sampling,
+    )
 
     p = sub.add_parser("bounds", help="classical witness bounds by enumeration/search")
     p.add_argument("--witness", choices=("idw", "det"), required=True)
@@ -321,12 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--restarts", type=_non_negative_int, default=10_000, help="mixture-search restarts"
     )
     p.add_argument("--seed", type=_non_negative_int, default=0, help="mixture-search seed")
-    p.add_argument("--out", help="output directory")
+    add(p, "out")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("spacetime", help="validate an event schedule's causal geometry")
     p.add_argument("schedule", help="schedule JSON file")
-    p.add_argument("--out", help="output directory")
+    add(p, "out")
     p.set_defaults(func=_cmd_spacetime)
 
     return parser

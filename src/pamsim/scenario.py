@@ -75,42 +75,54 @@ class Scenario:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Scenario":
-        try:
-            return cls(
-                alphas=tuple(float(a) * math.pi for a in d["alphas_pi"]),
-                betas=tuple(float(b) * math.pi for b in d["betas_pi"]),
-                visibility=float(d.get("visibility", 1.0)),
-                efficiency=float(d.get("efficiency", 1.0)),
-                fair_sampling=bool(d.get("fair_sampling", True)),
-            )
-        except KeyError as exc:
-            raise ValueError(f"scenario config is missing key {exc}") from exc
+        kw = read_section(d, _SCENARIO_KEYS, "scenario", ("alphas_pi", "betas_pi"))
+        return cls(alphas=kw.pop("alphas_pi"), betas=kw.pop("betas_pi"), **kw)
 
 
-def det_witness_settings(
-    visibility: float = 1.0, efficiency: float = 1.0, fair_sampling: bool = True
-) -> Scenario:
-    """Four-preparation settings certifying the 2x2 witness matrix."""
-    return Scenario(
-        alphas=(0.0, math.pi, -math.pi / 2, math.pi / 2),
-        betas=(math.pi / 2, 0.0),
-        visibility=visibility,
-        efficiency=efficiency,
-        fair_sampling=fair_sampling,
-    )
+def read_section(raw: dict, parsers: dict, section: str, required: tuple = ()) -> dict:
+    """Parse config section `raw` key by key with `parsers`, refusing a
+    key `parsers` lacks and a missing `required` key.  Absent keys stay
+    absent, so the dataclass built from the result takes their defaults."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{section} config must be a JSON object, got {raw!r}")
+    for key in raw:
+        if key not in parsers:
+            raise ValueError(f"{section} config has unknown key {key!r}")
+    for key in required:
+        if key not in raw:
+            raise ValueError(f"{section} config is missing key {key!r}")
+    return {key: parsers[key](value) for key, value in raw.items()}
 
 
-def dimension_witness_settings(
-    visibility: float = 1.0, efficiency: float = 1.0, fair_sampling: bool = True
-) -> Scenario:
-    """Three-preparation settings for the linear dimension witness."""
-    return Scenario(
-        alphas=(math.pi / 4, 3 * math.pi / 4, -math.pi / 2),
-        betas=(math.pi / 2, 0.0),
-        visibility=visibility,
-        efficiency=efficiency,
-        fair_sampling=fair_sampling,
-    )
+def _phases(units_of_pi) -> tuple[float, ...]:
+    return tuple(float(p) * math.pi for p in units_of_pi)
+
+
+def _fair_sampling(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"fair_sampling must be true or false, got {value!r}")
+    return value
+
+
+_SCENARIO_KEYS = {
+    "alphas_pi": _phases,
+    "betas_pi": _phases,
+    "visibility": float,
+    "efficiency": float,
+    "fair_sampling": _fair_sampling,
+}
+
+
+def det_witness_settings(**noise) -> Scenario:
+    """Four-preparation settings certifying the 2x2 witness matrix;
+    `noise` sets any of visibility, efficiency and fair_sampling."""
+    return Scenario((0.0, math.pi, -math.pi / 2, math.pi / 2), (math.pi / 2, 0.0), **noise)
+
+
+def dimension_witness_settings(**noise) -> Scenario:
+    """Three-preparation settings for the linear dimension witness;
+    `noise` sets any of visibility, efficiency and fair_sampling."""
+    return Scenario((math.pi / 4, 3 * math.pi / 4, -math.pi / 2), (math.pi / 2, 0.0), **noise)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 C_M_PER_NS = 0.299792458
@@ -46,6 +46,8 @@ class Event:
     time: float
 
     def __post_init__(self):
+        if len(self.position) != 3:
+            raise ValueError(f"event {self.label!r} has {len(self.position)} coordinates, not 3")
         coords = (*self.position, self.time)
         if not all(math.isfinite(c) for c in coords):
             raise ValueError(f"event {self.label!r} has non-finite coordinates")
@@ -111,6 +113,8 @@ class Schedule:
                     position=tuple(float(x) for x in entry["position_m"]),
                     time=float(entry["time_ns"]),
                 )
+                if ev.label in events:
+                    raise ValueError(f"schedule has more than one event labelled {ev.label!r}")
                 events[ev.label] = ev
             media = {
                 str(name): Link(
@@ -167,21 +171,28 @@ class ValidationReport:
     def to_json_dict(self) -> dict:
         return {
             "all_passed": self.all_passed,
-            "conditions": [
-                {
-                    "name": c.name,
-                    "description": c.description,
-                    "passed": c.passed,
-                    "detail": c.detail,
-                }
-                for c in self.conditions
-            ],
+            "conditions": [asdict(c) for c in self.conditions],
         }
 
 
-def _spacelike_check(s: Schedule, label_a: str, label_b: str) -> tuple[bool, str]:
-    kind = interval(s.events[label_a], s.events[label_b])
-    return kind == SPACE_LIKE, f"{label_a} vs {label_b}: {kind}"
+# (name, description, event pairs that must be space-like separated)
+_SPACELIKE_CONDITIONS = (
+    (
+        "C1",
+        "measurer's choice space-like from preparer's choice and measurement",
+        (("bob_choice", "alice_choice"), ("bob_choice", "alice_measurement")),
+    ),
+    (
+        "C2",
+        "the two measurements are space-like separated",
+        (("alice_measurement", "bob_measurement"),),
+    ),
+    (
+        "C3",
+        "both setting choices space-like from the pair emission",
+        (("alice_choice", "pair_emission"), ("bob_choice", "pair_emission")),
+    ),
+)
 
 
 def validate(s: Schedule) -> ValidationReport:
@@ -199,42 +210,16 @@ def validate(s: Schedule) -> ValidationReport:
         through its link.
     """
     results = []
-
-    checks_c1 = [
-        _spacelike_check(s, "bob_choice", "alice_choice"),
-        _spacelike_check(s, "bob_choice", "alice_measurement"),
-    ]
-    results.append(
-        ConditionResult(
-            name="C1",
-            description="measurer's choice space-like from preparer's choice and measurement",
-            passed=all(ok for ok, _ in checks_c1),
-            detail="; ".join(msg for _, msg in checks_c1),
+    for name, description, pairs in _SPACELIKE_CONDITIONS:
+        kinds = [interval(s.events[a], s.events[b]) for a, b in pairs]
+        results.append(
+            ConditionResult(
+                name=name,
+                description=description,
+                passed=all(kind == SPACE_LIKE for kind in kinds),
+                detail="; ".join(f"{a} vs {b}: {kind}" for (a, b), kind in zip(pairs, kinds)),
+            )
         )
-    )
-
-    ok, msg = _spacelike_check(s, "alice_measurement", "bob_measurement")
-    results.append(
-        ConditionResult(
-            name="C2",
-            description="the two measurements are space-like separated",
-            passed=ok,
-            detail=msg,
-        )
-    )
-
-    checks_c3 = [
-        _spacelike_check(s, "alice_choice", "pair_emission"),
-        _spacelike_check(s, "bob_choice", "pair_emission"),
-    ]
-    results.append(
-        ConditionResult(
-            name="C3",
-            description="both setting choices space-like from the pair emission",
-            passed=all(ok for ok, _ in checks_c3),
-            detail="; ".join(msg for _, msg in checks_c3),
-        )
-    )
 
     t_ac = s.events["alice_choice"].time
     t_bc = s.events["bob_choice"].time

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenario import ProbabilityTable
+from .scenario import ProbabilityTable, read_section
 from .witness import (
     DET_CLASSICAL_BOUND,
     DET_CONTRAST,
@@ -141,14 +141,10 @@ class RunPlan:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunPlan":
-        try:
-            return cls(
-                trials_per_setting=int(d["trials_per_setting"]),
-                seed=int(d.get("seed", 0)),
-                setting_order=str(d.get("setting_order", ROUND_ROBIN)),
-            )
-        except KeyError as exc:
-            raise ValueError(f"plan config is missing key {exc}") from exc
+        return cls(**read_section(d, _PLAN_KEYS, "plan", ("trials_per_setting",)))
+
+
+_PLAN_KEYS = {"trials_per_setting": int, "seed": int, "setting_order": str}
 
 
 def _cell_pvals(t: ProbabilityTable, i: int, j: int) -> np.ndarray:

@@ -343,6 +343,12 @@ class TestDeterminantBound:
         assert result.mixture_max <= 1e-9
         assert result.n_strategies == 256
 
+    def test_d2_value_is_the_exact_vertex_maximum(self):
+        # the climbs' rounding residue (1.7e-18 here) is not the bound
+        result = classical_max_det(2, restarts=300, seed=0)
+        assert result.mixture_max > 0.0
+        assert result.value == result.deterministic_max == 0.0
+
     def test_search_d4_reaches_two(self):
         # injective encoding frees all eight table entries; the extremal
         # matrix [[1,-1],[1,1]] has |det| = 2
@@ -445,6 +451,11 @@ class TestRetrocausal:
         assert retrocausal_max(dimension_witness, 2, 3, 2, leak=0.5) == pytest.approx(
             4.0, abs=1e-12
         )
+
+    @pytest.mark.parametrize("leak", (1.5, -0.5, math.nan))
+    def test_leak_outside_unit_interval_refused(self, leak):
+        with pytest.raises(ValueError, match=f"leak must be in \\[0, 1\\], got {leak}"):
+            retrocausal_max(dimension_witness, 2, 3, 2, leak)
 
     @pytest.mark.parametrize("d", (5, 6, 7))
     def test_setting_aware_bound_has_no_strategy_cap(self, d):

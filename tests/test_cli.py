@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from pamsim.cli import main
+from pamsim.cli import build_parser, main
 from pamsim.spacetime import Event, Schedule, reference_schedule
 from pamsim.witness import I_DW_QUANTUM, R_QUANTUM
 
@@ -304,6 +306,25 @@ class TestSpacetime:
         empty.write_text("")
         assert main(["spacetime", str(empty)]) == 1
 
+    @pytest.mark.parametrize("defect", ["duplicate label", "two coordinates"])
+    def test_bad_event_is_config_error_naming_it(self, configs_dir, tmp_path, capsys, defect):
+        doc = read_json(configs_dir / "reference_geometry_schedule.json")
+        events = {event["label"]: event for event in doc["events"]}
+        if defect == "duplicate label":
+            # a later bob_choice that fails C4 would silently replace the first
+            doc["events"].append(dict(events["bob_choice"], time_ns=5.0))
+            label = "bob_choice"
+        else:
+            events["alice_measurement"]["position_m"] = [0.0, 0.0]
+            label = "alice_measurement"
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["spacetime", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(label) in err
+        assert not out.exists()
+
 
 class TestUsage:
     def test_unknown_command(self):
@@ -331,6 +352,14 @@ class TestUsage:
     def test_missing_required_flag(self):
         assert main(["predict"]) == 1
 
+    @pytest.mark.parametrize("flag", ["--seed", "--resamples"])
+    def test_predict_takes_no_sampling_flags(self, configs_dir, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        cfg = str(configs_dir / "det_witness_ideal.json")
+        assert main(["predict", "--config", cfg, flag, "3", "--out", str(out)]) == 1
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_bool(self, configs_dir):
         rc = main(
             [
@@ -340,3 +369,64 @@ class TestUsage:
             ]
         )
         assert rc == 1
+
+
+class TestStrictConfig:
+    """A config key that pamsim does not know, or a fair_sampling that is
+    not a JSON boolean, exits 1 instead of running another experiment."""
+
+    @pytest.mark.parametrize("command", ["predict", "simulate"])
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("scenario", "visiblity", 0.5, "scenario config has unknown key 'visiblity'"),
+            ("scenario", "fair_sampling", "false", "fair_sampling must be true or false, got 'false'"),
+            ("scenario", "fair_sampling", 0, "fair_sampling must be true or false, got 0"),
+            ("scenario", "fair_sampling", None, "fair_sampling must be true or false, got None"),
+            ("plan", "setting_ordr", "random-per-trial", "plan config has unknown key 'setting_ordr'"),
+            (None, "resample", 100, "top-level config has unknown key 'resample'"),
+            (None, "schedule", {}, "top-level config has unknown key 'schedule'"),
+        ],
+        ids=["visiblity", "fair-string", "fair-0", "fair-null", "setting_ordr", "resample", "schedule"],
+    )
+    def test_refused(self, tmp_path, capsys, command, section, key, value, message):
+        cfg = {
+            "scenario": dict(DET_SCENARIO),
+            "plan": {"trials_per_setting": 2000, "seed": 1},
+            "resamples": 500,
+        }
+        (cfg[section] if section else cfg)[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config file {path}: {message}" in err
+        assert not out.exists()
+
+    def test_report_defaults_are_the_config_defaults(self, tmp_path):
+        # RunPlan.seed, RunConfig.resamples and Scenario.fair_sampling
+        counts = tmp_path / "counts.csv"
+        rows = [f"{i},{j},{40 + 7 * i},{60 - 5 * j},9" for i in range(4) for j in range(2)]
+        counts.write_text("i,j,n_e,n_d,n_none\n" + "\n".join(rows) + "\n")
+        bare, explicit = tmp_path / "bare", tmp_path / "explicit"
+        assert main(["report", "--counts", str(counts), "--out", str(bare)]) == 0
+        argv = ["--seed", "0", "--resamples", "10000", "--fair-sampling", "true"]
+        assert main(["report", "--counts", str(counts), *argv, "--out", str(explicit)]) == 0
+        assert (bare / "witness.json").read_bytes() == (explicit / "witness.json").read_bytes()
+
+
+def readme_commands():
+    """Each `pamsim ...` command of the README's command-line block, as argv."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("pamsim ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert commands, "the README has no pamsim command block"
+    for argv in commands:
+        # the parser exits on a flag the command does not take
+        assert build_parser().parse_args(argv).func
