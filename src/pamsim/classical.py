@@ -34,7 +34,7 @@ outcome "e" and 0 for outcome "d".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -213,8 +213,8 @@ class DetBoundResult:
     """Outcome of the determinant-witness search.
 
     `value` is the exact bound `deterministic_max`, as |det W| peaks at a
-    vertex (deterministic) pair; `mixture_max` is the best value that the
-    seeded hill climbs over independent encoder/decoder randomization reached.
+    vertex (deterministic) pair; `mixture_max` is the best value reached by
+    hill climbs over independent randomization from one seeded start stream.
     """
 
     value: float
@@ -226,15 +226,7 @@ class DetBoundResult:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "strategy": self.strategy.to_json_dict(),
-            "deterministic_max": self.deterministic_max,
-            "mixture_max": self.mixture_max,
-            "n_strategies": self.n_strategies,
-            "restarts": self.restarts,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "strategy": self.strategy.to_json_dict()}
 
 
 # Restarts climbed together; bounds the (restarts, candidates, 2, 2) stacks.
@@ -286,26 +278,18 @@ def _best_coordinate_move(
     )
 
 
-def _start_points(
-    ce: np.ndarray, dd: np.ndarray, children: list[np.random.SeedSequence]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each child's Dirichlet(1, ..., 1) encoder and decoder mixtures,
-    projected onto the vertex matrices: x (R, 2, d) and y (R, d, 2).
+def _start_points(ce: np.ndarray, dd: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dirichlet(1, ..., 1) encoder and decoder mixtures from the rows of
+    unit exponentials `e` (encoder weights first), projected onto the
+    vertex matrices: x (R, 2, d) and y (R, d, 2).
 
-    Dirichlet(1, ..., 1) is unit exponentials times the reciprocal of
-    their in-order sum, which is how Generator.dirichlet computes it.
-    Each child draws its encoder weights, then its decoder weights, as
-    one exponential row; the normalisation runs on the whole block, with
-    cumsum keeping the in-order sum.  The projection is a stacked
-    (R, 1, K) @ (K, M) matmul because that takes the same vector-matrix
-    path as one row at a time; a 2-D matmul rounds some rows differently.
-    So a restart starts, and climbs, the same way whichever block it
-    falls in.
+    Each row is scaled by the reciprocal of its in-order sum (cumsum), as
+    Generator.dirichlet computes it.  The projection is a stacked (R, 1, K)
+    @ (K, M) matmul: it takes the same vector-matrix path as one row at a
+    time, where a 2-D matmul rounds some rows differently, so a restart
+    starts, and climbs, the same way whichever block it falls in.
     """
     n_enc = len(ce)
-    e = np.stack(
-        [np.random.default_rng(c).standard_exponential(n_enc + len(dd)) for c in children]
-    )
     points = []
     for weights, vertices in ((e[:, :n_enc], ce), (e[:, n_enc:], dd)):
         weights = weights * (1.0 / np.cumsum(weights, axis=1)[:, -1:])
@@ -314,20 +298,18 @@ def _start_points(
     return points[0], points[1]
 
 
-def _climb(
-    ce: np.ndarray, dd: np.ndarray, children: list[np.random.SeedSequence]
-) -> np.ndarray:
-    """|det W| that coordinate ascent reaches from each child's Dirichlet
-    starting point (`_start_points`), all children climbing in lockstep.
+def _climb(ce: np.ndarray, dd: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """|det W| that coordinate ascent reaches from the starting point of
+    each row of `e` (`_start_points`), all rows climbing in lockstep.
 
     Each round moves the encoder mixture x, then the decoder mixture y,
     of every climb still improving; a climb stops after a round with no
     move, or after 200 rounds.
     """
-    x, y = _start_points(ce, dd, children)
+    x, y = _start_points(ce, dd, e)
     w = x @ y
     current = abs_det(_entries(w))
-    active = np.arange(len(children))
+    active = np.arange(len(e))
     for _ in range(200):
         if not active.size:
             break
@@ -363,8 +345,8 @@ def classical_max_det(
     that, seeded random-restart coordinate ascent runs over the product
     of the encoder-mixture and decoder-mixture simplices, with an exact
     quadratic line search per coordinate move.  Restarts climb in
-    lockstep blocks; restart k always starts from the k-th child of
-    SeedSequence(seed), so the result depends only on (restarts, seed).
+    lockstep blocks; restart k always starts from row k of one seeded
+    stream of exponentials, so the result depends only on (restarts, seed).
     The maximum of the bilinear objective is attained at a vertex pair,
     so the returned value is the exhaustive maximum and the climbs are a
     numerical confirmation rather than an extension of the bound.
@@ -395,10 +377,10 @@ def classical_max_det(
             det_max, best_pair = float(dets[b]), (a, b)
 
     mixture_max = 0.0
-    root = np.random.SeedSequence(seed)
+    rng = np.random.default_rng(seed)
     for start in range(0, restarts, _RESTART_BLOCK):
-        children = root.spawn(min(_RESTART_BLOCK, restarts - start))
-        mixture_max = max(mixture_max, float(_climb(ce, dd, children).max()))
+        e = rng.standard_exponential((min(_RESTART_BLOCK, restarts - start), len(ce) + len(dd)))
+        mixture_max = max(mixture_max, float(_climb(ce, dd, e).max()))
 
     a, b = best_pair
     strategy = DeterministicStrategy(

@@ -26,7 +26,7 @@ from .classical import (
     strategy_count,
 )
 from .qubits import ZeroProbabilityBranch
-from .scenario import ProbabilityTable, Scenario, probability_table, read_section
+from .scenario import ProbabilityTable, Scenario, probability_table, read_section, unique_keys
 from .spacetime import Schedule, validate
 from .trials import (
     MIN_RESAMPLES,
@@ -65,11 +65,13 @@ _RUN_CONFIG_KEYS = {
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"config file {path}: {exc}") from exc
 
 
 def load_run_config(path: str) -> RunConfig:

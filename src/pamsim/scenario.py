@@ -82,16 +82,30 @@ class Scenario:
 def read_section(raw: dict, parsers: dict, section: str, required: tuple = ()) -> dict:
     """Parse config section `raw` key by key with `parsers`, refusing a
     key `parsers` lacks and a missing `required` key.  Absent keys stay
-    absent, so the dataclass built from the result takes their defaults."""
+    absent, so the dataclass built from the result takes their defaults.
+    An `int` parser takes only a JSON integer: a bool, float or string is
+    refused, not truncated."""
     if not isinstance(raw, dict):
         raise ValueError(f"{section} config must be a JSON object, got {raw!r}")
-    for key in raw:
+    for key, value in raw.items():
         if key not in parsers:
             raise ValueError(f"{section} config has unknown key {key!r}")
+        if parsers[key] is int and type(value) is not int:
+            raise ValueError(f"{section} config: {key} must be a JSON integer, got {value!r}")
     for key in required:
         if key not in raw:
             raise ValueError(f"{section} config is missing key {key!r}")
     return {key: parsers[key](value) for key, value in raw.items()}
+
+
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """`object_pairs_hook` for json.load that refuses a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _phases(units_of_pi) -> tuple[float, ...]:

@@ -19,6 +19,8 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from .scenario import unique_keys
+
 C_M_PER_NS = 0.299792458
 
 SPACE_LIKE = "space-like"
@@ -132,7 +134,7 @@ class Schedule:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "Schedule":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            return cls.from_json_dict(json.load(fh, object_pairs_hook=unique_keys))
 
 
 def interval(a: Event, b: Event, rel_tol: float = LIGHT_LIKE_REL_TOL) -> str:

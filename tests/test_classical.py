@@ -93,8 +93,18 @@ def quadratic_witness(t):
     return float(t.p_e[0, 0] * t.p_e[1, 0])
 
 
-def reference_climb(ce, dd, child):
-    """One restart of the coordinate ascent, one 2x2 matrix at a time."""
+def in_order_dirichlet(weights):
+    """Unit exponentials over their sum taken left to right, as
+    Generator.dirichlet(np.ones(K)) computes it."""
+    total = 0.0
+    for w in weights:
+        total += w
+    return weights * (1.0 / total)
+
+
+def reference_climb(ce, dd, row):
+    """One restart of the coordinate ascent from one exponential row, one
+    2x2 matrix at a time."""
 
     def det(w):
         return w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
@@ -120,9 +130,8 @@ def reference_climb(ce, dd, child):
             return at_star[k][0], k, at_star[k][1]
         return at_one[a], a, 1.0
 
-    rng = np.random.default_rng(child)
-    x = np.tensordot(rng.dirichlet(np.ones(len(ce))), ce, axes=1)
-    y = np.tensordot(rng.dirichlet(np.ones(len(dd))), dd, axes=1)
+    x = np.tensordot(in_order_dirichlet(row[: len(ce)]), ce, axes=1)
+    y = np.tensordot(in_order_dirichlet(row[len(ce) :]), dd, axes=1)
     current = abs(det(x @ y))
     for _ in range(200):
         improved = False
@@ -139,18 +148,23 @@ def reference_climb(ce, dd, child):
     return current
 
 
-def per_restart_start_points(ce, dd, children):
-    """Dirichlet starting points drawn and projected one restart at a time:
-    the reference that `_start_points` must match bit for bit."""
+def per_restart_start_points(ce, dd, e):
+    """Dirichlet starting points normalised and projected one exponential
+    row at a time: the reference that `_start_points` must match bit for bit."""
     ce_flat, dd_flat = ce.reshape(len(ce), -1), dd.reshape(len(dd), -1)
     x, y = [], []
-    for rng in map(np.random.default_rng, children):
-        x.append(np.dot(rng.dirichlet(np.ones(len(ce)))[None], ce_flat))
-        y.append(np.dot(rng.dirichlet(np.ones(len(dd)))[None], dd_flat))
+    for row in e:
+        x.append(np.dot(in_order_dirichlet(row[: len(ce)])[None], ce_flat))
+        y.append(np.dot(in_order_dirichlet(row[len(ce) :])[None], dd_flat))
     return (
         np.concatenate(x).reshape(-1, *ce.shape[1:]),
         np.concatenate(y).reshape(-1, *dd.shape[1:]),
     )
+
+
+def start_exponentials(ce, dd, seed, restarts):
+    """`restarts` rows of starting-point exponentials, drawn at once."""
+    return np.random.default_rng(seed).standard_exponential((restarts, len(ce) + len(dd)))
 
 
 @functools.cache
@@ -158,9 +172,9 @@ def det_search_vertices(d, n_prep):
     """The (ce, dd) vertex matrices `classical_max_det` climbs over."""
     seen = []
 
-    def record(ce, dd, children):
+    def record(ce, dd, e):
         seen.append((ce, dd))
-        return np.zeros(len(children))
+        return np.zeros(len(e))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classical, "_climb", record)
@@ -399,14 +413,14 @@ class TestDeterminantBound:
         rng = np.random.default_rng(2)
         ce = rng.integers(-1, 2, size=(30, 2, 4)).astype(float)
         dd = rng.integers(0, 2, size=(30, 4, 2)).astype(float)
-        children = np.random.SeedSequence(4).spawn(40)
-        reached = _climb(ce, dd, children)
-        expected = [reference_climb(ce, dd, child) for child in children]
+        e = np.random.default_rng(4).standard_exponential((40, 60))
+        reached = _climb(ce, dd, e)
+        expected = [reference_climb(ce, dd, row) for row in e]
         np.testing.assert_allclose(reached, expected, rtol=1e-12)
         assert len(set(np.round(reached, 9))) >= 3  # the climbs end in different places
 
     def test_more_restarts_extend_the_same_climbs(self):
-        # restart k starts from the k-th seed child whatever the total, so
+        # restart k starts from row k of the seeded stream whatever the total, so
         # the best value can only grow with the restart count
         maxima = [
             classical_max_det(2, restarts=r, seed=17).mixture_max for r in (0, 1, 64, 65, 130)
@@ -416,25 +430,52 @@ class TestDeterminantBound:
 
 
 class TestDetStartPoints:
-    @pytest.mark.parametrize("n_children", (1, 63, 64, 65))
+    @pytest.mark.parametrize("n_rows", (1, 63, 64, 65))
     @pytest.mark.parametrize("d, n_prep", START_CASES)
-    def test_climbs_reach_what_per_restart_starts_reach(
-        self, monkeypatch, d, n_prep, n_children
-    ):
+    def test_climbs_reach_what_per_restart_starts_reach(self, monkeypatch, d, n_prep, n_rows):
         ce, dd = det_search_vertices(d, n_prep)
-        children = np.random.SeedSequence(10 * d + n_prep).spawn(n_children)
-        reached = _climb(ce, dd, children)
+        e = start_exponentials(ce, dd, 10 * d + n_prep, n_rows)
+        reached = _climb(ce, dd, e)
         monkeypatch.setattr(classical, "_start_points", per_restart_start_points)
-        assert reached.tobytes() == _climb(ce, dd, children).tobytes()
+        assert reached.tobytes() == _climb(ce, dd, e).tobytes()
 
     @pytest.mark.parametrize("d, n_prep", START_CASES)
     def test_block_projection_rounds_like_one_row_at_a_time(self, d, n_prep):
         # a plain 2-D matmul over the block rounds many of these rows differently
         ce, dd = det_search_vertices(d, n_prep)
-        children = np.random.SeedSequence(5).spawn(64)
-        block = _start_points(ce, dd, children)
-        rows = per_restart_start_points(ce, dd, children)
+        e = start_exponentials(ce, dd, 5, 64)
+        block = _start_points(ce, dd, e)
+        rows = per_restart_start_points(ce, dd, e)
         assert [m.tobytes() for m in block] == [m.tobytes() for m in rows]
+
+    @pytest.mark.parametrize("restarts", (1, 63, 64, 65, 130))
+    def test_blocked_draws_are_one_draw(self, restarts):
+        # how classical_max_det draws its blocks of up to 64 restarts
+        ce, dd = det_search_vertices(3, 4)
+        rng = np.random.default_rng(11)
+        blocks = [
+            rng.standard_exponential((min(64, restarts - start), len(ce) + len(dd)))
+            for start in range(0, restarts, 64)
+        ]
+        whole = start_exponentials(ce, dd, 11, restarts)
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+    def test_rows_are_the_dirichlet_draws_of_one_generator(self):
+        # restart k starts where the k-th pair of rng.dirichlet calls would
+        ce, dd = det_search_vertices(2, 4)
+        e = start_exponentials(ce, dd, 3, 5)
+        rng = np.random.default_rng(3)
+        for row in e:
+            for weights in (row[: len(ce)], row[len(ce) :]):
+                expected = rng.dirichlet(np.ones(len(weights)))
+                assert in_order_dirichlet(weights).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("restarts", (1, 63, 64, 65, 130))
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_search_matches_climbing_every_start_at_once(self, d, restarts):
+        ce, dd = det_search_vertices(d, 4)
+        expected = _climb(ce, dd, start_exponentials(ce, dd, 23, restarts)).max()
+        assert classical_max_det(d, restarts=restarts, seed=23).mixture_max == expected
 
 
 class TestRetrocausal:

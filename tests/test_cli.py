@@ -325,6 +325,18 @@ class TestSpacetime:
         assert str(path) in err and repr(label) in err
         assert not out.exists()
 
+    def test_repeated_key_is_config_error_naming_it(self, configs_dir, tmp_path, capsys):
+        text = (configs_dir / "reference_geometry_schedule.json").read_text()
+        # a second time_ns for the first event, which json.load would keep
+        repeated = text.replace('"time_ns":', '"time_ns": 5.0, "time_ns":', 1)
+        assert repeated != text
+        path = tmp_path / "schedule.json"
+        path.write_text(repeated)
+        out = tmp_path / "out"
+        assert main(["spacetime", str(path), "--out", str(out)]) == 1
+        assert f"schedule file {path}: repeated key 'time_ns'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestUsage:
     def test_unknown_command(self):
@@ -390,6 +402,23 @@ class TestStrictConfig:
         ids=["visiblity", "fair-string", "fair-0", "fair-null", "setting_ordr", "resample", "schedule"],
     )
     def test_refused(self, tmp_path, capsys, command, section, key, value, message):
+        self.assert_refused(tmp_path, capsys, command, section, key, value, message)
+
+    @pytest.mark.parametrize("command", ["predict", "simulate"])
+    @pytest.mark.parametrize(
+        "section, key",
+        [("plan", "trials_per_setting"), ("plan", "seed"), (None, "resamples")],
+    )
+    @pytest.mark.parametrize("value", [2.7, 150.0, "150", True])
+    def test_integer_keys_take_only_json_integers(
+        self, tmp_path, capsys, command, section, key, value
+    ):
+        # int() would truncate 2.7 to 2 and read "150" and True as numbers
+        message = f"{section or 'top-level'} config: {key} must be a JSON integer, got {value!r}"
+        self.assert_refused(tmp_path, capsys, command, section, key, value, message)
+
+    @staticmethod
+    def assert_refused(tmp_path, capsys, command, section, key, value, message):
         cfg = {
             "scenario": dict(DET_SCENARIO),
             "plan": {"trials_per_setting": 2000, "seed": 1},
@@ -402,6 +431,25 @@ class TestStrictConfig:
         assert main([command, "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"config file {path}: {message}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "simulate"])
+    @pytest.mark.parametrize("section", ["scenario", None])
+    def test_repeated_key_refused(self, tmp_path, capsys, command, section):
+        # json.load would keep the last value, V = 0.5 or 10 resamples
+        scenario = json.dumps(DET_SCENARIO)[1:-1]
+        plan = '"plan": {"trials_per_setting": 2000, "seed": 1}'
+        if section:
+            text = f'{{"scenario": {{{scenario}, "visibility": 0.5}}, {plan}, "resamples": 500}}'
+            key = "visibility"
+        else:
+            text = f'{{"scenario": {{{scenario}}}, {plan}, "resamples": 500, "resamples": 10}}'
+            key = "resamples"
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert f"config file {path}: repeated key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_report_defaults_are_the_config_defaults(self, tmp_path):
