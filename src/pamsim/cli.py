@@ -2,7 +2,8 @@
 
 Subcommands: predict, simulate, bounds, spacetime, report.  Every
 command is a pure function of its inputs and seed: rerunning with the
-same arguments reproduces the output files byte for byte.
+same arguments reproduces the output files byte for byte.  Input files
+are parsed in `scenario`, `trials` and `spacetime`; a bad one exits 1.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 domain error
 (e.g. enumeration cap exceeded), 3 spacetime validation failure.
@@ -25,16 +26,15 @@ from .classical import (
     classical_max_linear,
     strategy_count,
 )
-from .qubits import ZeroProbabilityBranch
-from .scenario import ProbabilityTable, Scenario, probability_table, read_section, unique_keys
+from .scenario import ProbabilityTable, Scenario, load_json, probability_table, read_section
 from .spacetime import Schedule, validate
 from .trials import (
     MIN_RESAMPLES,
     CountTable,
-    InsufficientStatisticsError,
     RunPlan,
     bootstrap_report,
     estimate,
+    non_negative_int,
     sample,
 )
 from .witness import IDW_COEF, WitnessReport, dimension_witness, report_from_table
@@ -51,34 +51,29 @@ class RunConfig:
     scenario: Scenario | None = None
     plan: RunPlan | None = None
     resamples: int = 10_000
-    outputs: Path | None = None
+    outputs: str | None = None
 
 
 _RUN_CONFIG_KEYS = {
     "scenario": Scenario.from_json_dict,
     "plan": RunPlan.from_json_dict,
     "resamples": int,
-    "outputs": Path,
+    "outputs": str,
 }
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=unique_keys)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"config file {path}: {exc}") from exc
-
-
 def load_run_config(path: str) -> RunConfig:
+    return RunConfig(**read_section(load_json(path), _RUN_CONFIG_KEYS, "top-level"))
+
+
+def _read(kind: str, load, path: str):
+    """`load(path)`, with a missing or unusable `kind` file a ConfigError."""
     try:
-        return RunConfig(**read_section(_load_json(path), _RUN_CONFIG_KEYS, "top-level"))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"config file {path}: {exc}") from exc
+        return load(path)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{kind} file not found: {path}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{kind} file {path}: {exc}") from exc
 
 
 def _given(values: dict) -> dict:
@@ -99,25 +94,14 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **top)
 
 
-def _outdir(outputs: Path | None) -> Path:
-    out = outputs if outputs is not None else Path("out")
+def _outdir(outputs: str | None) -> Path:
+    out = Path("out" if outputs is None else outputs)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
-
-
-def _write_table_csv(path: Path, table: ProbabilityTable) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "j", "p_e", "p_d", "p_none"])
-        for i in range(table.n_prep):
-            for j in range(table.n_meas):
-                writer.writerow(
-                    [i, j, repr(table.p_e[i, j]), repr(table.p_d[i, j]), repr(table.p_none[i, j])]
-                )
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_dw_terms_csv(path: Path, table: ProbabilityTable) -> None:
@@ -131,8 +115,8 @@ def _write_dw_terms_csv(path: Path, table: ProbabilityTable) -> None:
 
 
 def _write_witness(out: Path, report: WitnessReport) -> None:
-    _write_text(out / "witness.json", report.to_json())
-    _write_text(out / "witness.csv", report.to_csv_row())
+    (out / "witness.json").write_text(report.to_json(), encoding="utf-8")
+    (out / "witness.csv").write_text(report.to_csv_row(), encoding="utf-8")
 
 
 def _print_report(report: WitnessReport) -> None:
@@ -160,16 +144,13 @@ def _check_resamples(resamples: int) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
+    cfg = _apply_overrides(_read("config", load_run_config, args.config), args)
     scenario = _require(cfg.scenario, "scenario")
     out = _outdir(cfg.outputs)
     table = probability_table(scenario)
     report = report_from_table(table)
-    _write_text(
-        out / "scenario.json",
-        json.dumps(scenario.to_json_dict(), indent=2, sort_keys=True) + "\n",
-    )
-    _write_table_csv(out / "probabilities.csv", table)
+    _write_json(out / "scenario.json", scenario.to_json_dict())
+    table.to_csv(out / "probabilities.csv")
     _write_dw_terms_csv(out / "dw_terms.csv", table)
     _write_witness(out, report)
     _print_report(report)
@@ -178,7 +159,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
+    cfg = _apply_overrides(_read("config", load_run_config, args.config), args)
     scenario = _require(cfg.scenario, "scenario")
     plan = _require(cfg.plan, "plan")
     resamples = _check_resamples(cfg.resamples)
@@ -188,7 +169,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     estimated = estimate(counts, scenario.fair_sampling)
     report = bootstrap_report(counts, resamples, plan.seed, scenario.fair_sampling)
     counts.to_csv(out / "counts.csv")
-    _write_table_csv(out / "estimated.csv", estimated)
+    estimated.to_csv(out / "estimated.csv")
     _write_witness(out, report)
     _print_report(report)
     print(f"wrote {out}/counts.csv, estimated.csv, witness.json, witness.csv")
@@ -197,16 +178,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     resamples = _check_resamples(args.resamples)
-    try:
-        counts = CountTable.from_csv(args.counts)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"counts file not found: {args.counts}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"counts file {args.counts}: {exc}") from exc
+    counts = _read("counts", CountTable.from_csv, args.counts)
     out = _outdir(args.out)
     estimated = estimate(counts, args.fair_sampling)
     report = bootstrap_report(counts, resamples, args.seed, args.fair_sampling)
-    _write_table_csv(out / "estimated.csv", estimated)
+    estimated.to_csv(out / "estimated.csv")
     _write_witness(out, report)
     _print_report(report)
     print(f"wrote {out}/estimated.csv, witness.json, witness.csv")
@@ -236,28 +212,20 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             f"{result.deterministic_max:.3g}, mixture search max {result.mixture_max:.3g} "
             f"over {result.restarts} restarts"
         )
-    _write_text(out / "bounds.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "bounds.json", payload)
     print(f"wrote {out}/bounds.json")
     return 0
 
 
 def _cmd_spacetime(args: argparse.Namespace) -> int:
-    try:
-        schedule = Schedule.from_json_file(args.schedule)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"schedule file not found: {args.schedule}") from exc
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise ConfigError(f"schedule file {args.schedule}: {exc}") from exc
+    schedule = _read("schedule", Schedule.from_json_file, args.schedule)
     report = validate(schedule)
     for cond in report.conditions:
         status = "PASS" if cond.passed else "FAIL"
         print(f"{cond.name} {status}: {cond.description} ({cond.detail})")
     if args.out is not None:
         out = _outdir(args.out)
-        _write_text(
-            out / "spacetime.json",
-            json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
-        )
+        _write_json(out / "spacetime.json", report.to_json_dict())
         print(f"wrote {out}/spacetime.json")
     return 0 if report.all_passed else 3
 
@@ -280,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         "seed": dict(type=_non_negative_int, help="RNG seed"),
         "resamples": dict(type=int, help="bootstrap resample count"),
         "fair_sampling": dict(type=_parse_bool, metavar="BOOL", help="postselect (true/false)"),
-        "out": dict(type=Path, help="output directory"),
+        "out": dict(help="output directory"),
     }
 
     def add(p, *names):
@@ -326,9 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _non_negative_int(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+    try:
+        return non_negative_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_bool(text: str) -> bool:
@@ -351,12 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        EnumerationCapExceeded,
-        InsufficientStatisticsError,
-        ZeroProbabilityBranch,
-        ValueError,
-    ) as exc:
+    except (EnumerationCapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,10 +21,15 @@ For a phase-ket preparation the exact cell probabilities are
 
 With fair sampling enabled, no-detection trials are discarded and each
 cell is renormalized to p_e + p_d = 1 (which removes eta entirely).
+
+Config and schedule files are parsed here, by `load_json` and
+`read_section`: each value must have the JSON type that its key takes.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from dataclasses import dataclass
 
@@ -76,30 +81,57 @@ class Scenario:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Scenario":
         kw = read_section(d, _SCENARIO_KEYS, "scenario", ("alphas_pi", "betas_pi"))
-        return cls(alphas=kw.pop("alphas_pi"), betas=kw.pop("betas_pi"), **kw)
+        alphas, betas = (tuple(p * math.pi for p in kw.pop(k)) for k in ("alphas_pi", "betas_pi"))
+        return cls(alphas=alphas, betas=betas, **kw)
+
+
+# a bool is not a number, nor is a string holding one; `tuple` takes a list of numbers
+_JSON_TYPES = {
+    int: "a JSON integer",
+    float: "a JSON number",
+    str: "a JSON string",
+    bool: "true or false",
+    list: "a JSON array",
+    dict: "a JSON object",
+    tuple: "a list of JSON numbers",
+}
+
+
+def _is_json(value, parser: type) -> bool:
+    if parser is tuple:
+        return type(value) is list and all(_is_json(x, float) for x in value)
+    return type(value) is parser or (parser is float and type(value) is int)
 
 
 def read_section(raw: dict, parsers: dict, section: str, required: tuple = ()) -> dict:
-    """Parse config section `raw` key by key with `parsers`, refusing a
-    key `parsers` lacks and a missing `required` key.  Absent keys stay
-    absent, so the dataclass built from the result takes their defaults.
-    An `int` parser takes only a JSON integer: a bool, float or string is
-    refused, not truncated."""
+    """Parse JSON object `raw` with `parsers`, a type of `_JSON_TYPES` or a
+    nested section's parser per key, refusing an unknown key or a missing
+    `required` one.  Absent keys stay absent: the dataclass has defaults."""
     if not isinstance(raw, dict):
         raise ValueError(f"{section} config must be a JSON object, got {raw!r}")
+    kw = {}
     for key, value in raw.items():
         if key not in parsers:
             raise ValueError(f"{section} config has unknown key {key!r}")
-        if parsers[key] is int and type(value) is not int:
-            raise ValueError(f"{section} config: {key} must be a JSON integer, got {value!r}")
+        parser = parsers[key]
+        if parser in _JSON_TYPES and not _is_json(value, parser):
+            # a bool key's refusal keeps its established form, without the section
+            where = key if parser is bool else f"{section} config: {key}"
+            raise ValueError(f"{where} must be {_JSON_TYPES[parser]}, got {value!r}")
+        kw[key] = tuple(map(float, value)) if parser is tuple else parser(value)
     for key in required:
         if key not in raw:
             raise ValueError(f"{section} config is missing key {key!r}")
-    return {key: parsers[key](value) for key, value in raw.items()}
+    return kw
 
 
-def unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """`object_pairs_hook` for json.load that refuses a repeated key."""
+def load_json(path) -> object:
+    """The JSON document in file `path`, refusing a repeated key."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, object_pairs_hook=_unique_keys)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
@@ -108,22 +140,12 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _phases(units_of_pi) -> tuple[float, ...]:
-    return tuple(float(p) * math.pi for p in units_of_pi)
-
-
-def _fair_sampling(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"fair_sampling must be true or false, got {value!r}")
-    return value
-
-
 _SCENARIO_KEYS = {
-    "alphas_pi": _phases,
-    "betas_pi": _phases,
+    "alphas_pi": tuple,
+    "betas_pi": tuple,
     "visibility": float,
     "efficiency": float,
-    "fair_sampling": _fair_sampling,
+    "fair_sampling": bool,
 }
 
 
@@ -175,6 +197,9 @@ class ProbabilityTable:
     def n_meas(self) -> int:
         return self.p_e.shape[1]
 
+    def to_csv(self, path) -> None:
+        write_grid_csv(path, {"p_e": self.p_e, "p_d": self.p_d, "p_none": self.p_none})
+
     def d_values(self) -> np.ndarray:
         """Per-cell expectation <D_ij> = p_e - p_d."""
         return self.p_e - self.p_d
@@ -190,6 +215,16 @@ class ProbabilityTable:
             )
         zeros = np.zeros_like(self.p_e)
         return ProbabilityTable(self.p_e / det, self.p_d / det, zeros)
+
+
+def write_grid_csv(path, columns: dict[str, np.ndarray]) -> None:
+    """Write CSV `i,j,<columns>` with one row per cell of the equal-shape
+    2-d arrays in `columns`, each value as a plain Python int or float."""
+    cells = np.stack(list(columns.values()), axis=-1)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["i", "j", *columns])
+        writer.writerows([i, j, *cells[i, j].tolist()] for i, j in np.ndindex(cells.shape[:2]))
 
 
 def _check_noise_params(visibility: float, efficiency: float) -> None:

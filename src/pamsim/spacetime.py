@@ -4,7 +4,8 @@ Units are meters and nanoseconds (c = 0.299792458 m/ns).  A schedule
 holds labelled events plus "media": named signal links, each with a
 physical path length and a propagation speed as a fraction of c.  Path
 lengths are explicit because a fiber is generally longer than the
-straight-line distance between its endpoints.
+straight-line distance between its endpoints.  `Schedule.from_json_file`
+parses a schedule file with `scenario.load_json` and `read_section`.
 
 The bundled `reference_schedule` is a synthetic but feasible timing
 assignment for the published geometry (stations 46 m apart, source
@@ -14,12 +15,11 @@ actual run's event times were never published.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .scenario import unique_keys
+from .scenario import load_json, read_section
 
 C_M_PER_NS = 0.299792458
 
@@ -107,34 +107,27 @@ class Schedule:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Schedule":
-        try:
-            events = {}
-            for entry in d["events"]:
-                ev = Event(
-                    label=str(entry["label"]),
-                    position=tuple(float(x) for x in entry["position_m"]),
-                    time=float(entry["time_ns"]),
-                )
-                if ev.label in events:
-                    raise ValueError(f"schedule has more than one event labelled {ev.label!r}")
-                events[ev.label] = ev
-            media = {
-                str(name): Link(
-                    source=str(entry["from"]),
-                    target=str(entry["to"]),
-                    speed=float(entry["speed_c"]),
-                    length_m=float(entry["length_m"]),
-                )
-                for name, entry in d.get("media", {}).items()
-            }
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed schedule: {exc}") from exc
+        kw = read_section(d, _SCHEDULE_KEYS, "schedule", tuple(_SCHEDULE_KEYS))
+        events = {}
+        for n, entry in enumerate(kw["events"]):
+            e = read_section(entry, _EVENT_KEYS, f"events[{n}]", tuple(_EVENT_KEYS))
+            if e["label"] in events:
+                raise ValueError(f"schedule has more than one event labelled {e['label']!r}")
+            events[e["label"]] = Event(e["label"], e["position_m"], e["time_ns"])
+        media = {}
+        for name, entry in kw["media"].items():
+            m = read_section(entry, _LINK_KEYS, f"media {name!r}", tuple(_LINK_KEYS))
+            media[name] = Link(m["from"], m["to"], m["speed_c"], m["length_m"])
         return cls(events=events, media=media)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "Schedule":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh, object_pairs_hook=unique_keys))
+        return cls.from_json_dict(load_json(path))
+
+
+_SCHEDULE_KEYS = {"events": list, "media": dict}
+_EVENT_KEYS = {"label": str, "position_m": tuple, "time_ns": float}
+_LINK_KEYS = {"from": str, "to": str, "speed_c": float, "length_m": float}
 
 
 def interval(a: Event, b: Event, rel_tol: float = LIGHT_LIKE_REL_TOL) -> str:

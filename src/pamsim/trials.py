@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenario import ProbabilityTable, read_section
+from .scenario import ProbabilityTable, read_section, write_grid_csv
 from .witness import (
     DET_CLASSICAL_BOUND,
     DET_CONTRAST,
@@ -41,6 +41,13 @@ MIN_RESAMPLES = 100
 
 _SAMPLE_KEY = 0
 _BOOTSTRAP_KEY = 1
+
+
+def non_negative_int(text: str) -> int:
+    """Parse a non-negative decimal integer, refusing the "+5", " 5" and "1_000" of `int`."""
+    if not text.isdecimal():
+        raise ValueError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 class InsufficientStatisticsError(ValueError):
@@ -80,44 +87,35 @@ class CountTable:
         return self.n_e + self.n_d + self.n_none
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["i", "j", "n_e", "n_d", "n_none"])
-            for i in range(self.n_prep):
-                for j in range(self.n_meas):
-                    writer.writerow(
-                        [i, j, int(self.n_e[i, j]), int(self.n_d[i, j]), int(self.n_none[i, j])]
-                    )
+        write_grid_csv(path, {"n_e": self.n_e, "n_d": self.n_d, "n_none": self.n_none})
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "CountTable":
-        cells: dict[tuple[int, int], tuple[int, int, int]] = {}
+        cells: dict[tuple[int, int], tuple[int, ...]] = {}
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             required = {"i", "j", "n_e", "n_d", "n_none"}
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise ValueError(f"counts CSV must have columns {sorted(required)}")
             for row in reader:
+                where = f"line {reader.line_num} of counts CSV"
+                if None in row or None in row.values():
+                    raise ValueError(f"{where} does not have {len(reader.fieldnames)} fields")
                 key = (int(row["i"]), int(row["j"]))
                 if min(key) < 0:
-                    raise ValueError(
-                        f"negative cell index {key} on line {reader.line_num} of counts CSV"
-                    )
+                    raise ValueError(f"negative cell index {key} on {where}")
                 if key in cells:
                     raise ValueError(f"duplicate cell {key} in counts CSV")
-                cells[key] = (int(row["n_e"]), int(row["n_d"]), int(row["n_none"]))
+                cells[key] = tuple(non_negative_int(row[n]) for n in ("n_e", "n_d", "n_none"))
         if not cells:
             raise ValueError("counts CSV contains no rows")
-        n_prep = max(i for i, _ in cells) + 1
-        n_meas = max(j for _, j in cells) + 1
-        if len(cells) != n_prep * n_meas:
+        shape = tuple(np.max(list(cells), axis=0) + 1)
+        if len(cells) != shape[0] * shape[1]:
             raise ValueError("counts CSV does not cover a complete (i, j) grid")
-        n_e = np.zeros((n_prep, n_meas), dtype=np.int64)
-        n_d = np.zeros_like(n_e)
-        n_none = np.zeros_like(n_e)
-        for (i, j), (e, d, none) in cells.items():
-            n_e[i, j], n_d[i, j], n_none[i, j] = e, d, none
-        return cls(n_e, n_d, n_none)
+        grid = np.zeros((*shape, 3), dtype=np.int64)  # n_e, n_d, n_none per cell
+        for key, counts in cells.items():
+            grid[key] = counts
+        return cls(*np.moveaxis(grid, -1, 0))
 
 
 @dataclass(frozen=True)

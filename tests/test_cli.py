@@ -184,6 +184,25 @@ class TestSimulateAndReport:
         assert main(["report", "--counts", str(counts), "--out", str(tmp_path)]) == 1
         assert "negative cell index" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,1,5,5", "line 3 of counts CSV does not have 5 fields"),
+            ("0,1,5,5,0,7", "line 3 of counts CSV does not have 5 fields"),
+            ("0,1,+5,5,0", "expected a non-negative integer, got '+5'"),
+            ("0,1,5,1_000,0", "expected a non-negative integer, got '1_000'"),
+            ("0,1,5,5, 5", "expected a non-negative integer, got ' 5'"),
+        ],
+        ids=["short", "long", "plus", "underscore", "space"],
+    )
+    def test_report_malformed_row_is_config_error(self, tmp_path, capsys, row, message):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(f"i,j,n_e,n_d,n_none\n0,0,50,50,0\n{row}\n")
+        out = tmp_path / "out"
+        assert main(["report", "--counts", str(counts), "--out", str(out)]) == 1
+        assert f"counts file {counts}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_names_the_emptied_cell(self, tmp_path, capsys):
         # 2 detections in 302 trials per cell: some resample empties cell (0, 0)
         counts = tmp_path / "counts.csv"
@@ -228,6 +247,12 @@ class TestWitnessCsv:
             (row,) = list(csv.DictReader(fh))
         assert row["i_dw"] and row["r"]
         for value in filter(None, row.values()):
+            float(value)
+        grid = "probabilities.csv" if command[0] == "predict" else "estimated.csv"
+        with open(tmp_path / grid, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        for value in (v for r in rows for v in r.values()):
             float(value)
 
 
@@ -325,6 +350,41 @@ class TestSpacetime:
         assert str(path) in err and repr(label) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("medias", "schedule config has unknown key 'medias'"),
+            ("event key", "events[0] config has unknown key 'colour'"),
+            ("time bool", "events[0] config: time_ns must be a JSON number, got True"),
+            (
+                "position string",
+                "events[0] config: position_m must be a list of JSON numbers, got ['0', 0, 0]",
+            ),
+            ("speed string", "media 'charlie_alice' config: speed_c must be a JSON number, got '0.68'"),
+        ],
+        ids=["medias", "event-key", "time-bool", "position-string", "speed-string"],
+    )
+    def test_bad_key_is_config_error_naming_it(self, configs_dir, tmp_path, capsys, defect, message):
+        doc = read_json(configs_dir / "reference_geometry_schedule.json")
+        event, link = doc["events"][0], doc["media"]["charlie_alice"]
+        if defect == "medias":
+            # a misspelt section must not pass C5 as "no links declared"
+            doc["medias"] = doc.pop("media")
+        elif defect == "event key":
+            event["colour"] = "red"
+        elif defect == "time bool":
+            event["time_ns"] = True
+        elif defect == "position string":
+            event["position_m"] = ["0", 0, 0]
+        else:
+            link["speed_c"] = "0.68"
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["spacetime", str(path), "--out", str(out)]) == 1
+        assert f"schedule file {path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_key_is_config_error_naming_it(self, configs_dir, tmp_path, capsys):
         text = (configs_dir / "reference_geometry_schedule.json").read_text()
         # a second time_ns for the first event, which json.load would keep
@@ -398,8 +458,20 @@ class TestStrictConfig:
             ("plan", "setting_ordr", "random-per-trial", "plan config has unknown key 'setting_ordr'"),
             (None, "resample", 100, "top-level config has unknown key 'resample'"),
             (None, "schedule", {}, "top-level config has unknown key 'schedule'"),
+            ("scenario", "visibility", True, "scenario config: visibility must be a JSON number, got True"),
+            ("scenario", "efficiency", "0.5", "scenario config: efficiency must be a JSON number, got '0.5'"),
+            (
+                "scenario",
+                "alphas_pi",
+                [0.0, 1.0, -0.5, "0.5"],
+                "scenario config: alphas_pi must be a list of JSON numbers, got [0.0, 1.0, -0.5, '0.5']",
+            ),
+            (None, "outputs", 3, "top-level config: outputs must be a JSON string, got 3"),
         ],
-        ids=["visiblity", "fair-string", "fair-0", "fair-null", "setting_ordr", "resample", "schedule"],
+        ids=[
+            "visiblity", "fair-string", "fair-0", "fair-null", "setting_ordr", "resample", "schedule",
+            "visibility-bool", "efficiency-string", "phase-string", "outputs-number",
+        ],
     )
     def test_refused(self, tmp_path, capsys, command, section, key, value, message):
         self.assert_refused(tmp_path, capsys, command, section, key, value, message)
