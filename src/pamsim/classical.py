@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .scenario import ProbabilityTable
-from .witness import DET_CONTRAST, abs_det, check_shape, det
+from .witness import DET_CONTRAST, abs_det, det
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -81,22 +81,19 @@ def strategy_table(
     strategy: DeterministicStrategy, n_prep: int, n_meas: int
 ) -> ProbabilityTable:
     """Evaluate a strategy into outcome probabilities (p_none = 0)."""
-    return _pe_table(_deterministic_pe(strategy, n_prep, n_meas))
+    encode, decode = strategy.encode, strategy.decode
+    if len(encode) < n_prep:
+        raise IndexError(f"strategy encodes {len(encode)} preparations, need {n_prep}")
+    if any(len(row) < n_meas for row in decode):
+        raise IndexError(f"strategy decodes fewer than {n_meas} measurements")
+    return _pe_table(
+        np.array([[float(decode[encode[i]][j]) for j in range(n_meas)] for i in range(n_prep)])
+    )
 
 
 def _pe_table(p_e: np.ndarray) -> ProbabilityTable:
     """The no-loss table whose outcome-"e" probabilities are `p_e`."""
     return ProbabilityTable(p_e, 1.0 - p_e, np.zeros(p_e.shape))
-
-
-def _deterministic_pe(s: DeterministicStrategy, n_prep: int, n_meas: int) -> np.ndarray:
-    if len(s.encode) < n_prep:
-        raise IndexError(f"strategy encodes {len(s.encode)} preparations, need {n_prep}")
-    if any(len(row) < n_meas for row in s.decode):
-        raise IndexError(f"strategy decodes fewer than {n_meas} measurements")
-    return np.array(
-        [[float(s.decode[s.encode[i]][j]) for j in range(n_meas)] for i in range(n_prep)]
-    )
 
 
 def strategy_count(d: int, n_prep: int, n_meas: int) -> int:
@@ -117,6 +114,13 @@ def _lex_grid(base: int, length: int) -> np.ndarray:
     operands, and the determinant climbs are meant to repeat bit for bit.
     """
     return np.ascontiguousarray(np.indices((base,) * length).reshape(length, -1).T)
+
+
+def _grid_strategy(encoder: np.ndarray, decode: np.ndarray) -> DeterministicStrategy:
+    """The strategy of one `_lex_grid` encoder row and a (d, n_meas) 0/1 decode array."""
+    return DeterministicStrategy(
+        encode=tuple(encoder.tolist()), decode=tuple(map(tuple, decode.astype(int).tolist()))
+    )
 
 
 def _affine_coefficients(
@@ -177,26 +181,21 @@ def classical_max_linear(
     _check_cap(strategy_count(d, n_prep, n_meas))
     c0, coef = _affine_coefficients(witness, n_prep, n_meas)
 
-    # mass[e, m, j] = S[m, j] of encoder e; the message of preparation i
-    # is axis i of the encoder grid, so encoders run in lexicographic order.
-    mass = np.zeros((1, d, n_meas))
-    eye = np.eye(d)[:, :, None]
-    for row in coef:
-        mass = (mass[:, None] + eye * row).reshape(-1, d, n_meas)
+    # mass[e, m, j] = S[m, j] of encoder e, summed in preparation order
+    encoders = _lex_grid(d, n_prep)
+    rows = np.arange(len(encoders))
+    mass = np.zeros((len(encoders), d, n_meas))
+    for i, row in enumerate(coef):
+        mass[rows, encoders[:, i]] += row
     bits = mass > 0.0
     # Score each encoder by the table its best decoder produces, summed row
     # by row: strategies that produce the same table tie exactly.
-    index = np.arange(len(bits))
-    score = np.zeros(len(bits))
+    score = np.zeros(len(encoders))
     for i in range(n_prep):
-        message = index // d ** (n_prep - 1 - i) % d
-        score += np.where(bits[index, message], coef[i], 0.0).sum(axis=1)
+        score += np.where(bits[rows, encoders[:, i]], coef[i], 0.0).sum(axis=1)
     best = int(np.argmax(score))
 
-    strategy = DeterministicStrategy(
-        encode=tuple(int(m) for m in np.unravel_index(best, (d,) * n_prep)),
-        decode=tuple(tuple(int(b) for b in row) for row in bits[best]),
-    )
+    strategy = _grid_strategy(encoders[best], bits[best])
     table = strategy_table(strategy, n_prep, n_meas)
     value = witness(table)
     _check_affine(witness, c0, coef, table.p_e, value)
@@ -331,15 +330,10 @@ def _climb(ce: np.ndarray, dd: np.ndarray, e: np.ndarray) -> np.ndarray:
     return current
 
 
-def classical_max_det(
-    d: int,
-    n_prep: int = 4,
-    n_meas: int = 2,
-    restarts: int = 10_000,
-    seed: int = 0,
-) -> DetBoundResult:
+def classical_max_det(d: int, restarts: int = 10_000, seed: int = 0) -> DetBoundResult:
     """Maximize |det W| over d-dimensional strategies with independent
-    encoder/decoder randomness.
+    encoder/decoder randomness, on the preparations and measurements that
+    `DET_CONTRAST` defines W over.
 
     All deterministic strategies are checked exhaustively; on top of
     that, seeded random-restart coordinate ascent runs over the product
@@ -353,20 +347,17 @@ def classical_max_det(
     """
     if d < 2:
         raise ValueError(f"determinant search needs message dimension >= 2, got {d}")
-    check_shape("determinant witness", (n_prep, n_meas), DET_CONTRAST.shape[::-1])
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
+    n_meas, n_prep = DET_CONTRAST.shape  # W is n_meas x n_meas
     _check_cap(strategy_count(d, n_prep, n_meas))
-
-    n_rows, n_cols = DET_CONTRAST.shape  # W is n_rows x n_rows
-    contrast = np.pad(DET_CONTRAST, ((0, 0), (0, n_prep - n_cols)))
 
     encoders = _lex_grid(d, n_prep)  # (n_enc, n_prep) messages
     decoders = _lex_grid(2, d * n_meas).reshape(-1, d, n_meas)  # (n_dec, d, n_meas) bits
     # contrast @ one-hot(encoder): shape (n_enc, 2, d)
-    ce = contrast @ (encoders[:, :, None] == np.arange(d)).astype(float)
-    # p_d rows of each decoder, first n_rows measurement columns: (n_dec, d, n_rows)
-    dd = 1.0 - decoders[:, :, :n_rows].astype(float)
+    ce = DET_CONTRAST @ (encoders[:, :, None] == np.arange(d)).astype(float)
+    # p_d rows of each decoder: (n_dec, d, n_meas)
+    dd = 1.0 - decoders.astype(float)
 
     det_max = -1.0
     best_pair = (0, 0)
@@ -383,13 +374,9 @@ def classical_max_det(
         mixture_max = max(mixture_max, float(_climb(ce, dd, e).max()))
 
     a, b = best_pair
-    strategy = DeterministicStrategy(
-        encode=tuple(encoders[a].tolist()),
-        decode=tuple(tuple(row) for row in decoders[b].tolist()),
-    )
     return DetBoundResult(
         value=det_max,
-        strategy=strategy,
+        strategy=_grid_strategy(encoders[a], decoders[b]),
         deterministic_max=det_max,
         mixture_max=mixture_max,
         n_strategies=strategy_count(d, n_prep, n_meas),

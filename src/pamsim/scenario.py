@@ -118,7 +118,10 @@ def read_section(raw: dict, parsers: dict, section: str, required: tuple = ()) -
             # a bool key's refusal keeps its established form, without the section
             where = key if parser is bool else f"{section} config: {key}"
             raise ValueError(f"{where} must be {_JSON_TYPES[parser]}, got {value!r}")
-        kw[key] = tuple(map(float, value)) if parser is tuple else parser(value)
+        try:
+            kw[key] = tuple(map(float, value)) if parser is tuple else parser(value)
+        except OverflowError as exc:  # a JSON integer beyond the float range
+            raise ValueError(f"{section} config: {key} is too large for a float") from exc
     for key in required:
         if key not in raw:
             raise ValueError(f"{section} config is missing key {key!r}")
@@ -245,18 +248,17 @@ def quantum_cell(
     return p_e, p_d, 1.0 - efficiency
 
 
+def _table(s: Scenario, row) -> ProbabilityTable:
+    """The table whose row i holds `row(alphas[i])`, a (p_e, p_d, p_none)
+    per measurement phase, postselected under fair sampling."""
+    cells = np.array([row(a) for a in s.alphas], dtype=float)  # (n_prep, n_meas, 3)
+    table = ProbabilityTable(*cells.transpose(2, 0, 1).copy())
+    return table.postselected() if s.fair_sampling else table
+
+
 def probability_table(s: Scenario) -> ProbabilityTable:
     """Exact outcome probabilities for every (alpha_i, beta_j) cell."""
-    p_e = np.empty((s.n_prep, s.n_meas))
-    p_d = np.empty_like(p_e)
-    p_none = np.empty_like(p_e)
-    for i, a in enumerate(s.alphas):
-        for j, b in enumerate(s.betas):
-            p_e[i, j], p_d[i, j], p_none[i, j] = quantum_cell(
-                a, b, s.visibility, s.efficiency
-            )
-    table = ProbabilityTable(p_e, p_d, p_none)
-    return table.postselected() if s.fair_sampling else table
+    return _table(s, lambda a: [quantum_cell(a, b, s.visibility, s.efficiency) for b in s.betas])
 
 
 def _dephased_born(state: Ket2, projector: Ket2, visibility: float) -> float:
@@ -278,19 +280,16 @@ def heralded_table(s: Scenario, pair: Ket4 = PHI_PLUS) -> ProbabilityTable:
     """
     if pair.norm_error() > 1e-9:
         raise ValueError("pair state must be normalized")
-    p_e = np.empty((s.n_prep, s.n_meas))
-    p_d = np.empty_like(p_e)
-    p_none = np.empty_like(p_e)
-    for i, a in enumerate(s.alphas):
+
+    def row(a: float) -> list[tuple[float, float, float]]:
         routes = [herald(pair, a, +1), herald(pair, a - math.pi, -1)]
         total = sum(w for w, _ in routes)
-        for j, b in enumerate(s.betas):
-            proj_e = phase_ket(b)
-            proj_d = phase_ket(b + math.pi)
-            pe = sum(w * _dephased_born(state, proj_e, s.visibility) for w, state in routes)
-            pd = sum(w * _dephased_born(state, proj_d, s.visibility) for w, state in routes)
-            p_e[i, j] = s.efficiency * pe / total
-            p_d[i, j] = s.efficiency * pd / total
-            p_none[i, j] = 1.0 - s.efficiency
-    table = ProbabilityTable(p_e, p_d, p_none)
-    return table.postselected() if s.fair_sampling else table
+
+        def detected(phase: float) -> float:
+            proj = phase_ket(phase)
+            born_sum = sum(w * _dephased_born(state, proj, s.visibility) for w, state in routes)
+            return s.efficiency * born_sum / total
+
+        return [(detected(b), detected(b + math.pi), 1.0 - s.efficiency) for b in s.betas]
+
+    return _table(s, row)

@@ -67,8 +67,9 @@ class Link:
     def __post_init__(self):
         if not 0.0 < self.speed <= 1.0:
             raise ValueError(f"link speed must be in (0, 1], got {self.speed}")
-        if self.length_m < 0.0:
-            raise ValueError(f"link length must be non-negative, got {self.length_m}")
+        # written so that NaN, which fails every comparison, is refused
+        if not 0.0 <= self.length_m < math.inf:
+            raise ValueError(f"link length must be finite and non-negative, got {self.length_m}")
 
     def transit_ns(self) -> float:
         return self.length_m / (self.speed * C_M_PER_NS)

@@ -38,6 +38,7 @@ from .witness import (
 ROUND_ROBIN = "round-robin"
 RANDOM_PER_TRIAL = "random-per-trial"
 MIN_RESAMPLES = 100
+INT64_MAX = np.iinfo(np.int64).max  # the most trials a cell's counts can hold
 
 _SAMPLE_KEY = 0
 _BOOTSTRAP_KEY = 1
@@ -92,24 +93,27 @@ class CountTable:
     @classmethod
     def from_csv(cls, path: str | Path) -> "CountTable":
         cells: dict[tuple[int, int], tuple[int, ...]] = {}
+        fields = ("i", "j", "n_e", "n_d", "n_none")
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            required = {"i", "j", "n_e", "n_d", "n_none"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise ValueError(f"counts CSV must have columns {sorted(required)}")
+            if reader.fieldnames is None or not set(fields).issubset(reader.fieldnames):
+                raise ValueError(f"counts CSV must have columns {sorted(fields)}")
             for row in reader:
                 where = f"line {reader.line_num} of counts CSV"
                 if None in row or None in row.values():
                     raise ValueError(f"{where} does not have {len(reader.fieldnames)} fields")
-                key = (int(row["i"]), int(row["j"]))
-                if min(key) < 0:
-                    raise ValueError(f"negative cell index {key} on {where}")
-                if key in cells:
-                    raise ValueError(f"duplicate cell {key} in counts CSV")
-                cells[key] = tuple(non_negative_int(row[n]) for n in ("n_e", "n_d", "n_none"))
+                try:
+                    i, j, *counts = (non_negative_int(row[name]) for name in fields)
+                except ValueError as exc:
+                    raise ValueError(f"{exc} on {where}") from exc
+                if sum(counts) > INT64_MAX:
+                    raise ValueError(f"cell ({i}, {j}) on {where} has more than 2**63 - 1 trials")
+                if (i, j) in cells:
+                    raise ValueError(f"duplicate cell ({i}, {j}) on {where}")
+                cells[i, j] = tuple(counts)
         if not cells:
             raise ValueError("counts CSV contains no rows")
-        shape = tuple(np.max(list(cells), axis=0) + 1)
+        shape = tuple(max(index) + 1 for index in zip(*cells))
         if len(cells) != shape[0] * shape[1]:
             raise ValueError("counts CSV does not cover a complete (i, j) grid")
         grid = np.zeros((*shape, 3), dtype=np.int64)  # n_e, n_d, n_none per cell
@@ -157,23 +161,22 @@ def sample(t: ProbabilityTable, plan: RunPlan) -> CountTable:
     root = np.random.SeedSequence(plan.seed, spawn_key=(_SAMPLE_KEY,))
     streams = root.spawn(n_cells + 1)
 
+    per_draw = plan.trials_per_setting * (n_cells if plan.setting_order == RANDOM_PER_TRIAL else 1)
+    if per_draw > INT64_MAX:
+        raise ValueError(
+            f"trials_per_setting {plan.trials_per_setting} is too large: {plan.setting_order} "
+            f"order draws {per_draw} trials at once, more than 2**63 - 1"
+        )
+    cell_trials = np.full(n_cells, plan.trials_per_setting)
     if plan.setting_order == RANDOM_PER_TRIAL:
         order_rng = np.random.default_rng(streams[0])
-        total = plan.trials_per_setting * n_cells
-        cell_trials = order_rng.multinomial(total, np.full(n_cells, 1.0 / n_cells))
-    else:
-        cell_trials = np.full(n_cells, plan.trials_per_setting, dtype=np.int64)
+        cell_trials = order_rng.multinomial(per_draw, np.full(n_cells, 1.0 / n_cells))
 
-    n_e = np.zeros((t.n_prep, t.n_meas), dtype=np.int64)
-    n_d = np.zeros_like(n_e)
-    n_none = np.zeros_like(n_e)
-    for i in range(t.n_prep):
-        for j in range(t.n_meas):
-            idx = i * t.n_meas + j
-            rng = np.random.default_rng(streams[idx + 1])
-            draw = rng.multinomial(int(cell_trials[idx]), _cell_pvals(t, i, j))
-            n_e[i, j], n_d[i, j], n_none[i, j] = draw
-    return CountTable(n_e, n_d, n_none)
+    draws = [
+        np.random.default_rng(stream).multinomial(int(n), _cell_pvals(t, *cell))
+        for cell, stream, n in zip(np.ndindex(t.n_prep, t.n_meas), streams[1:], cell_trials)
+    ]
+    return CountTable(*np.moveaxis(np.reshape(draws, (t.n_prep, t.n_meas, 3)), -1, 0))
 
 
 def estimate(c: CountTable, fair_sampling: bool) -> ProbabilityTable:

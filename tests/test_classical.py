@@ -15,6 +15,7 @@ from pamsim.classical import (
     EnumerationCapExceeded,
     _affine_coefficients,
     _climb,
+    _lex_grid,
     _start_points,
     classical_max_det,
     classical_max_linear,
@@ -24,7 +25,7 @@ from pamsim.classical import (
     strategy_table,
 )
 from pamsim.scenario import ProbabilityTable
-from pamsim.witness import IDW_COEF, det_witness, dimension_witness, retrocausality
+from pamsim.witness import DET_CONTRAST, IDW_COEF, det_witness, dimension_witness, retrocausality
 
 ALWAYS_E = DeterministicStrategy(encode=(0, 0, 0, 0), decode=((1, 1),))
 ALWAYS_D = DeterministicStrategy(encode=(0, 0, 0, 0), decode=((0, 0),))
@@ -169,17 +170,13 @@ def start_exponentials(ce, dd, seed, restarts):
 
 @functools.cache
 def det_search_vertices(d, n_prep):
-    """The (ce, dd) vertex matrices `classical_max_det` climbs over."""
-    seen = []
-
-    def record(ce, dd, e):
-        seen.append((ce, dd))
-        return np.zeros(len(e))
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classical, "_climb", record)
-        classical_max_det(d, n_prep=n_prep, restarts=1)
-    return seen[0]
+    """(ce, dd) vertex matrices built the way `classical_max_det` builds its
+    own (checked below), with W read off the first four of `n_prep`
+    preparations: a fifth only widens the encoder grid the climbs run over."""
+    encoders = _lex_grid(d, n_prep)
+    contrast = np.pad(DET_CONTRAST, ((0, 0), (0, n_prep - DET_CONTRAST.shape[1])))
+    ce = contrast @ (encoders[:, :, None] == np.arange(d)).astype(float)
+    return ce, 1.0 - _lex_grid(2, 2 * d).reshape(-1, d, 2).astype(float)
 
 
 class TestStrategyTable:
@@ -430,6 +427,14 @@ class TestDeterminantBound:
 
 
 class TestDetStartPoints:
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_vertices_are_the_searched_ones(self, monkeypatch, d):
+        seen = []
+        monkeypatch.setattr(classical, "_climb", lambda *args: seen.append(args) or np.zeros(1))
+        classical_max_det(d, restarts=1)
+        ce, dd, _ = seen[0]
+        assert [ce.tobytes(), dd.tobytes()] == [m.tobytes() for m in det_search_vertices(d, 4)]
+
     @pytest.mark.parametrize("n_rows", (1, 63, 64, 65))
     @pytest.mark.parametrize("d, n_prep", START_CASES)
     def test_climbs_reach_what_per_restart_starts_reach(self, monkeypatch, d, n_prep, n_rows):

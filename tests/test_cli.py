@@ -182,7 +182,8 @@ class TestSimulateAndReport:
         counts = tmp_path / "counts.csv"
         counts.write_text("i,j,n_e,n_d,n_none\n-1,0,50,50,0\n1,0,50,50,0\n")
         assert main(["report", "--counts", str(counts), "--out", str(tmp_path)]) == 1
-        assert "negative cell index" in capsys.readouterr().err
+        message = "expected a non-negative integer, got '-1' on line 2 of counts CSV"
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "row, message",
@@ -192,8 +193,16 @@ class TestSimulateAndReport:
             ("0,1,+5,5,0", "expected a non-negative integer, got '+5'"),
             ("0,1,5,1_000,0", "expected a non-negative integer, got '1_000'"),
             ("0,1,5,5, 5", "expected a non-negative integer, got ' 5'"),
+            ("+0,1,5,5,0", "expected a non-negative integer, got '+0' on line 3 of counts CSV"),
+            ("x,1,5,5,0", "expected a non-negative integer, got 'x' on line 3 of counts CSV"),
+            (f"0,1,{2**63},0,0", "cell (0, 1) on line 3 of counts CSV has more than 2**63 - 1 trials"),
+            # int64 counts would wrap to a negative total
+            (f"0,1,{2**62},{2**62},0", "cell (0, 1) on line 3 of counts CSV has more than 2**63 - 1"),
         ],
-        ids=["short", "long", "plus", "underscore", "space"],
+        ids=[
+            "short", "long", "plus", "underscore", "space",
+            "plus-index", "letter-index", "count-overflow", "sum-overflow",
+        ],
     )
     def test_report_malformed_row_is_config_error(self, tmp_path, capsys, row, message):
         counts = tmp_path / "counts.csv"
@@ -202,6 +211,25 @@ class TestSimulateAndReport:
         assert main(["report", "--counts", str(counts), "--out", str(out)]) == 1
         assert f"counts file {counts}: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "trials, order, flags",
+        [
+            (10**30, "round-robin", []),
+            (2**61, "random-per-trial", []),  # 8 cells draw 2**64 trials at once
+            (2000, "round-robin", ["--trials", str(10**30)]),
+        ],
+        ids=["config", "random-total", "flag"],
+    )
+    def test_trials_beyond_int64_are_domain_errors(self, tmp_path, capsys, trials, order, flags):
+        cfg = tmp_path / "cfg.json"
+        plan = {"trials_per_setting": trials, "setting_order": order}
+        cfg.write_text(json.dumps({"scenario": DET_SCENARIO, "plan": plan}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trials_per_setting ") and "more than 2**63 - 1" in err
+        assert not (out / "counts.csv").exists()
 
     def test_report_names_the_emptied_cell(self, tmp_path, capsys):
         # 2 detections in 302 trials per cell: some resample empties cell (0, 0)
@@ -385,6 +413,35 @@ class TestSpacetime:
         assert f"schedule file {path}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "where, key, value, message",
+        [
+            ("event", "time_ns", 10**400, "events[0] config: time_ns is too large for a float"),
+            (
+                "event",
+                "position_m",
+                [0.0, 10**400, 0.0],
+                "events[0] config: position_m is too large for a float",
+            ),
+            ("link", "speed_c", 10**400, "media 'charlie_alice' config: speed_c is too large"),
+            ("link", "length_m", 10**400, "media 'charlie_alice' config: length_m is too large"),
+            ("link", "length_m", math.nan, "link length must be finite and non-negative, got nan"),
+            ("link", "length_m", math.inf, "link length must be finite and non-negative, got inf"),
+        ],
+        ids=["time-huge", "position-huge", "speed-huge", "length-huge", "length-nan", "length-inf"],
+    )
+    def test_unrepresentable_number_is_config_error(
+        self, configs_dir, tmp_path, capsys, where, key, value, message
+    ):
+        doc = read_json(configs_dir / "reference_geometry_schedule.json")
+        (doc["events"][0] if where == "event" else doc["media"]["charlie_alice"])[key] = value
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(doc))  # NaN and Infinity as JSON literals
+        out = tmp_path / "out"
+        assert main(["spacetime", str(path), "--out", str(out)]) == 1
+        assert f"schedule file {path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_key_is_config_error_naming_it(self, configs_dir, tmp_path, capsys):
         text = (configs_dir / "reference_geometry_schedule.json").read_text()
         # a second time_ns for the first event, which json.load would keep
@@ -467,10 +524,15 @@ class TestStrictConfig:
                 "scenario config: alphas_pi must be a list of JSON numbers, got [0.0, 1.0, -0.5, '0.5']",
             ),
             (None, "outputs", 3, "top-level config: outputs must be a JSON string, got 3"),
+            # JSON integers beyond the float range
+            ("scenario", "visibility", 10**400, "scenario config: visibility is too large for a float"),
+            ("scenario", "efficiency", 10**400, "scenario config: efficiency is too large for a float"),
+            ("scenario", "betas_pi", [0.5, 10**400], "scenario config: betas_pi is too large for a float"),
         ],
         ids=[
             "visiblity", "fair-string", "fair-0", "fair-null", "setting_ordr", "resample", "schedule",
             "visibility-bool", "efficiency-string", "phase-string", "outputs-number",
+            "visibility-huge", "efficiency-huge", "phase-huge",
         ],
     )
     def test_refused(self, tmp_path, capsys, command, section, key, value, message):
@@ -550,3 +612,15 @@ def test_readme_commands_parse():
     for argv in commands:
         # the parser exits on a flag the command does not take
         assert build_parser().parse_args(argv).func
+
+
+def test_readme_commands_run(configs_dir, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in readme_commands():
+        argv = [str(configs_dir.parent / a) if a.startswith("configs/") else a for a in argv]
+        assert main(argv) == 0, argv
+        if argv[0] == "report":
+            # the README's promise: report on simulate's counts reproduces its witness.json
+            simulated = Path(argv[argv.index("--counts") + 1]).parent / "witness.json"
+            reported = Path(argv[argv.index("--out") + 1]) / "witness.json"
+            assert reported.read_bytes() == simulated.read_bytes()

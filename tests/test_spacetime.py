@@ -142,8 +142,9 @@ class TestScheduleJson:
             Link("a", "b", 0.0, 10.0)
         with pytest.raises(ValueError):
             Link("a", "b", 1.2, 10.0)
-        with pytest.raises(ValueError):
-            Link("a", "b", 0.5, -1.0)
+        for length in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="link length"):
+                Link("a", "b", 0.5, length)
 
 
 class TestReferenceGeometry:

@@ -327,7 +327,7 @@ class TestCountTableCsv:
     def test_negative_index_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("i,j,n_e,n_d,n_none\n-1,0,5,5,0\n1,0,5,5,0\n")
-        with pytest.raises(ValueError, match=r"\(-1, 0\) on line 2"):
+        with pytest.raises(ValueError, match="got '-1' on line 2 of counts CSV"):
             CountTable.from_csv(path)
 
     def test_negative_counts_rejected(self):
