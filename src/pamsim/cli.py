@@ -12,8 +12,6 @@ Exit codes: 0 success, 1 usage or configuration error, 2 domain error
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -26,7 +24,7 @@ from .classical import (
     classical_max_linear,
     strategy_count,
 )
-from .scenario import ProbabilityTable, Scenario, load_json, probability_table, read_section
+from .scenario import Scenario, load_json, probability_table, read_section, write_csv, write_json
 from .spacetime import Schedule, validate
 from .trials import (
     MIN_RESAMPLES,
@@ -100,23 +98,15 @@ def _outdir(outputs: str | None) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _write_dw_terms_csv(path: Path, table: ProbabilityTable) -> None:
-    d = table.d_values()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["term", "i", "j", "sign", "value"])
-        for (i, j), sign in np.ndenumerate(IDW_COEF):
-            if sign:
-                writer.writerow([f"D_{i}{j}", i, j, sign, repr(float(d[i, j]))])
-
-
 def _write_witness(out: Path, report: WitnessReport) -> None:
-    (out / "witness.json").write_text(report.to_json(), encoding="utf-8")
-    (out / "witness.csv").write_text(report.to_csv_row(), encoding="utf-8")
+    """Write witness.json, and witness.csv: the same values in one row, then a
+    `<name>_err` column per standard error (empty when the report has none)."""
+    values = report.to_json_dict()
+    write_json(out / "witness.json", values)
+    errors = values.pop("uncertainties")
+    names = ("det_abs", "i_dw", "r")
+    header = [*values, *(f"{name}_err" for name in names)]
+    write_csv(out / "witness.csv", header, [[*values.values(), *map(errors.get, names)]])
 
 
 def _print_report(report: WitnessReport) -> None:
@@ -149,9 +139,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     out = _outdir(cfg.outputs)
     table = probability_table(scenario)
     report = report_from_table(table)
-    _write_json(out / "scenario.json", scenario.to_json_dict())
+    write_json(out / "scenario.json", scenario.to_json_dict())
     table.to_csv(out / "probabilities.csv")
-    _write_dw_terms_csv(out / "dw_terms.csv", table)
+    d = table.d_values()
+    terms = [[f"D_{i}{j}", i, j, c, float(d[i, j])] for (i, j), c in np.ndenumerate(IDW_COEF) if c]
+    write_csv(out / "dw_terms.csv", ["term", "i", "j", "sign", "value"], terms)
     _write_witness(out, report)
     _print_report(report)
     print(f"wrote {out}/probabilities.csv, dw_terms.csv, witness.json, witness.csv")
@@ -212,7 +204,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             f"{result.deterministic_max:.3g}, mixture search max {result.mixture_max:.3g} "
             f"over {result.restarts} restarts"
         )
-    _write_json(out / "bounds.json", payload)
+    write_json(out / "bounds.json", payload)
     print(f"wrote {out}/bounds.json")
     return 0
 
@@ -225,7 +217,7 @@ def _cmd_spacetime(args: argparse.Namespace) -> int:
         print(f"{cond.name} {status}: {cond.description} ({cond.detail})")
     if args.out is not None:
         out = _outdir(args.out)
-        _write_json(out / "spacetime.json", report.to_json_dict())
+        write_json(out / "spacetime.json", report.to_json_dict())
         print(f"wrote {out}/spacetime.json")
     return 0 if report.all_passed else 3
 
@@ -246,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     flags = {
         "config": dict(required=True, help="run configuration JSON"),
         "seed": dict(type=_non_negative_int, help="RNG seed"),
-        "resamples": dict(type=int, help="bootstrap resample count"),
+        "resamples": dict(type=_non_negative_int, help="bootstrap resample count"),
         "fair_sampling": dict(type=_parse_bool, metavar="BOOL", help="postselect (true/false)"),
         "out": dict(help="output directory"),
     }
@@ -261,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="finite sampled run with bootstrap errors")
     add(p, "config", "seed", "resamples", "fair_sampling", "out")
-    p.add_argument("--trials", type=int, help="override trials per setting")
+    p.add_argument("--trials", type=_non_negative_int, help="override trials per setting")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("report", help="analyze an existing counts CSV")
@@ -277,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="classical witness bounds by enumeration/search")
     p.add_argument("--witness", choices=("idw", "det"), required=True)
-    p.add_argument("--dimension", "-d", type=int, default=2, help="message dimension")
+    p.add_argument(
+        "--dimension", "-d", type=_non_negative_int, default=2, help="message dimension"
+    )
     p.add_argument(
         "--restarts", type=_non_negative_int, default=10_000, help="mixture-search restarts"
     )

@@ -24,6 +24,7 @@ cell is renormalized to p_e + p_d = 1 (which removes eta entirely).
 
 Config and schedule files are parsed here, by `load_json` and
 `read_section`: each value must have the JSON type that its key takes.
+Every output file is written here too, by `write_json` and `write_csv`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -134,6 +136,19 @@ def load_json(path) -> object:
         return json.load(fh, object_pairs_hook=_unique_keys)
 
 
+def write_json(path, payload: dict) -> None:
+    """Write `payload` as indented JSON with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_csv(path, header: list, rows) -> None:
+    """Write CSV `header` then `rows`: a float as its repr, None as an empty field."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     obj = {}
     for key, value in pairs:
@@ -170,15 +185,10 @@ class ProbabilityTable:
 
     p_e: np.ndarray
     p_d: np.ndarray
-    p_none: np.ndarray | None = None
+    p_none: np.ndarray
 
     def __post_init__(self):
-        p_e = np.asarray(self.p_e, dtype=float)
-        p_d = np.asarray(self.p_d, dtype=float)
-        if self.p_none is None:
-            p_none = 1.0 - p_e - p_d
-        else:
-            p_none = np.asarray(self.p_none, dtype=float)
+        p_e, p_d, p_none = (np.asarray(a, dtype=float) for a in (self.p_e, self.p_d, self.p_none))
         if p_e.shape != p_d.shape or p_e.shape != p_none.shape or p_e.ndim != 2:
             raise ValueError("probability arrays must share one 2-d shape")
         # written so that NaN, which fails every comparison, is rejected
@@ -224,10 +234,8 @@ def write_grid_csv(path, columns: dict[str, np.ndarray]) -> None:
     """Write CSV `i,j,<columns>` with one row per cell of the equal-shape
     2-d arrays in `columns`, each value as a plain Python int or float."""
     cells = np.stack(list(columns.values()), axis=-1)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "j", *columns])
-        writer.writerows([i, j, *cells[i, j].tolist()] for i, j in np.ndindex(cells.shape[:2]))
+    rows = ([i, j, *cells[i, j].tolist()] for i, j in np.ndindex(cells.shape[:2]))
+    write_csv(path, ["i", "j", *columns], rows)
 
 
 def _check_noise_params(visibility: float, efficiency: float) -> None:

@@ -131,13 +131,13 @@ _EVENT_KEYS = {"label": str, "position_m": tuple, "time_ns": float}
 _LINK_KEYS = {"from": str, "to": str, "speed_c": float, "length_m": float}
 
 
-def interval(a: Event, b: Event, rel_tol: float = LIGHT_LIKE_REL_TOL) -> str:
+def interval(a: Event, b: Event) -> str:
     """Classify the Minkowski interval between two events."""
     dt = (b.time - a.time) * C_M_PER_NS
     dx = math.dist(a.position, b.position)
     s2 = dt * dt - dx * dx
     scale = dt * dt + dx * dx
-    if abs(s2) <= rel_tol * scale:
+    if abs(s2) <= LIGHT_LIKE_REL_TOL * scale:
         return LIGHT_LIKE
     return TIME_LIKE if s2 > 0.0 else SPACE_LIKE
 

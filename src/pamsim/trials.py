@@ -39,6 +39,7 @@ ROUND_ROBIN = "round-robin"
 RANDOM_PER_TRIAL = "random-per-trial"
 MIN_RESAMPLES = 100
 INT64_MAX = np.iinfo(np.int64).max  # the most trials a cell's counts can hold
+MAX_RESAMPLES = INT64_MAX // (3 * 8)  # the most int64 count rows one numpy array can hold
 
 _SAMPLE_KEY = 0
 _BOOTSTRAP_KEY = 1
@@ -243,6 +244,10 @@ def bootstrap_report(
 
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
+    if resamples > MAX_RESAMPLES:
+        raise ValueError(
+            f"resamples {resamples} is too large: numpy draws at most {MAX_RESAMPLES} per cell"
+        )
     observed = estimate(c, fair_sampling)
     point_det = det_witness(observed) if observed.n_prep >= DET_CONTRAST.shape[1] else None
     point_idw = dimension_witness(observed)
@@ -251,18 +256,21 @@ def bootstrap_report(
     streams = np.random.SeedSequence(seed, spawn_key=(_BOOTSTRAP_KEY,)).spawn(len(cells))
     counts = [(int(c.n_e[ij]), int(c.n_d[ij]), int(c.n_none[ij])) for ij in cells]
     job = partial(_resample_cell, resamples=resamples, fair=fair_sampling)
-    with ThreadPoolExecutor(max_workers=min(len(cells), _usable_cpus())) as pool:
-        # map yields in cell order and re-raises the first failing cell's error
-        drawn = pool.map(job, cells, streams, counts)
-        d, p_d = (dict(zip(cells, column)) for column in zip(*drawn))
+    try:
+        with ThreadPoolExecutor(max_workers=min(len(cells), _usable_cpus())) as pool:
+            # map yields in cell order and re-raises the first failing cell's error
+            drawn = pool.map(job, cells, streams, counts)
+            d, p_d = (dict(zip(cells, column)) for column in zip(*drawn))
 
-    idw_samples = idw_sum(d)
-    uncertainties = {
-        "i_dw": float(np.std(idw_samples, ddof=1)),
-        "r": float(np.std(retrocausality(idw_samples), ddof=1)),
-    }
-    if point_det is not None:
-        uncertainties["det_abs"] = float(np.std(abs_det(witness_entries(p_d)), ddof=1))
+        idw_samples = idw_sum(d)
+        uncertainties = {
+            "i_dw": float(np.std(idw_samples, ddof=1)),
+            "r": float(np.std(retrocausality(idw_samples), ddof=1)),
+        }
+        if point_det is not None:
+            uncertainties["det_abs"] = float(np.std(abs_det(witness_entries(p_d)), ddof=1))
+    except MemoryError as exc:
+        raise ValueError(f"resamples {resamples} is too large: {exc}") from exc
 
     def sigma(point, name, bound):
         err = uncertainties.get(name, 0.0)
@@ -274,5 +282,4 @@ def bootstrap_report(
         sigma_det=sigma(point_det, "det_abs", DET_CLASSICAL_BOUND),
         sigma_idw=sigma(point_idw, "i_dw", I_DW_CLASSICAL_BOUND),
         uncertainties=uncertainties,
-        r=retrocausality(point_idw),
     )

@@ -17,9 +17,6 @@ retrocausality measure is R = max((I_DW - 3)/4, 0).
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -104,25 +101,13 @@ def sigma_violation(value: float, std_err: float, bound: float) -> float:
     return float(max((value - bound) / std_err, 0.0))
 
 
-CSV_FIELDS = (
-    "det_abs",
-    "i_dw",
-    "r",
-    "sigma_det",
-    "sigma_idw",
-    "det_abs_err",
-    "i_dw_err",
-    "r_err",
-)
-
-
 @dataclass(frozen=True)
 class WitnessReport:
     """Witness values with optional bootstrap uncertainties.
 
     `det_abs` and its sigma are None for tables with fewer than four
-    preparations.  `r` is always recomputed from the report's own
-    `i_dw`.  `uncertainties` maps quantity name -> standard error.
+    preparations.  `r` is derived from the report's own `i_dw`.
+    `uncertainties` maps quantity name -> standard error.
     """
 
     i_dw: float
@@ -130,14 +115,10 @@ class WitnessReport:
     sigma_det: float | None = None
     sigma_idw: float | None = None
     uncertainties: dict[str, float] = field(default_factory=dict)
-    r: float | None = None
 
-    def __post_init__(self):
-        expected = retrocausality(self.i_dw)
-        if self.r is None:
-            object.__setattr__(self, "r", expected)
-        elif self.r != expected:
-            raise ValueError(f"r={self.r} inconsistent with i_dw={self.i_dw}")
+    @property
+    def r(self) -> float:
+        return retrocausality(self.i_dw)
 
     def to_json_dict(self) -> dict:
         return {
@@ -148,19 +129,6 @@ class WitnessReport:
             "sigma_idw": self.sigma_idw,
             "uncertainties": dict(sorted(self.uncertainties.items())),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-    def to_csv_row(self) -> str:
-        values = self.to_json_dict()
-        errors = values.pop("uncertainties")
-        row = {k: values.get(k, errors.get(k.removesuffix("_err"))) for k in CSV_FIELDS}
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerow({k: ("" if v is None else repr(v)) for k, v in row.items()})
-        return buf.getvalue()
 
 
 def report_from_table(t: ProbabilityTable) -> WitnessReport:

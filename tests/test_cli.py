@@ -159,7 +159,7 @@ class TestSimulateAndReport:
             (["--resamples", "0"], 500, "resamples must be >= 100"),
             ([], 99, "resamples must be >= 100"),
             (["--trials", "0"], 500, "--trials must be >= 1"),
-            (["--trials", "-3"], 500, "--trials must be >= 1"),
+            (["--trials", "-3"], 500, "argument --trials: expected a non-negative integer, got '-3'"),
         ],
     )
     def test_simulate_bad_sizes_are_config_errors(
@@ -231,6 +231,23 @@ class TestSimulateAndReport:
         assert err.startswith("error: trials_per_setting ") and "more than 2**63 - 1" in err
         assert not (out / "counts.csv").exists()
 
+    @pytest.mark.parametrize("resamples", [10**20, 2**62], ids=["over-intp", "over-bytes"])
+    @pytest.mark.parametrize("source", ["config", "simulate-flag", "report-flag"])
+    def test_resamples_beyond_numpy_are_domain_errors(self, tmp_path, capsys, resamples, source):
+        # numpy refuses either count with a message that does not name the key
+        cfg = write_config(tmp_path / "cfg.json", DET_SCENARIO, resamples=resamples)
+        counts = tmp_path / "counts.csv"
+        counts.write_text("i,j,n_e,n_d,n_none\n0,0,50,50,0\n")
+        argv = {
+            "config": ["simulate", "--config", cfg],
+            "simulate-flag": ["simulate", "--config", cfg, "--resamples", str(resamples)],
+            "report-flag": ["report", "--counts", str(counts), "--resamples", str(resamples)],
+        }[source]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: resamples {resamples} is too large")
+        assert not (out / "witness.json").exists()
+
     def test_report_names_the_emptied_cell(self, tmp_path, capsys):
         # 2 detections in 302 trials per cell: some resample empties cell (0, 0)
         counts = tmp_path / "counts.csv"
@@ -259,23 +276,38 @@ class TestSimulateAndReport:
 
 
 BUNDLED_CONFIGS = ("det_witness_ideal", "dimension_witness_ideal", "fitted_no_fsa")
+SIMULATE = ["simulate", "--trials", "2000", "--resamples", "200"]
 
 
 class TestWitnessCsv:
     @pytest.mark.parametrize("config", BUNDLED_CONFIGS)
     @pytest.mark.parametrize(
         "command",
-        (["predict"], ["simulate", "--trials", "2000", "--resamples", "200"]),
-        ids=("predict", "simulate"),
+        (
+            ["predict"],
+            SIMULATE,
+            ["report", "--resamples", "200", "--fair-sampling", "true"],
+            ["report", "--resamples", "200", "--fair-sampling", "false"],
+        ),
+        ids=("predict", "simulate", "report-fair", "report-unfair"),
     )
     def test_every_field_is_a_number(self, configs_dir, tmp_path, config, command):
         cfg = str(configs_dir / f"{config}.json")
-        assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        if command[0] == "report":
+            assert main([*SIMULATE, "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
+            inputs = ["--counts", str(tmp_path / "sim" / "counts.csv")]
+        else:
+            inputs = ["--config", cfg]
+        assert main([*command, *inputs, "--out", str(tmp_path)]) == 0
         with open(tmp_path / "witness.csv", newline="", encoding="utf-8") as fh:
             (row,) = list(csv.DictReader(fh))
         assert row["i_dw"] and row["r"]
-        for value in filter(None, row.values()):
-            float(value)
+        # each field is the witness.json value: float() of a repr is exact, "" is null
+        report = read_json(tmp_path / "witness.json")
+        errors = report.pop("uncertainties")
+        expected = {**report, **{f"{k}_err": errors.get(k) for k in ("det_abs", "i_dw", "r")}}
+        assert list(row) == list(expected)
+        assert {k: float(v) if v else None for k, v in row.items()} == expected
         grid = "probabilities.csv" if command[0] == "predict" else "estimated.csv"
         with open(tmp_path / grid, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
@@ -319,11 +351,19 @@ class TestBounds:
         assert payload["mixture_max"] == 0.0
         assert payload["value"] == payload["deterministic_max"] == 1.0
 
-    @pytest.mark.parametrize("witness, dimension", [("idw", "0"), ("idw", "-1"), ("det", "1")])
-    def test_out_of_range_dimension_exit_code(self, tmp_path, capsys, witness, dimension):
+    @pytest.mark.parametrize(
+        "witness, dimension, message",
+        [
+            ("idw", "0", "--dimension must be >= 1, got 0"),
+            ("idw", "-1", "argument --dimension/-d: expected a non-negative integer, got '-1'"),
+            ("det", "1", "--dimension must be >= 2, got 1"),
+        ],
+        ids=["idw-0", "idw--1", "det-1"],
+    )
+    def test_out_of_range_dimension_exit_code(self, tmp_path, capsys, witness, dimension, message):
         argv = ["bounds", "--witness", witness, "-d", dimension, "--out", str(tmp_path)]
         assert main(argv) == 1
-        assert f"--dimension must be >= {1 if witness == 'idw' else 2}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "bounds.json").exists()
 
     def test_enumeration_cap_exit_code(self, tmp_path):
@@ -476,6 +516,28 @@ class TestUsage:
         out = tmp_path / "out"
         assert main([*argv, *inputs.get(argv[0], []), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag, text",
+        [
+            (["simulate", "--trials", "2_000"], "--trials", "2_000"),
+            (["simulate", "--resamples", "+1_00"], "--resamples", "+1_00"),
+            (["report", "--resamples", "+100"], "--resamples", "+100"),
+            (["bounds", "--witness", "idw", "-d", " 3"], "--dimension/-d", " 3"),
+        ],
+        ids=["trials-underscore", "simulate-resamples-plus", "report-resamples-plus", "d-space"],
+    )
+    def test_integer_flags_are_strict(self, tmp_path, capsys, argv, flag, text):
+        # `int` would take each of these, as --seed and --restarts never did
+        cfg = write_config(tmp_path / "cfg.json", DET_SCENARIO)
+        counts = tmp_path / "counts.csv"
+        counts.write_text("i,j,n_e,n_d,n_none\n0,0,50,50,0\n")
+        inputs = {"simulate": ["--config", cfg], "report": ["--counts", str(counts)]}
+        out = tmp_path / "out"
+        assert main([*argv, *inputs.get(argv[0], []), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a non-negative integer, got {text!r}" in err
         assert not out.exists()
 
     def test_missing_required_flag(self):

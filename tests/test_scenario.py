@@ -123,9 +123,6 @@ class TestProbabilityTable:
         cells[column][0, 1] = math.nan
         with pytest.raises(ValueError):
             ProbabilityTable(*cells)
-        if column < 2:
-            with pytest.raises(ValueError):
-                ProbabilityTable(cells[0], cells[1])  # p_none derived from a NaN
 
     def test_postselection_names_the_undetected_cell(self):
         table = ProbabilityTable(

@@ -31,12 +31,11 @@ from pamsim.witness import (
     WitnessReport,
     det_witness,
     dimension_witness,
-    retrocausality,
 )
 
 
 def single_cell_table(p_e, p_d):
-    return ProbabilityTable(np.array([[p_e]]), np.array([[p_d]]))
+    return ProbabilityTable(np.array([[p_e]]), np.array([[p_d]]), np.array([[1.0 - p_e - p_d]]))
 
 
 class TestSample:
@@ -137,7 +136,7 @@ class TestBootstrap:
         r1 = bootstrap_report(counts, resamples=500, seed=10, fair_sampling=True)
         r2 = bootstrap_report(counts, resamples=500, seed=10, fair_sampling=True)
         assert r1 == r2
-        assert r1.to_json() == r2.to_json()
+        assert r1.to_json_dict() == r2.to_json_dict()
 
     def test_reports_sigma_violations(self):
         s = det_witness_settings(visibility=0.9, efficiency=0.5, fair_sampling=False)
@@ -200,7 +199,6 @@ def sequential_bootstrap_report(c, resamples, seed, fair_sampling):
         sigma_det=sigma_det,
         sigma_idw=sigma_idw,
         uncertainties=unc,
-        r=retrocausality(point_idw),
     )
 
 
@@ -219,8 +217,8 @@ class TestConcurrentBootstrap:
     @pytest.mark.parametrize("resamples", [101, 333])
     def test_matches_sequential_oracle(self, settings_fn, fair, resamples):
         counts = counts_for(settings_fn, fair, seed=resamples)
-        expected = sequential_bootstrap_report(counts, resamples, 17, fair).to_json()
-        assert bootstrap_report(counts, resamples, 17, fair).to_json() == expected
+        expected = sequential_bootstrap_report(counts, resamples, 17, fair).to_json_dict()
+        assert bootstrap_report(counts, resamples, 17, fair).to_json_dict() == expected
 
     @pytest.mark.parametrize("settings_fn", [dimension_witness_settings, det_witness_settings])
     @pytest.mark.parametrize("fair", [True, False])
@@ -230,9 +228,9 @@ class TestConcurrentBootstrap:
         reports = []
         for n in (1, n_cells):
             workers(monkeypatch, n)
-            reports.append(bootstrap_report(counts, 257, 5, fair).to_json())
+            reports.append(bootstrap_report(counts, 257, 5, fair).to_json_dict())
         assert reports[0] == reports[1]
-        assert reports[0] == sequential_bootstrap_report(counts, 257, 5, fair).to_json()
+        assert reports[0] == sequential_bootstrap_report(counts, 257, 5, fair).to_json_dict()
 
     def test_extra_cells_keep_their_streams(self):
         # a 5 x 3 table: cells outside the witnesses still take their stream slots
@@ -240,8 +238,8 @@ class TestConcurrentBootstrap:
         n_e, n_d, n_none = rng.integers(50, 500, size=(3, 5, 3))
         counts = CountTable(n_e, n_d, n_none)
         for fair in (True, False):
-            expected = sequential_bootstrap_report(counts, 199, 9, fair).to_json()
-            assert bootstrap_report(counts, 199, 9, fair).to_json() == expected
+            expected = sequential_bootstrap_report(counts, 199, 9, fair).to_json_dict()
+            assert bootstrap_report(counts, 199, 9, fair).to_json_dict() == expected
 
     @pytest.mark.parametrize("n_workers", [1, 6])
     def test_emptied_postselected_cell_raises(self, monkeypatch, n_workers):
@@ -286,7 +284,7 @@ class TestConcurrentBootstrap:
                 report = bootstrap_report(counts, 100, seed, fair)
             except InsufficientStatisticsError as exc:
                 return "error", str(exc)
-            return report, report.to_json()
+            return report, report.to_json_dict()
 
         assert outcome() == outcome()
 

@@ -151,7 +151,8 @@ class TestWitnessReport:
         assert report.r == retrocausality(3.445)
 
     def test_inconsistent_r_rejected(self):
-        with pytest.raises(ValueError):
+        # r is derived from i_dw, never given
+        with pytest.raises(TypeError):
             WitnessReport(i_dw=3.445, r=0.2)
 
     def test_json_round_trip(self):
@@ -162,14 +163,9 @@ class TestWitnessReport:
             sigma_idw=4.0,
             uncertainties={"i_dw": 0.2, "det_abs": 0.075, "r": 0.05},
         )
-        again = WitnessReport(**json.loads(report.to_json()))
-        assert again == report
-
-    def test_csv_row(self):
-        report = WitnessReport(i_dw=3.0, det_abs=1.0)
-        lines = report.to_csv_row().strip().splitlines()
-        assert lines[0].split(",")[:3] == ["det_abs", "i_dw", "r"]
-        assert len(lines) == 2
+        fields = json.loads(json.dumps(report.to_json_dict()))
+        assert fields.pop("r") == report.r
+        assert WitnessReport(**fields) == report
 
     def test_report_from_table_without_det(self):
         report = report_from_table(probability_table(dimension_witness_settings()))
