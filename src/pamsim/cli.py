@@ -93,6 +93,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def _outdir(outputs: str | None) -> Path:
+    """The output directory, created: call it once the outputs are computed."""
     out = Path("out" if outputs is None else outputs)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -136,9 +137,9 @@ def _check_resamples(resamples: int) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_read("config", load_run_config, args.config), args)
     scenario = _require(cfg.scenario, "scenario")
-    out = _outdir(cfg.outputs)
     table = probability_table(scenario)
     report = report_from_table(table)
+    out = _outdir(cfg.outputs)
     write_json(out / "scenario.json", scenario.to_json_dict())
     table.to_csv(out / "probabilities.csv")
     d = table.d_values()
@@ -155,11 +156,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _require(cfg.scenario, "scenario")
     plan = _require(cfg.plan, "plan")
     resamples = _check_resamples(cfg.resamples)
-    out = _outdir(cfg.outputs)
     table = probability_table(scenario)
     counts = sample(table, plan)
     estimated = estimate(counts, scenario.fair_sampling)
     report = bootstrap_report(counts, resamples, plan.seed, scenario.fair_sampling)
+    out = _outdir(cfg.outputs)
     counts.to_csv(out / "counts.csv")
     estimated.to_csv(out / "estimated.csv")
     _write_witness(out, report)
@@ -171,9 +172,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     resamples = _check_resamples(args.resamples)
     counts = _read("counts", CountTable.from_csv, args.counts)
-    out = _outdir(args.out)
     estimated = estimate(counts, args.fair_sampling)
     report = bootstrap_report(counts, resamples, args.seed, args.fair_sampling)
+    out = _outdir(args.out)
     estimated.to_csv(out / "estimated.csv")
     _write_witness(out, report)
     _print_report(report)
@@ -185,7 +186,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     least = 1 if args.witness == "idw" else 2
     if args.dimension < least:
         raise ConfigError(f"--dimension must be >= {least}, got {args.dimension}")
-    out = _outdir(args.out)
     if args.witness == "idw":
         value, strategy = classical_max_linear(dimension_witness, args.dimension, *IDW_COEF.shape)
         payload = {
@@ -204,6 +204,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             f"{result.deterministic_max:.3g}, mixture search max {result.mixture_max:.3g} "
             f"over {result.restarts} restarts"
         )
+    out = _outdir(args.out)
     write_json(out / "bounds.json", payload)
     print(f"wrote {out}/bounds.json")
     return 0

@@ -4,18 +4,21 @@ Randomness is derived from numpy SeedSequence streams so results are
 independent of evaluation order: `sample` uses spawn key (0,) and one
 child stream per cell in row-major order (plus one leading stream for
 the random setting order), `bootstrap_report` uses spawn key (1,) and
-one child stream per cell, drawing all resamples of that cell in a
-single vectorized call.  Bootstrap cells are drawn concurrently, one
-job per cell on at most one thread per usable CPU; as each cell owns
-its stream, the output does not depend on the number of threads.
+one child stream per cell.  The bootstrap streams its resamples: each
+cell draws chunks of `_CHUNK` rows from its own generator (exactly the
+rows of one draw of them all), one thread per usable CPU drawing every
+n-th cell, and the calling thread folds each chunk into one vector per
+quantity, so memory grows with the resample count only, not with the
+cells.  The output depends on neither the thread count nor the chunk size.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,15 +42,16 @@ ROUND_ROBIN = "round-robin"
 RANDOM_PER_TRIAL = "random-per-trial"
 MIN_RESAMPLES = 100
 INT64_MAX = np.iinfo(np.int64).max  # the most trials a cell's counts can hold
-MAX_RESAMPLES = INT64_MAX // (3 * 8)  # the most int64 count rows one numpy array can hold
+MAX_RESAMPLES = INT64_MAX // (3 * 8)  # the most resamples taken: more than any memory holds
+_CHUNK = 8192  # resample rows a cell draws at a time
 
 _SAMPLE_KEY = 0
 _BOOTSTRAP_KEY = 1
 
 
 def non_negative_int(text: str) -> int:
-    """Parse a non-negative decimal integer, refusing the "+5", " 5" and "1_000" of `int`."""
-    if not text.isdecimal():
+    """Parse a non-negative integer of ASCII digits, refusing "+5", " 5" and "1_000"."""
+    if not (text.isascii() and text.isdecimal()):
         raise ValueError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
@@ -206,15 +210,14 @@ def _usable_cpus() -> int:
 
 def _resample_cell(
     cell: tuple[int, int],
-    stream: np.random.SeedSequence,
+    rng: np.random.Generator,
     counts: tuple[int, int, int],
-    resamples: int,
+    size: int,
     fair: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-resample (<D>, p_d) vectors of `cell`, drawn from its own stream."""
+    """(<D>, p_d) vectors of the next `size` resamples of `cell`, drawn from `rng`."""
     freqs = np.array(counts, dtype=float)
-    rng = np.random.default_rng(stream)
-    draws = rng.multinomial(sum(counts), freqs / freqs.sum(), size=resamples)
+    draws = rng.multinomial(sum(counts), freqs / freqs.sum(), size=size)
     # counts are integers far below 2**53, so int64 sums and true division
     # give exactly the floats that float arithmetic on the counts would
     n_e, n_d, n_none = draws.T
@@ -230,6 +233,45 @@ def _resample_cell(
     return n_e / denom - p_d, p_d
 
 
+def _draw_cells(jobs, resamples: int, fair: bool, out, stop: threading.Event) -> None:
+    """Put on `out`, chunk by chunk, {k: (<D>, p_d) vectors or the error raised}
+    for the jobs (k, (cell, rng, counts)), until done or `stop` is set."""
+    for lo in range(0, resamples, _CHUNK):
+        chunk = {}
+        for k, job in jobs:
+            try:
+                chunk[k] = _resample_cell(*job, min(_CHUNK, resamples - lo), fair)
+            except BaseException as exc:  # raised by the thread that combines
+                chunk[k] = exc
+        if stop.is_set():
+            return
+        out.put(chunk)
+
+
+@contextmanager
+def _drawing(jobs: list, resamples: int, fair: bool):
+    """Yield the chunk queues of n = min(jobs, usable CPUs) threads, thread w
+    drawing jobs w, w + n, ...; on exit, stop the threads and wait for them."""
+    import queue
+
+    n = min(len(jobs), _usable_cpus())
+    queues = [queue.Queue(maxsize=2) for _ in range(n)]
+    stop = threading.Event()
+    args = [(jobs[w::n], resamples, fair, out, stop) for w, out in enumerate(queues)]
+    threads = [threading.Thread(target=_draw_cells, args=a) for a in args]
+    try:
+        for thread in threads:
+            thread.start()
+        yield queues
+    finally:
+        stop.set()
+        for out, thread in zip(queues, threads):
+            while not out.empty():  # free a worker blocked in `put`, so that it sees `stop`
+                out.get_nowait()
+            if thread.is_alive():
+                thread.join()
+
+
 def bootstrap_report(
     c: CountTable, resamples: int, seed: int, fair_sampling: bool
 ) -> WitnessReport:
@@ -239,36 +281,44 @@ def bootstrap_report(
     raw frequencies and recomputes the witnesses; reported values are
     the plug-in estimates, uncertainties are resample standard
     deviations, and sigma_* are violations of the classical bounds.
+    A failing cell raises once every cell is drawn: the first in row-major order.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
     if resamples > MAX_RESAMPLES:
-        raise ValueError(
-            f"resamples {resamples} is too large: numpy draws at most {MAX_RESAMPLES} per cell"
-        )
+        raise ValueError(f"resamples {resamples} is too large: at most {MAX_RESAMPLES} are taken")
     observed = estimate(c, fair_sampling)
     point_det = det_witness(observed) if observed.n_prep >= DET_CONTRAST.shape[1] else None
     point_idw = dimension_witness(observed)
 
     cells = [(i, j) for i in range(c.n_prep) for j in range(c.n_meas)]
     streams = np.random.SeedSequence(seed, spawn_key=(_BOOTSTRAP_KEY,)).spawn(len(cells))
+    rngs = map(np.random.default_rng, streams)
     counts = [(int(c.n_e[ij]), int(c.n_d[ij]), int(c.n_none[ij])) for ij in cells]
-    job = partial(_resample_cell, resamples=resamples, fair=fair_sampling)
+    jobs = list(enumerate(zip(cells, rngs, counts)))
     try:
-        with ThreadPoolExecutor(max_workers=min(len(cells), _usable_cpus())) as pool:
-            # map yields in cell order and re-raises the first failing cell's error
-            drawn = pool.map(job, cells, streams, counts)
-            d, p_d = (dict(zip(cells, column)) for column in zip(*drawn))
+        idw_samples = np.empty(resamples)
+        det_samples = np.empty(resamples) if point_det is not None else None
+        errors = {}
+        with _drawing(jobs, resamples, fair_sampling) as queues:
+            for lo in range(0, resamples, _CHUNK):
+                chunk = {k: v for out in queues for k, v in out.get().items()}
+                errors.update((k, v) for k, v in chunk.items() if isinstance(v, BaseException))
+                if errors:
+                    continue  # an earlier cell may still fail in a later chunk
+                d, p_d = ({cells[k]: v[n] for k, v in chunk.items()} for n in (0, 1))
+                idw_samples[lo : lo + _CHUNK] = idw_sum(d)
+                if det_samples is not None:
+                    det_samples[lo : lo + _CHUNK] = abs_det(witness_entries(p_d))
+        if errors:
+            raise errors[min(errors)]
 
-        idw_samples = idw_sum(d)
         uncertainties = {
             "i_dw": float(np.std(idw_samples, ddof=1)),
             "r": float(np.std(retrocausality(idw_samples), ddof=1)),
         }
-        if point_det is not None:
-            uncertainties["det_abs"] = float(np.std(abs_det(witness_entries(p_d)), ddof=1))
+        if det_samples is not None:
+            uncertainties["det_abs"] = float(np.std(det_samples, ddof=1))
     except MemoryError as exc:
         raise ValueError(f"resamples {resamples} is too large: {exc}") from exc
 

@@ -195,13 +195,14 @@ class TestSimulateAndReport:
             ("0,1,5,5, 5", "expected a non-negative integer, got ' 5'"),
             ("+0,1,5,5,0", "expected a non-negative integer, got '+0' on line 3 of counts CSV"),
             ("x,1,5,5,0", "expected a non-negative integer, got 'x' on line 3 of counts CSV"),
+            ("0,1,5,\uff15,0", "expected a non-negative integer, got '\uff15' on line 3"),
             (f"0,1,{2**63},0,0", "cell (0, 1) on line 3 of counts CSV has more than 2**63 - 1 trials"),
             # int64 counts would wrap to a negative total
             (f"0,1,{2**62},{2**62},0", "cell (0, 1) on line 3 of counts CSV has more than 2**63 - 1"),
         ],
         ids=[
             "short", "long", "plus", "underscore", "space",
-            "plus-index", "letter-index", "count-overflow", "sum-overflow",
+            "plus-index", "letter-index", "fullwidth-digit", "count-overflow", "sum-overflow",
         ],
     )
     def test_report_malformed_row_is_config_error(self, tmp_path, capsys, row, message):
@@ -246,7 +247,7 @@ class TestSimulateAndReport:
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: resamples {resamples} is too large")
-        assert not (out / "witness.json").exists()
+        assert not out.exists()
 
     def test_report_names_the_emptied_cell(self, tmp_path, capsys):
         # 2 detections in 302 trials per cell: some resample empties cell (0, 0)
@@ -368,7 +369,9 @@ class TestBounds:
 
     def test_enumeration_cap_exit_code(self, tmp_path):
         # 8^3 * 2^16 = 33,554,432 strategies exceeds the default cap
-        assert main(["bounds", "--witness", "idw", "-d", "8", "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["bounds", "--witness", "idw", "-d", "8", "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestSpacetime:
@@ -525,8 +528,16 @@ class TestUsage:
             (["simulate", "--resamples", "+1_00"], "--resamples", "+1_00"),
             (["report", "--resamples", "+100"], "--resamples", "+100"),
             (["bounds", "--witness", "idw", "-d", " 3"], "--dimension/-d", " 3"),
+            # str.isdecimal and int take any Unicode decimal digit
+            (["bounds", "--witness", "idw", "-d", "\uff13"], "--dimension/-d", "\uff13"),
+            (["bounds", "--witness", "idw", "-d", "\u0663"], "--dimension/-d", "\u0663"),
+            (["simulate", "--seed", "\uff13"], "--seed", "\uff13"),
+            (["report", "--seed", "1\uff10"], "--seed", "1\uff10"),
         ],
-        ids=["trials-underscore", "simulate-resamples-plus", "report-resamples-plus", "d-space"],
+        ids=[
+            "trials-underscore", "simulate-resamples-plus", "report-resamples-plus", "d-space",
+            "d-fullwidth", "d-arabic-indic", "simulate-seed-fullwidth", "report-seed-fullwidth",
+        ],
     )
     def test_integer_flags_are_strict(self, tmp_path, capsys, argv, flag, text):
         # `int` would take each of these, as --seed and --restarts never did

@@ -1,6 +1,10 @@
+import json
 import os
 import subprocess
 import sys
+import threading
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +21,7 @@ from pamsim.scenario import (
     probability_table,
 )
 from pamsim.trials import (
+    MIN_RESAMPLES,
     RANDOM_PER_TRIAL,
     CountTable,
     InsufficientStatisticsError,
@@ -289,8 +294,139 @@ class TestConcurrentBootstrap:
         assert outcome() == outcome()
 
 
+def random_counts(n_prep, n_meas, seed=0):
+    n_e, n_d, n_none = np.random.default_rng(seed).integers(50, 500, size=(3, n_prep, n_meas))
+    return CountTable(n_e, n_d, n_none)
+
+
+def postselection_risk(risky, shape=(3, 2)):
+    """Cells with 500 detections each, except the `risky` ones ({(i, j): detections})
+    that sit among 3000 undetected trials and so empty in some resamples."""
+    n_e, n_d, n_none = np.full(shape, 250), np.full(shape, 250), np.zeros(shape, dtype=int)
+    for cell, detected in risky.items():
+        n_e[cell], n_d[cell], n_none[cell] = detected, 0, 3000
+    return CountTable(n_e, n_d, n_none)
+
+
+def first_emptied(c, cell, resamples, seed):
+    """Index of the first resample that empties `cell`'s detections, or None."""
+    streams = np.random.SeedSequence(seed, spawn_key=(1,)).spawn(c.n_prep * c.n_meas)
+    counts = np.array([c.n_e[cell], c.n_d[cell], c.n_none[cell]])
+    rng = np.random.default_rng(streams[cell[0] * c.n_meas + cell[1]])
+    draws = rng.multinomial(counts.sum(), counts / counts.sum(), size=resamples)
+    empty = np.flatnonzero(draws[:, 0] + draws[:, 1] == 0)
+    return int(empty[0]) if len(empty) else None
+
+
+def outcome_in_time(fn, seconds=60):
+    """fn()'s result or error, run on a daemon thread. Threads it starts are
+    daemons too, so a hang fails the test instead of blocking the run."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(fn())
+        except BaseException as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert outcome, f"no outcome within {seconds} s"
+    return outcome[0]
+
+
+class TestStreamedBootstrap:
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 2), (5, 3)])
+    @pytest.mark.parametrize("fair", [True, False])
+    def test_independent_of_chunk_size_and_workers(self, monkeypatch, shape, fair):
+        counts = random_counts(*shape, seed=shape[0])
+        resamples = 203
+        expected = json.dumps(sequential_bootstrap_report(counts, resamples, 4, fair).to_json_dict())
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for chunk in (1, 7, 100, resamples, 10**6):
+                monkeypatch.setattr(trials, "_CHUNK", chunk)
+                for n in (1, 2, counts.n_prep * counts.n_meas):
+                    workers(monkeypatch, n)
+                    got = json.dumps(bootstrap_report(counts, resamples, 4, fair).to_json_dict())
+                    assert got == expected, (chunk, n)
+        finally:
+            sys.setswitchinterval(switch)
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 6])
+    def test_first_emptied_cell_in_cell_order_wins(self, monkeypatch, n_workers):
+        # (0, 0) empties in a later chunk than (2, 1): the error still names (0, 0)
+        workers(monkeypatch, n_workers)
+        counts = postselection_risk({(0, 0): 7, (2, 1): 5})
+        for seed in range(100):
+            early = first_emptied(counts, (0, 0), 20_000, seed)
+            late = first_emptied(counts, (2, 1), 20_000, seed)
+            if None not in (early, late) and early > late >= MIN_RESAMPLES:
+                break
+        else:
+            pytest.fail("no seed below 100 empties (0, 0) in a later resample than (2, 1)")
+        monkeypatch.setattr(trials, "_CHUNK", late + 1)
+        with pytest.raises(InsufficientStatisticsError, match=r"cell \(i=0, j=0\)"):
+            bootstrap_report(counts, early + 1, seed, True)
+        with pytest.raises(InsufficientStatisticsError, match=r"cell \(i=2, j=1\)"):
+            bootstrap_report(counts, late + 1, seed, True)  # (0, 0) not yet emptied
+
+    def test_worker_error_propagates_and_threads_end(self, monkeypatch):
+        monkeypatch.setattr(trials, "_CHUNK", 50)
+        workers(monkeypatch, 2)
+        real, calls = trials._resample_cell, {}
+
+        def third_chunk_fails(cell, *args):
+            calls[cell] = calls.get(cell, 0) + 1
+            if cell == (1, 0) and calls[cell] == 3:
+                raise RuntimeError("third chunk of cell (1, 0)")
+            return real(cell, *args)
+
+        monkeypatch.setattr(trials, "_resample_cell", third_chunk_fails)
+        baseline = threading.active_count()
+        error = outcome_in_time(lambda: bootstrap_report(random_counts(3, 2), 1000, 0, True))
+        assert isinstance(error, RuntimeError) and "third chunk" in str(error)
+        assert threading.active_count() == baseline
+
+    def test_combining_error_stops_the_workers(self, monkeypatch):
+        # the workers run ahead; when the combining thread fails they must not
+        # stay blocked on their full queues
+        monkeypatch.setattr(trials, "_CHUNK", 10)
+        workers(monkeypatch, 2)
+        real, calls = trials.idw_sum, []
+
+        def second_chunk_fails(d):
+            calls.append(1)
+            if len(calls) == 2:
+                time.sleep(0.5)  # ample time for the workers to fill their queues
+                raise RuntimeError("combining failed")
+            return real(d)
+
+        monkeypatch.setattr(trials, "idw_sum", second_chunk_fails)
+        baseline = threading.active_count()
+        error = outcome_in_time(lambda: bootstrap_report(random_counts(4, 2), 10_000, 0, False))
+        assert isinstance(error, RuntimeError) and "combining failed" in str(error)
+        assert threading.active_count() == baseline
+
+    def test_memory_grows_with_resamples_only(self):
+        # drawing each cell's resamples at once kept every cell's (resamples, 3)
+        # int64 draw and two float64 vectors: about 184 B per resample at 4 x 2
+        counts = random_counts(4, 2)
+        resamples = 400_000
+        bootstrap_report(counts, MIN_RESAMPLES, 0, True)  # first-call allocations
+        tracemalloc.start()
+        try:
+            bootstrap_report(counts, resamples, 0, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / resamples <= 64
+
+
 def test_import_does_not_load_thread_pool():
-    # the pool is imported by bootstrap_report itself, keeping package import lean
+    # the bootstrap runs its own threads, so no executor module is loaded
     code = "import sys, pamsim; print('concurrent.futures' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(pamsim.__file__).resolve().parents[1]))
     out = subprocess.run(
