@@ -29,6 +29,10 @@ these results against brute-force enumeration.  `classical_max_linear`
 and `classical_max_det` refuse loudly when their strategy count exceeds
 `DEFAULT_ENUMERATION_CAP`.  Outcome encoding: decode entries are 1 for
 outcome "e" and 0 for outcome "d".
+
+The determinant search's climbs build their candidate matrices
+elementwise, not through BLAS (see `classical_max_det`), so their
+rounding does not depend on the BLAS build.
 """
 
 from __future__ import annotations
@@ -228,8 +232,14 @@ class DetBoundResult:
         return {**asdict(self), "strategy": self.strategy.to_json_dict()}
 
 
-# Restarts climbed together; bounds the (restarts, candidates, 2, 2) stacks.
-_RESTART_BLOCK = 64
+# Candidate matrices per line search, which sizes a lockstep block of restarts,
+# and vertex pairs per slice of the exhaustive pass: bounds the stacks built.
+_BLOCK_CANDIDATES = 4096
+
+
+def _restart_block(ce: np.ndarray, dd: np.ndarray) -> int:
+    """Restarts per lockstep block: 256 at d = 2, 50 at d = 3."""
+    return max(1, _BLOCK_CANDIDATES // max(len(ce), len(dd)))
 
 
 def _entries(w: np.ndarray) -> np.ndarray:
@@ -237,18 +247,46 @@ def _entries(w: np.ndarray) -> np.ndarray:
     return np.moveaxis(w, (-2, -1), (0, 1))
 
 
+def _message_pairs(contrast: np.ndarray, encoders: np.ndarray, d: int) -> np.ndarray:
+    """(n_enc, contrast rows) index m+ * d + m- of the messages a contrast row
+    compares: that row of the encoder's vertex matrix is one-hot(m+) - one-hot(m-)."""
+    one_pair = np.zeros(contrast.shape[1])
+    one_pair[[0, -1]] = -1, 1
+    if not (np.sort(contrast, axis=1) == one_pair).all():
+        raise ValueError(f"each contrast row must be one +1 and one -1, got {contrast.tolist()}")
+    return encoders[:, contrast.argmax(axis=1)] * d + encoders[:, contrast.argmin(axis=1)]
+
+
+def _encoder_candidates(y: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """ce @ y[:, None] entries first, (2, 2, R, n_enc) from y (R, d, 2): each
+    entry is the one subtraction y[m+] - y[m-] that the product also rounds to."""
+    yt = np.ascontiguousarray(y.transpose(2, 0, 1))  # (column, R, message)
+    diff = (yt[:, :, :, None] - yt[:, :, None, :]).reshape(*yt.shape[:2], -1)
+    return np.stack([diff[:, :, p] for p in pairs.T])
+
+
+def _decoder_candidates(x: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+    """x[:, None] @ dd entries first, (2, 2, R, n_dec) from x (R, 2, d): column l
+    of decoder b adds the columns m of x with bit m set in patterns[b, l], in
+    order from 0.0 as the product does, gathered from every subset's sum."""
+    sums = np.zeros((x.shape[1], len(x), 1))  # (row, R, subset)
+    for column in np.ascontiguousarray(x.transpose(2, 1, 0))[..., None]:
+        sums = np.concatenate((sums, sums + column), axis=2)
+    return np.stack([sums[:, :, p] for p in patterns.T], axis=1)
+
+
 def _best_coordinate_move(
     w: np.ndarray, candidates: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact line search from each matrix w[r] toward each candidate
-    vertex matrix candidates[r, k].
+    vertex matrix candidates[:, :, r, k] (entries first; overwritten).
 
     Along w(t) = (1-t) w + t b the determinant is quadratic in t, so
     |det| on [0, 1] peaks at an endpoint or the interior extremum.
     Returns per row r: (best |det|, candidate index, t).
     """
-    w = _entries(w[:, None])
-    delta = _entries(candidates) - w
+    w = np.ascontiguousarray(_entries(w))[..., None]
+    delta = np.subtract(candidates, w, out=candidates)
     det_w, det_delta = det(w), det(delta)
     cross = (
         w[0][0] * delta[1][1]
@@ -256,15 +294,17 @@ def _best_coordinate_move(
         - w[0][1] * delta[1][0]
         - delta[0][1] * w[1][0]
     )
+    del delta, candidates  # free the (2, 2, R, K) stack before scoring
     at_one = np.abs(det_w + cross + det_delta)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_star = np.where(det_delta != 0.0, -cross / (2.0 * det_delta), np.nan)
-    valid = np.isfinite(t_star) & (t_star > 0.0) & (t_star < 1.0)
+        t_star = -cross / (2.0 * det_delta)
+    # NaN and +-inf, where det_delta = 0, fail both comparisons
+    valid = (t_star > 0.0) & (t_star < 1.0)
     t_star = np.where(valid, t_star, 0.0)
     at_star = np.where(
         valid, np.abs(det_w + cross * t_star + det_delta * t_star**2), -np.inf
     )
-    rows = np.arange(len(candidates))
+    rows = np.arange(len(at_one))
     best_at_one = np.argmax(at_one, axis=1)
     best_at_star = np.argmax(at_star, axis=1)
     one = at_one[rows, best_at_one]
@@ -286,7 +326,9 @@ def _start_points(ce: np.ndarray, dd: np.ndarray, e: np.ndarray) -> tuple[np.nda
     Generator.dirichlet computes it.  The projection is a stacked (R, 1, K)
     @ (K, M) matmul: it takes the same vector-matrix path as one row at a
     time, where a 2-D matmul rounds some rows differently, so a restart
-    starts, and climbs, the same way whichever block it falls in.
+    starts, and climbs, the same way whichever block it falls in.  These
+    and the W = x @ y products are the climb's only matmuls, so only they
+    may round differently under another BLAS build.
     """
     n_enc = len(ce)
     points = []
@@ -297,14 +339,16 @@ def _start_points(ce: np.ndarray, dd: np.ndarray, e: np.ndarray) -> tuple[np.nda
     return points[0], points[1]
 
 
-def _climb(ce: np.ndarray, dd: np.ndarray, e: np.ndarray) -> np.ndarray:
+def _climb(ce: np.ndarray, dd: np.ndarray, pairs: np.ndarray, e: np.ndarray) -> np.ndarray:
     """|det W| that coordinate ascent reaches from the starting point of
     each row of `e` (`_start_points`), all rows climbing in lockstep.
 
     Each round moves the encoder mixture x, then the decoder mixture y,
     of every climb still improving; a climb stops after a round with no
-    move, or after 200 rounds.
+    move, or after 200 rounds.  `pairs` are the message pairs of the rows
+    of ce (`_message_pairs`); dd must be 0/1.
     """
+    patterns = (dd.astype(np.intp) << np.arange(dd.shape[1])[:, None]).sum(axis=1)
     x, y = _start_points(ce, dd, e)
     w = x @ y
     current = abs_det(_entries(w))
@@ -313,13 +357,13 @@ def _climb(ce: np.ndarray, dd: np.ndarray, e: np.ndarray) -> np.ndarray:
         if not active.size:
             break
         xa, ya, wa, ca = x[active], y[active], w[active], current[active]
-        enc_val, a, t = _best_coordinate_move(wa, ce @ ya[:, None])
+        enc_val, a, t = _best_coordinate_move(wa, _encoder_candidates(ya, pairs))
         enc_moved = enc_val > ca + 1e-15
         t = t[enc_moved, None, None]
         xa[enc_moved] = (1.0 - t) * xa[enc_moved] + t * ce[a[enc_moved]]
         wa[enc_moved] = xa[enc_moved] @ ya[enc_moved]
         ca[enc_moved] = abs_det(_entries(wa[enc_moved]))
-        dec_val, b, t = _best_coordinate_move(wa, xa[:, None] @ dd)
+        dec_val, b, t = _best_coordinate_move(wa, _decoder_candidates(xa, patterns))
         dec_moved = dec_val > ca + 1e-15
         t = t[dec_moved, None, None]
         ya[dec_moved] = (1.0 - t) * ya[dec_moved] + t * dd[b[dec_moved]]
@@ -328,6 +372,19 @@ def _climb(ce: np.ndarray, dd: np.ndarray, e: np.ndarray) -> np.ndarray:
         x[active], y[active], w[active], current[active] = xa, ya, wa, ca
         active = active[enc_moved | dec_moved]
     return current
+
+
+def _vertex_max(dd: np.ndarray, pairs: np.ndarray) -> tuple[float, int, int]:
+    """(|det W|, a, b) at the first maximizing vertex pair (encoder a, decoder b)
+    in row-major order.  The dets are small integers, so exact."""
+    best = (-1.0, 0, 0)
+    step = max(1, _BLOCK_CANDIDATES // len(dd))
+    for start in range(0, len(pairs), step):
+        dets = abs_det(_encoder_candidates(dd, pairs[start : start + step])).T
+        a, b = np.unravel_index(np.argmax(dets), dets.shape)
+        if dets[a, b] > best[0]:
+            best = (float(dets[a, b]), start + int(a), int(b))
+    return best
 
 
 def classical_max_det(d: int, restarts: int = 10_000, seed: int = 0) -> DetBoundResult:
@@ -339,11 +396,16 @@ def classical_max_det(d: int, restarts: int = 10_000, seed: int = 0) -> DetBound
     that, seeded random-restart coordinate ascent runs over the product
     of the encoder-mixture and decoder-mixture simplices, with an exact
     quadratic line search per coordinate move.  Restarts climb in
-    lockstep blocks; restart k always starts from row k of one seeded
-    stream of exponentials, so the result depends only on (restarts, seed).
-    The maximum of the bilinear objective is attained at a vertex pair,
-    so the returned value is the exhaustive maximum and the climbs are a
-    numerical confirmation rather than an extension of the bound.
+    lockstep blocks sized so that each line search scores about
+    `_BLOCK_CANDIDATES` candidate matrices; restart k always starts from
+    row k of one seeded stream of exponentials, so the result depends only
+    on (restarts, seed).  Each `DET_CONTRAST` row is one +1 and one -1
+    preparation, so a candidate matrix entry is one subtraction (encoder
+    moves) or an in-order sum of mixture columns (decoder moves): built
+    elementwise, not through BLAS.  The maximum of the bilinear objective is attained
+    at a vertex pair, so the returned value is the exhaustive maximum and
+    the climbs are a numerical confirmation rather than an extension of
+    the bound.
     """
     if d < 2:
         raise ValueError(f"determinant search needs message dimension >= 2, got {d}")
@@ -358,22 +420,17 @@ def classical_max_det(d: int, restarts: int = 10_000, seed: int = 0) -> DetBound
     ce = DET_CONTRAST @ (encoders[:, :, None] == np.arange(d)).astype(float)
     # p_d rows of each decoder: (n_dec, d, n_meas)
     dd = 1.0 - decoders.astype(float)
+    pairs = _message_pairs(DET_CONTRAST, encoders, d)
 
-    det_max = -1.0
-    best_pair = (0, 0)
-    for a in range(len(encoders)):
-        dets = abs_det(_entries(ce[a] @ dd))
-        b = int(np.argmax(dets))
-        if dets[b] > det_max:
-            det_max, best_pair = float(dets[b]), (a, b)
+    det_max, a, b = _vertex_max(dd, pairs)
 
     mixture_max = 0.0
     rng = np.random.default_rng(seed)
-    for start in range(0, restarts, _RESTART_BLOCK):
-        e = rng.standard_exponential((min(_RESTART_BLOCK, restarts - start), len(ce) + len(dd)))
-        mixture_max = max(mixture_max, float(_climb(ce, dd, e).max()))
+    block = _restart_block(ce, dd)
+    for start in range(0, restarts, block):
+        e = rng.standard_exponential((min(block, restarts - start), len(ce) + len(dd)))
+        mixture_max = max(mixture_max, float(_climb(ce, dd, pairs, e).max()))
 
-    a, b = best_pair
     return DetBoundResult(
         value=det_max,
         strategy=_grid_strategy(encoders[a], decoders[b]),

@@ -93,9 +93,13 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def _outdir(outputs: str | None) -> Path:
-    """The output directory, created: call it once the outputs are computed."""
+    """The output directory, created: call it once the outputs are computed.
+    A path that cannot be a directory (a file, or below one) is a ConfigError."""
     out = Path("out" if outputs is None else outputs)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: cannot create the directory ({exc.strerror})") from exc
     return out
 
 

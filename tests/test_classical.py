@@ -15,8 +15,14 @@ from pamsim.classical import (
     EnumerationCapExceeded,
     _affine_coefficients,
     _climb,
+    _decoder_candidates,
+    _encoder_candidates,
+    _entries,
     _lex_grid,
+    _message_pairs,
+    _restart_block,
     _start_points,
+    _vertex_max,
     classical_max_det,
     classical_max_linear,
     retrocausal_max,
@@ -25,7 +31,14 @@ from pamsim.classical import (
     strategy_table,
 )
 from pamsim.scenario import ProbabilityTable
-from pamsim.witness import DET_CONTRAST, IDW_COEF, det_witness, dimension_witness, retrocausality
+from pamsim.witness import (
+    DET_CONTRAST,
+    IDW_COEF,
+    abs_det,
+    det_witness,
+    dimension_witness,
+    retrocausality,
+)
 
 ALWAYS_E = DeterministicStrategy(encode=(0, 0, 0, 0), decode=((1, 1),))
 ALWAYS_D = DeterministicStrategy(encode=(0, 0, 0, 0), decode=((0, 0),))
@@ -170,13 +183,40 @@ def start_exponentials(ce, dd, seed, restarts):
 
 @functools.cache
 def det_search_vertices(d, n_prep):
-    """(ce, dd) vertex matrices built the way `classical_max_det` builds its
-    own (checked below), with W read off the first four of `n_prep`
+    """(ce, dd, pairs) built the way `classical_max_det` builds its own
+    (checked below), with W read off the first four of `n_prep`
     preparations: a fifth only widens the encoder grid the climbs run over."""
     encoders = _lex_grid(d, n_prep)
     contrast = np.pad(DET_CONTRAST, ((0, 0), (0, n_prep - DET_CONTRAST.shape[1])))
     ce = contrast @ (encoders[:, :, None] == np.arange(d)).astype(float)
-    return ce, 1.0 - _lex_grid(2, 2 * d).reshape(-1, d, 2).astype(float)
+    dd = 1.0 - _lex_grid(2, 2 * d).reshape(-1, d, 2).astype(float)
+    return ce, dd, _message_pairs(contrast, encoders, d)
+
+
+def restart_count(count, d, n_prep=4):
+    """`count` itself, or a count around the lockstep block size of the
+    (d, n_prep) search, named "block-1", "block", "block+1" or "2block+7"."""
+    if isinstance(count, int):
+        return count
+    block = _restart_block(*det_search_vertices(d, n_prep)[:2])
+    return {"block-1": max(1, block - 1), "block": block, "block+1": block + 1,
+            "2block+7": 2 * block + 7}[count]
+
+
+# counts around the derived block size, tested after the fixed counts
+BLOCK_SIZES = ("block-1", "block", "block+1")
+# (d, restarts, seed): mixture_max.hex(), value, encode, decode of classical_max_det,
+# as computed before the candidate matrices stopped going through matmul
+PINNED_DET = {
+    (2, 2000, 11): ("0x1.0000000000000p-58", 0.0, [0, 0, 0, 0], ["dd", "dd"]),
+    (3, 500, 12): ("0x1.0000000000000p+0", 1.0, [0, 1, 0, 2], ["dd", "de", "ed"]),
+    (2, 300, 0): ("0x1.6000000000000p-59", 0.0, [0, 0, 0, 0], ["dd", "dd"]),
+    (2, 500, 5): ("0x1.4000000000000p-59", 0.0, [0, 0, 0, 0], ["dd", "dd"]),
+    (4, 50, 5): ("0x1.0000000000000p+1", 2.0, [0, 1, 2, 3], ["dd", "ee", "de", "ed"]),
+    (3, 130, 23): ("0x1.0000000000000p+0", 1.0, [0, 1, 0, 2], ["dd", "de", "ed"]),
+    (2, 10000, 0): ("0x1.8000000000000p-58", 0.0, [0, 0, 0, 0], ["dd", "dd"]),
+    (3, 10000, 0): ("0x1.0000000000000p+0", 1.0, [0, 1, 0, 2], ["dd", "de", "ed"]),
+}
 
 
 class TestStrategyTable:
@@ -398,32 +438,111 @@ class TestDeterminantBound:
         with pytest.raises(ValueError, match="restarts"):
             classical_max_det(2, restarts=-3)
 
-    @pytest.mark.parametrize("restarts", (0, 1, 64, 65, 130))
+    @pytest.mark.parametrize("restarts", (0, 1, 64, 65, 130) + BLOCK_SIZES + ("2block+7",))
     def test_reproducible_across_block_sizes(self, restarts):
+        restarts = restart_count(restarts, 2)
         first = classical_max_det(2, restarts=restarts, seed=17)
         assert classical_max_det(2, restarts=restarts, seed=17) == first
         assert first.restarts == restarts
         assert first.mixture_max <= 1e-9
 
     def test_lockstep_climb_matches_single_climbs(self):
-        # small integer vertex matrices with several local maxima
-        rng = np.random.default_rng(2)
-        ce = rng.integers(-1, 2, size=(30, 2, 4)).astype(float)
-        dd = rng.integers(0, 2, size=(30, 4, 2)).astype(float)
-        e = np.random.default_rng(4).standard_exponential((40, 60))
-        reached = _climb(ce, dd, e)
-        expected = [reference_climb(ce, dd, row) for row in e]
-        np.testing.assert_allclose(reached, expected, rtol=1e-12)
-        assert len(set(np.round(reached, 9))) >= 3  # the climbs end in different places
+        # contrast-derived vertices; at d = 4 some climbs stop at |det W| = 1,
+        # short of the maximum 2
+        for d, n_rows, n_ends in ((3, 40, 1), (4, 12, 2)):
+            ce, dd, pairs = det_search_vertices(d, 4)
+            e = start_exponentials(ce, dd, 4, n_rows)
+            reached = _climb(ce, dd, pairs, e)
+            expected = [reference_climb(ce, dd, row) for row in e]
+            np.testing.assert_allclose(reached, expected, rtol=1e-12)
+            assert len(set(np.round(reached, 9))) == n_ends
 
     def test_more_restarts_extend_the_same_climbs(self):
         # restart k starts from row k of the seeded stream whatever the total, so
         # the best value can only grow with the restart count
-        maxima = [
-            classical_max_det(2, restarts=r, seed=17).mixture_max for r in (0, 1, 64, 65, 130)
-        ]
+        counts = [restart_count(r, 2) for r in (0, 1, 64, 65, 130) + BLOCK_SIZES + ("2block+7",)]
+        maxima = [classical_max_det(2, restarts=r, seed=17).mixture_max for r in counts]
         assert maxima[0] == 0.0
         assert maxima == sorted(maxima)
+
+    @pytest.mark.parametrize("case", sorted(PINNED_DET))
+    def test_results_are_pinned_bit_for_bit(self, case):
+        mixture_hex, value, encode, decode = PINNED_DET[case]
+        result = classical_max_det(*case)
+        assert result.mixture_max.hex() == mixture_hex
+        assert result.value == value
+        assert result.strategy.to_json_dict() == {
+            "encode": encode,
+            "decode": [list(row) for row in decode],
+        }
+
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    @pytest.mark.parametrize("slice_pairs", (1, 7, 4096))
+    def test_vertex_max_is_the_first_stacked_maximum(self, monkeypatch, d, slice_pairs):
+        # the pass scores slices of _BLOCK_CANDIDATES // n_dec encoders
+        monkeypatch.setattr(classical, "_BLOCK_CANDIDATES", slice_pairs)
+        ce, dd, pairs = det_search_vertices(d, 4)
+        dets = abs_det(_entries(ce[:, None] @ dd))
+        a, b = np.unravel_index(np.argmax(dets), dets.shape)
+        assert _vertex_max(dd, pairs) == (dets[a, b], a, b)
+
+    @pytest.mark.parametrize(
+        "row",
+        ([1, 1, -1, -1], [1, 0, 0, 0], [2, -2, 0, 0], [0, 0, 0, 0], [1, -1, 1, -1]),
+    )
+    def test_contrast_rows_must_be_one_plus_one_minus(self, row):
+        contrast = np.array([row, [0, 0, 1, -1]])
+        with pytest.raises(ValueError, match="one \\+1 and one -1"):
+            _message_pairs(contrast, _lex_grid(2, 4), 2)
+
+
+def check_builders(monkeypatch, ce, dd, seen):
+    """Make every candidate build of the climbs assert that it equals, bit
+    for bit, the entries-first matmul it replaces; record the inputs in `seen`."""
+    build_encoders, build_decoders = _encoder_candidates, _decoder_candidates
+
+    def encoders(y, pairs):
+        got = build_encoders(y, pairs)
+        assert got.tobytes() == np.ascontiguousarray(_entries(ce @ y[:, None])).tobytes()
+        seen.append(("y", y))
+        return got
+
+    def decoders(x, patterns):
+        got = build_decoders(x, patterns)
+        assert got.tobytes() == np.ascontiguousarray(_entries(x[:, None] @ dd)).tobytes()
+        seen.append(("x", x))
+        return got
+
+    monkeypatch.setattr(classical, "_encoder_candidates", encoders)
+    monkeypatch.setattr(classical, "_decoder_candidates", decoders)
+
+
+class TestDetCandidates:
+    @pytest.mark.parametrize("d, restarts", ((3, 120), (4, 40), (5, 9)))
+    def test_builders_match_the_matmuls_along_the_climbs(self, monkeypatch, d, restarts):
+        # at d = 2 no climb moves (|det W| is 0 on every line), so it builds from
+        # start points only: see the next test
+        seen = []
+        ce, dd, pairs = det_search_vertices(d, 4)
+        check_builders(monkeypatch, ce, dd, seen)
+        _climb(ce, dd, pairs, start_exponentials(ce, dd, d, restarts))
+        xs = [m for kind, m in seen if kind == "x"]
+        assert len([kind for kind, _ in seen if kind == "y"]) == len(xs) >= 2
+        # the second round builds from climbed states, whose encoder mixtures
+        # have negative entries
+        assert any((x < 0.0).any() for x in xs[1:])
+
+    @pytest.mark.parametrize("d", (2, 3, 4, 5))
+    def test_builders_match_the_matmuls_at_start_points(self, d):
+        ce, dd, pairs = det_search_vertices(d, 4)
+        x, y = _start_points(ce, dd, start_exponentials(ce, dd, 7 + d, 33))
+        patterns = (dd.astype(np.intp) << np.arange(d)[:, None]).sum(axis=1)
+        assert _encoder_candidates(y, pairs).tobytes() == np.ascontiguousarray(
+            _entries(ce @ y[:, None])
+        ).tobytes()
+        assert _decoder_candidates(x, patterns).tobytes() == np.ascontiguousarray(
+            _entries(x[:, None] @ dd)
+        ).tobytes()
 
 
 class TestDetStartPoints:
@@ -432,42 +551,45 @@ class TestDetStartPoints:
         seen = []
         monkeypatch.setattr(classical, "_climb", lambda *args: seen.append(args) or np.zeros(1))
         classical_max_det(d, restarts=1)
-        ce, dd, _ = seen[0]
-        assert [ce.tobytes(), dd.tobytes()] == [m.tobytes() for m in det_search_vertices(d, 4)]
+        ce, dd, pairs, _ = seen[0]
+        expected = det_search_vertices(d, 4)
+        assert [m.tobytes() for m in (ce, dd, pairs)] == [m.tobytes() for m in expected]
 
-    @pytest.mark.parametrize("n_rows", (1, 63, 64, 65))
+    @pytest.mark.parametrize("n_rows", (1, 63, 64, 65) + BLOCK_SIZES)
     @pytest.mark.parametrize("d, n_prep", START_CASES)
     def test_climbs_reach_what_per_restart_starts_reach(self, monkeypatch, d, n_prep, n_rows):
-        ce, dd = det_search_vertices(d, n_prep)
-        e = start_exponentials(ce, dd, 10 * d + n_prep, n_rows)
-        reached = _climb(ce, dd, e)
+        ce, dd, pairs = det_search_vertices(d, n_prep)
+        e = start_exponentials(ce, dd, 10 * d + n_prep, restart_count(n_rows, d, n_prep))
+        reached = _climb(ce, dd, pairs, e)
         monkeypatch.setattr(classical, "_start_points", per_restart_start_points)
-        assert reached.tobytes() == _climb(ce, dd, e).tobytes()
+        assert reached.tobytes() == _climb(ce, dd, pairs, e).tobytes()
 
     @pytest.mark.parametrize("d, n_prep", START_CASES)
     def test_block_projection_rounds_like_one_row_at_a_time(self, d, n_prep):
         # a plain 2-D matmul over the block rounds many of these rows differently
-        ce, dd = det_search_vertices(d, n_prep)
-        e = start_exponentials(ce, dd, 5, 64)
+        ce, dd, _ = det_search_vertices(d, n_prep)
+        e = start_exponentials(ce, dd, 5, max(64, restart_count("block+1", d, n_prep)))
         block = _start_points(ce, dd, e)
         rows = per_restart_start_points(ce, dd, e)
         assert [m.tobytes() for m in block] == [m.tobytes() for m in rows]
 
-    @pytest.mark.parametrize("restarts", (1, 63, 64, 65, 130))
+    @pytest.mark.parametrize("restarts", (1, 63, 64, 65, 130) + BLOCK_SIZES + ("2block+7",))
     def test_blocked_draws_are_one_draw(self, restarts):
-        # how classical_max_det draws its blocks of up to 64 restarts
-        ce, dd = det_search_vertices(3, 4)
+        # how classical_max_det draws its lockstep blocks of restarts
+        ce, dd, _ = det_search_vertices(3, 4)
+        block = _restart_block(ce, dd)
+        restarts = restart_count(restarts, 3)
         rng = np.random.default_rng(11)
         blocks = [
-            rng.standard_exponential((min(64, restarts - start), len(ce) + len(dd)))
-            for start in range(0, restarts, 64)
+            rng.standard_exponential((min(block, restarts - start), len(ce) + len(dd)))
+            for start in range(0, restarts, block)
         ]
         whole = start_exponentials(ce, dd, 11, restarts)
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
     def test_rows_are_the_dirichlet_draws_of_one_generator(self):
         # restart k starts where the k-th pair of rng.dirichlet calls would
-        ce, dd = det_search_vertices(2, 4)
+        ce, dd, _ = det_search_vertices(2, 4)
         e = start_exponentials(ce, dd, 3, 5)
         rng = np.random.default_rng(3)
         for row in e:
@@ -475,12 +597,16 @@ class TestDetStartPoints:
                 expected = rng.dirichlet(np.ones(len(weights)))
                 assert in_order_dirichlet(weights).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("restarts", (1, 63, 64, 65, 130))
+    @pytest.mark.parametrize("restarts", (1, 63, 64, 65, 130) + BLOCK_SIZES + ("2block+7",))
     @pytest.mark.parametrize("d", (2, 3))
     def test_search_matches_climbing_every_start_at_once(self, d, restarts):
-        ce, dd = det_search_vertices(d, 4)
-        expected = _climb(ce, dd, start_exponentials(ce, dd, 23, restarts)).max()
+        ce, dd, pairs = det_search_vertices(d, 4)
+        restarts = restart_count(restarts, d)
+        expected = _climb(ce, dd, pairs, start_exponentials(ce, dd, 23, restarts)).max()
         assert classical_max_det(d, restarts=restarts, seed=23).mixture_max == expected
+
+    def test_block_size_follows_the_candidate_count(self):
+        assert [restart_count("block", d) for d in (2, 3, 4, 5)] == [256, 50, 16, 4]
 
 
 class TestRetrocausal:

@@ -367,6 +367,15 @@ class TestBounds:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "bounds.json").exists()
 
+    @pytest.mark.parametrize("below", ("", "sub"), ids=["file", "below-file"])
+    def test_out_that_cannot_be_a_directory_exit_code(self, tmp_path, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / below if below else taken
+        assert main(["bounds", "--witness", "idw", "-d", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --out {out}: cannot create the directory")
+        assert taken.read_text() == "kept\n"
+
     def test_enumeration_cap_exit_code(self, tmp_path):
         # 8^3 * 2^16 = 33,554,432 strategies exceeds the default cap
         out = tmp_path / "out"
