@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from .trials import (
     non_negative_int,
     sample,
 )
-from .witness import IDW_COEF, WitnessReport, dimension_witness, report_from_table
+from .witness import IDW_COEF, SIGMA_BOUNDS, WitnessReport, dimension_witness, report_from_table
 
 
 class ConfigError(Exception):
@@ -92,38 +93,42 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **top)
 
 
-def _outdir(outputs: str | None) -> Path:
-    """The output directory, created: call it once the outputs are computed.
-    A path that cannot be a directory (a file, or below one) is a ConfigError."""
+def _write_outputs(outputs: str | None, files: dict) -> None:
+    """Create the output directory, write each `name -> write(path)` of `files` into it and
+    print the "wrote" line; an OSError is a ConfigError.  Call it once the outputs are computed."""
     out = Path("out" if outputs is None else outputs)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {out}: cannot create the directory ({exc.strerror})") from exc
-    return out
+    for name, write in files.items():
+        try:
+            write(out / name)
+        except OSError as exc:
+            raise ConfigError(f"--out {out}: cannot write {name} ({exc.strerror})") from exc
+    print(f"wrote {out}/{', '.join(files)}")
 
 
-def _write_witness(out: Path, report: WitnessReport) -> None:
-    """Write witness.json, and witness.csv: the same values in one row, then a
+def _witness_files(report: WitnessReport) -> dict:
+    """witness.json, and witness.csv: the same values in one row, then a
     `<name>_err` column per standard error (empty when the report has none)."""
     values = report.to_json_dict()
-    write_json(out / "witness.json", values)
-    errors = values.pop("uncertainties")
-    names = ("det_abs", "i_dw", "r")
-    header = [*values, *(f"{name}_err" for name in names)]
-    write_csv(out / "witness.csv", header, [[*values.values(), *map(errors.get, names)]])
+    row = {key: value for key, value in values.items() if key != "uncertainties"}
+    row.update((f"{k}_err", values["uncertainties"].get(k)) for k in ("det_abs", "i_dw", "r"))
+    return {
+        "witness.json": partial(write_json, payload=values),
+        "witness.csv": partial(write_csv, header=list(row), rows=[list(row.values())]),
+    }
 
 
 def _print_report(report: WitnessReport) -> None:
+    lines = [(f"I_DW = {report.i_dw:.6g}, R = {report.r:.6g}", "i_dw", report.sigma_idw)]
     if report.det_abs is not None:
-        line = f"|det W| = {report.det_abs:.6g}"
-        if report.sigma_det is not None:
-            line += f" ({report.sigma_det:.1f} sigma above 0)"
-        print(line)
-    line = f"I_DW = {report.i_dw:.6g}, R = {report.r:.6g}"
-    if report.sigma_idw is not None:
-        line += f" ({report.sigma_idw:.1f} sigma above 3)"
-    print(line)
+        lines.insert(0, (f"|det W| = {report.det_abs:.6g}", "det_abs", report.sigma_det))
+    for text, name, sigma in lines:
+        if sigma is not None:
+            text += f" ({sigma:.1f} sigma above {SIGMA_BOUNDS[name]:g})"
+        print(text)
 
 
 def _require(cfg_value, what: str):
@@ -143,15 +148,25 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     scenario = _require(cfg.scenario, "scenario")
     table = probability_table(scenario)
     report = report_from_table(table)
-    out = _outdir(cfg.outputs)
-    write_json(out / "scenario.json", scenario.to_json_dict())
-    table.to_csv(out / "probabilities.csv")
     d = table.d_values()
     terms = [[f"D_{i}{j}", i, j, c, float(d[i, j])] for (i, j), c in np.ndenumerate(IDW_COEF) if c]
-    write_csv(out / "dw_terms.csv", ["term", "i", "j", "sign", "value"], terms)
-    _write_witness(out, report)
     _print_report(report)
-    print(f"wrote {out}/probabilities.csv, dw_terms.csv, witness.json, witness.csv")
+    files = {
+        "scenario.json": partial(write_json, payload=scenario.to_json_dict()),
+        "probabilities.csv": table.to_csv,
+        "dw_terms.csv": partial(write_csv, header=["term", "i", "j", "sign", "value"], rows=terms),
+    }
+    _write_outputs(cfg.outputs, {**files, **_witness_files(report)})
+    return 0
+
+
+def _analyze(counts: CountTable, resamples: int, seed: int, fair: bool, outputs, files) -> int:
+    """The end of simulate and report: estimate and bootstrap `counts`, print
+    the report and write `files`, estimated.csv and the witness files."""
+    estimated = estimate(counts, fair)
+    report = bootstrap_report(counts, resamples, seed, fair)
+    _print_report(report)
+    _write_outputs(outputs, {**files, "estimated.csv": estimated.to_csv, **_witness_files(report)})
     return 0
 
 
@@ -160,33 +175,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _require(cfg.scenario, "scenario")
     plan = _require(cfg.plan, "plan")
     resamples = _check_resamples(cfg.resamples)
-    table = probability_table(scenario)
-    counts = sample(table, plan)
-    estimated = estimate(counts, scenario.fair_sampling)
-    report = bootstrap_report(counts, resamples, plan.seed, scenario.fair_sampling)
-    out = _outdir(cfg.outputs)
-    counts.to_csv(out / "counts.csv")
-    estimated.to_csv(out / "estimated.csv")
-    _write_witness(out, report)
-    _print_report(report)
-    print(f"wrote {out}/counts.csv, estimated.csv, witness.json, witness.csv")
-    return 0
+    counts = sample(probability_table(scenario), plan)
+    files = {"counts.csv": counts.to_csv}
+    return _analyze(counts, resamples, plan.seed, scenario.fair_sampling, cfg.outputs, files)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     resamples = _check_resamples(args.resamples)
     counts = _read("counts", CountTable.from_csv, args.counts)
-    estimated = estimate(counts, args.fair_sampling)
-    report = bootstrap_report(counts, resamples, args.seed, args.fair_sampling)
-    out = _outdir(args.out)
-    estimated.to_csv(out / "estimated.csv")
-    _write_witness(out, report)
-    _print_report(report)
-    print(f"wrote {out}/estimated.csv, witness.json, witness.csv")
-    return 0
+    return _analyze(counts, resamples, args.seed, args.fair_sampling, args.out, {})
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    search = _given({"restarts": args.restarts, "seed": args.seed})
+    if args.witness == "idw" and search:
+        raise ConfigError(f"--witness idw takes no {' or '.join(f'--{name}' for name in search)}")
     least = 1 if args.witness == "idw" else 2
     if args.dimension < least:
         raise ConfigError(f"--dimension must be >= {least}, got {args.dimension}")
@@ -201,16 +204,14 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         }
         print(f"classical I_DW bound (d={args.dimension}): {value:.6g}")
     else:
-        result = classical_max_det(args.dimension, restarts=args.restarts, seed=args.seed)
+        result = classical_max_det(args.dimension, **search)
         payload = {"witness": "det", "dimension": args.dimension, **result.to_json_dict()}
         print(
             f"classical |det W| bound (d={args.dimension}): deterministic max "
             f"{result.deterministic_max:.3g}, mixture search max {result.mixture_max:.3g} "
             f"over {result.restarts} restarts"
         )
-    out = _outdir(args.out)
-    write_json(out / "bounds.json", payload)
-    print(f"wrote {out}/bounds.json")
+    _write_outputs(args.out, {"bounds.json": partial(write_json, payload=payload)})
     return 0
 
 
@@ -221,9 +222,8 @@ def _cmd_spacetime(args: argparse.Namespace) -> int:
         status = "PASS" if cond.passed else "FAIL"
         print(f"{cond.name} {status}: {cond.description} ({cond.detail})")
     if args.out is not None:
-        out = _outdir(args.out)
-        write_json(out / "spacetime.json", report.to_json_dict())
-        print(f"wrote {out}/spacetime.json")
+        files = {"spacetime.json": partial(write_json, payload=report.to_json_dict())}
+        _write_outputs(args.out, files)
     return 0 if report.all_passed else 3
 
 
@@ -277,10 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dimension", "-d", type=_non_negative_int, default=2, help="message dimension"
     )
-    p.add_argument(
-        "--restarts", type=_non_negative_int, default=10_000, help="mixture-search restarts"
-    )
-    p.add_argument("--seed", type=_non_negative_int, default=0, help="mixture-search seed")
+    p.add_argument("--restarts", type=_non_negative_int, help="det restarts (default 10000)")
+    p.add_argument("--seed", type=_non_negative_int, help="det restarts' seed (default 0)")
     add(p, "out")
     p.set_defaults(func=_cmd_bounds)
 

@@ -24,17 +24,15 @@ from pathlib import Path
 import numpy as np
 
 from .scenario import ProbabilityTable, read_section, write_grid_csv
+# det_witness and dimension_witness are unused here, but perfbench/tracing.py wraps them
 from .witness import (
-    DET_CLASSICAL_BOUND,
-    DET_CONTRAST,
-    I_DW_CLASSICAL_BOUND,
     WitnessReport,
     abs_det,
     det_witness,
     dimension_witness,
     idw_sum,
+    report_from_table,
     retrocausality,
-    sigma_violation,
     witness_entries,
 )
 
@@ -184,22 +182,28 @@ def sample(t: ProbabilityTable, plan: RunPlan) -> CountTable:
     return CountTable(*np.moveaxis(np.reshape(draws, (t.n_prep, t.n_meas, 3)), -1, 0))
 
 
+def _per_trial(n_e, n_d, n_none, fair: bool, emptied) -> np.ndarray:
+    """The counts frequencies are taken per: detected trials with fair sampling, else all
+    trials.  With fair sampling, a 0 raises InsufficientStatisticsError(emptied(counts == 0))."""
+    denom = n_e + n_d
+    if not fair:
+        denom += n_none
+    elif denom.min() <= 0:
+        raise InsufficientStatisticsError(emptied(denom == 0))
+    return denom
+
+
 def estimate(c: CountTable, fair_sampling: bool) -> ProbabilityTable:
     """Relative frequencies; with fair sampling, per detected trial."""
-    trials = c.n_trials
-    if trials.min() <= 0:
+    def emptied(undetected):
+        i, j = np.argwhere(undetected)[0]
+        return f"cell (i={i}, j={j}) has no detected events to postselect on"
+
+    if c.n_trials.min() <= 0:
         raise ValueError("every cell needs at least one trial")
-    if fair_sampling:
-        detected = c.n_e + c.n_d
-        if detected.min() <= 0:
-            bad = np.argwhere(detected == 0)[0]
-            raise InsufficientStatisticsError(
-                f"cell (i={bad[0]}, j={bad[1]}) has no detected events to postselect on"
-            )
-        return ProbabilityTable(
-            c.n_e / detected, c.n_d / detected, np.zeros(detected.shape)
-        )
-    return ProbabilityTable(c.n_e / trials, c.n_d / trials, c.n_none / trials)
+    denom = _per_trial(c.n_e, c.n_d, c.n_none, fair_sampling, emptied)
+    p_none = np.zeros(denom.shape) if fair_sampling else c.n_none / denom
+    return ProbabilityTable(c.n_e / denom, c.n_d / denom, p_none)
 
 
 def _usable_cpus() -> int:
@@ -216,19 +220,15 @@ def _resample_cell(
     fair: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(<D>, p_d) vectors of the next `size` resamples of `cell`, drawn from `rng`."""
+    def emptied(_):
+        return f"a bootstrap resample emptied a postselected cell (i={cell[0]}, j={cell[1]})"
+
     freqs = np.array(counts, dtype=float)
     draws = rng.multinomial(sum(counts), freqs / freqs.sum(), size=size)
     # counts are integers far below 2**53, so int64 sums and true division
     # give exactly the floats that float arithmetic on the counts would
     n_e, n_d, n_none = draws.T
-    denom = n_e + n_d
-    if fair:
-        if denom.min() <= 0:
-            raise InsufficientStatisticsError(
-                f"a bootstrap resample emptied a postselected cell (i={cell[0]}, j={cell[1]})"
-            )
-    else:
-        denom += n_none
+    denom = _per_trial(n_e, n_d, n_none, fair, emptied)
     p_d = n_d / denom
     return n_e / denom - p_d, p_d
 
@@ -287,9 +287,7 @@ def bootstrap_report(
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
     if resamples > MAX_RESAMPLES:
         raise ValueError(f"resamples {resamples} is too large: at most {MAX_RESAMPLES} are taken")
-    observed = estimate(c, fair_sampling)
-    point_det = det_witness(observed) if observed.n_prep >= DET_CONTRAST.shape[1] else None
-    point_idw = dimension_witness(observed)
+    report = report_from_table(estimate(c, fair_sampling))
 
     cells = [(i, j) for i in range(c.n_prep) for j in range(c.n_meas)]
     streams = np.random.SeedSequence(seed, spawn_key=(_BOOTSTRAP_KEY,)).spawn(len(cells))
@@ -298,7 +296,7 @@ def bootstrap_report(
     jobs = list(enumerate(zip(cells, rngs, counts)))
     try:
         idw_samples = np.empty(resamples)
-        det_samples = np.empty(resamples) if point_det is not None else None
+        det_samples = np.empty(resamples) if report.det_abs is not None else None
         errors = {}
         with _drawing(jobs, resamples, fair_sampling) as queues:
             for lo in range(0, resamples, _CHUNK):
@@ -322,14 +320,4 @@ def bootstrap_report(
     except MemoryError as exc:
         raise ValueError(f"resamples {resamples} is too large: {exc}") from exc
 
-    def sigma(point, name, bound):
-        err = uncertainties.get(name, 0.0)
-        return sigma_violation(point, err, bound) if err > 0.0 else None
-
-    return WitnessReport(
-        i_dw=point_idw,
-        det_abs=point_det,
-        sigma_det=sigma(point_det, "det_abs", DET_CLASSICAL_BOUND),
-        sigma_idw=sigma(point_idw, "i_dw", I_DW_CLASSICAL_BOUND),
-        uncertainties=uncertainties,
-    )
+    return report.with_errors(uncertainties)

@@ -18,7 +18,7 @@ retrocausality measure is R = max((I_DW - 3)/4, 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,6 +29,8 @@ DET_CONTRAST = np.array([[1, -1, 0, 0], [0, 0, 1, -1]])  # on p_d, (row of W, pr
 
 I_DW_CLASSICAL_BOUND = 3.0
 DET_CLASSICAL_BOUND = 0.0
+# the classical bound that each witness's sigma counts standard errors above
+SIGMA_BOUNDS = {"det_abs": DET_CLASSICAL_BOUND, "i_dw": I_DW_CLASSICAL_BOUND}
 I_DW_QUANTUM = 1.0 + 2.0 * math.sqrt(2.0)
 R_QUANTUM = (math.sqrt(2.0) - 1.0) / 2.0
 
@@ -120,6 +122,17 @@ class WitnessReport:
     def r(self) -> float:
         return retrocausality(self.i_dw)
 
+    def with_errors(self, uncertainties: dict[str, float]) -> "WitnessReport":
+        """This report with the standard errors `uncertainties` and, for each
+        witness whose error is positive, its sigma above the classical bound."""
+        sigma = {}
+        for name, bound in SIGMA_BOUNDS.items():
+            err = uncertainties.get(name, 0.0)
+            sigma[name] = sigma_violation(getattr(self, name), err, bound) if err > 0.0 else None
+        return replace(
+            self, sigma_det=sigma["det_abs"], sigma_idw=sigma["i_dw"], uncertainties=uncertainties
+        )
+
     def to_json_dict(self) -> dict:
         return {
             "det_abs": self.det_abs,
@@ -132,6 +145,6 @@ class WitnessReport:
 
 
 def report_from_table(t: ProbabilityTable) -> WitnessReport:
-    """Analytic witness report (no uncertainties) from an exact table."""
+    """Witness report (no uncertainties) of a table; |det W| if it has W's preparations."""
     det_abs = det_witness(t) if t.n_prep >= DET_CONTRAST.shape[1] else None
     return WitnessReport(i_dw=dimension_witness(t), det_abs=det_abs)

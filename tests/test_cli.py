@@ -8,7 +8,7 @@ import pytest
 
 from pamsim.cli import build_parser, main
 from pamsim.spacetime import Event, Schedule, reference_schedule
-from pamsim.witness import I_DW_QUANTUM, R_QUANTUM
+from pamsim.witness import DET_CLASSICAL_BOUND, I_DW_CLASSICAL_BOUND, I_DW_QUANTUM, R_QUANTUM
 
 
 def read_json(path):
@@ -107,6 +107,14 @@ class TestSimulateAndReport:
         assert abs(report["det_abs"] - 1.0) <= 3 * max(sigma, 1e-12)
         assert (out / "counts.csv").exists()
         assert (out / "estimated.csv").exists()
+
+    def test_prints_sigma_above_each_classical_bound(self, configs_dir, tmp_path, capsys):
+        cfg = str(configs_dir / "fitted_no_fsa.json")
+        argv = ["simulate", "--config", cfg, "--trials", "10000", "--resamples", "100"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"sigma above {DET_CLASSICAL_BOUND:g})" in out
+        assert f"sigma above {I_DW_CLASSICAL_BOUND:g})" in out
 
     def test_seeded_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", DET_SCENARIO)
@@ -375,6 +383,28 @@ class TestBounds:
         assert main(["bounds", "--witness", "idw", "-d", "2", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: --out {out}: cannot create the directory")
         assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--restarts", "5"], "--restarts"),
+            (["--seed", "3"], "--seed"),
+            (["--restarts", "5", "--seed", "3"], "--restarts or --seed"),
+        ],
+    )
+    def test_idw_takes_no_search_flags(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "out"
+        assert main(["bounds", "--witness", "idw", "-d", "2", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --witness idw takes no {named}\n"
+        assert not out.exists()
+
+    def test_det_search_defaults(self, tmp_path):
+        bare, explicit = tmp_path / "bare", tmp_path / "explicit"
+        assert main(["bounds", "--witness", "det", "--out", str(bare)]) == 0
+        argv = ["bounds", "--witness", "det", "--restarts", "10000", "--seed", "0"]
+        assert main([*argv, "--out", str(explicit)]) == 0
+        assert read_json(bare / "bounds.json")["restarts"] == 10_000
+        assert (bare / "bounds.json").read_bytes() == (explicit / "bounds.json").read_bytes()
 
     def test_enumeration_cap_exit_code(self, tmp_path):
         # 8^3 * 2^16 = 33,554,432 strategies exceeds the default cap
@@ -680,6 +710,24 @@ class TestStrictConfig:
         assert (bare / "witness.json").read_bytes() == (explicit / "witness.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, taken",
+    [
+        (["bounds", "--witness", "idw", "-d", "2"], "bounds.json"),
+        (["predict", "--config", "det_witness_ideal.json"], "witness.json"),
+    ],
+    ids=["bounds", "predict"],
+)
+def test_unwritable_output_file_is_config_error(configs_dir, tmp_path, capsys, argv, taken):
+    argv = [str(configs_dir / a) if a.endswith(".json") else a for a in argv]
+    out = tmp_path / "o"
+    (out / taken).mkdir(parents=True)
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: cannot write {taken} (")
+    assert (out / taken).is_dir()
+
+
 def readme_commands():
     """Each `pamsim ...` command of the README's command-line block, as argv."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -696,11 +744,17 @@ def test_readme_commands_parse():
         assert build_parser().parse_args(argv).func
 
 
-def test_readme_commands_run(configs_dir, tmp_path, monkeypatch):
+def test_readme_commands_run(configs_dir, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for argv in readme_commands():
         argv = [str(configs_dir.parent / a) if a.startswith("configs/") else a for a in argv]
         assert main(argv) == 0, argv
+        # the "wrote" line names exactly the files in the output directory
+        out = argv[argv.index("--out") + 1]
+        wrote = capsys.readouterr().out.splitlines()[-1]
+        assert wrote.startswith(f"wrote {out}/"), (argv, wrote)
+        names = wrote[len(f"wrote {out}/") :].split(", ")
+        assert sorted(names) == sorted(p.name for p in Path(out).iterdir()), argv
         if argv[0] == "report":
             # the README's promise: report on simulate's counts reproduces its witness.json
             simulated = Path(argv[argv.index("--counts") + 1]).parent / "witness.json"

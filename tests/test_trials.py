@@ -36,6 +36,7 @@ from pamsim.witness import (
     WitnessReport,
     det_witness,
     dimension_witness,
+    report_from_table,
 )
 
 
@@ -151,6 +152,18 @@ class TestBootstrap:
         assert report.det_abs == pytest.approx(0.2025, abs=0.01)
         assert report.sigma_det > 10
         assert report.r == max((report.i_dw - 3.0) / 4.0, 0.0)
+
+    @pytest.mark.parametrize("n_prep", [3, 4])
+    @pytest.mark.parametrize("fair", [True, False])
+    def test_point_values_are_the_table_report(self, n_prep, fair):
+        counts = random_counts(n_prep, 2, seed=n_prep)
+        table_report = report_from_table(estimate(counts, fair))
+        report = bootstrap_report(counts, 100, 0, fair)
+        assert report.i_dw == table_report.i_dw
+        assert report.det_abs == table_report.det_abs
+        # det W and its resamples only where W's four preparations exist
+        assert (report.det_abs is None) == (n_prep == 3)
+        assert ("det_abs" in report.uncertainties) == (n_prep == 4)
 
     def test_resample_floor(self):
         counts = CountTable(

@@ -12,6 +12,8 @@ from pamsim.scenario import (
     probability_table,
 )
 from pamsim.witness import (
+    DET_CLASSICAL_BOUND,
+    I_DW_CLASSICAL_BOUND,
     I_DW_QUANTUM,
     R_QUANTUM,
     WitnessReport,
@@ -166,6 +168,16 @@ class TestWitnessReport:
         fields = json.loads(json.dumps(report.to_json_dict()))
         assert fields.pop("r") == report.r
         assert WitnessReport(**fields) == report
+
+    def test_with_errors_counts_sigma_above_each_bound(self):
+        errors = {"det_abs": 0.0006, "i_dw": 0.043, "r": 0.01}
+        report = WitnessReport(i_dw=3.445, det_abs=0.0268).with_errors(errors)
+        assert report.sigma_det == sigma_violation(0.0268, 0.0006, DET_CLASSICAL_BOUND)
+        assert report.sigma_idw == sigma_violation(3.445, 0.043, I_DW_CLASSICAL_BOUND)
+        assert report.uncertainties == errors
+        # no sigma without a positive error, and none for a det W that does not apply
+        flat = WitnessReport(i_dw=3.445).with_errors({"i_dw": 0.0, "r": 0.0})
+        assert flat.sigma_det is None and flat.sigma_idw is None
 
     def test_report_from_table_without_det(self):
         report = report_from_table(probability_table(dimension_witness_settings()))
