@@ -232,19 +232,25 @@ class DetBoundResult:
         return {**asdict(self), "strategy": self.strategy.to_json_dict()}
 
 
-# Candidate matrices per line search, which sizes a lockstep block of restarts,
-# and vertex pairs per slice of the exhaustive pass: bounds the stacks built.
-_BLOCK_CANDIDATES = 4096
+# Candidate matrices per line search, which sizes a lockstep block of restarts.
+_BLOCK_CANDIDATES = 16384
 
 
 def _restart_block(ce: np.ndarray, dd: np.ndarray) -> int:
-    """Restarts per lockstep block: 256 at d = 2, 50 at d = 3."""
+    """Restarts per lockstep block: 1024 at d = 2, 202 at d = 3."""
     return max(1, _BLOCK_CANDIDATES // max(len(ce), len(dd)))
 
 
 def _entries(w: np.ndarray) -> np.ndarray:
     """A (..., 2, 2) stack as nested rows w[k][l] of (...) arrays, for `det`."""
-    return np.moveaxis(w, (-2, -1), (0, 1))
+    return w.transpose(-2, -1, *range(w.ndim - 2))
+
+
+def _canonical_rows(grid: np.ndarray) -> np.ndarray:
+    """Indices of the canonical rows of a `_lex_grid`, which are the first of each class
+    of rows equal up to relabelling: e[0] = 0 and each e[i] <= max(e[:i]) + 1."""
+    prior = np.maximum.accumulate(grid, axis=1)[:, :-1]
+    return np.flatnonzero((grid[:, 0] == 0) & (grid[:, 1:] <= prior + 1).all(axis=1))
 
 
 def _message_pairs(contrast: np.ndarray, encoders: np.ndarray, d: int) -> np.ndarray:
@@ -262,7 +268,7 @@ def _encoder_candidates(y: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     entry is the one subtraction y[m+] - y[m-] that the product also rounds to."""
     yt = np.ascontiguousarray(y.transpose(2, 0, 1))  # (column, R, message)
     diff = (yt[:, :, :, None] - yt[:, :, None, :]).reshape(*yt.shape[:2], -1)
-    return np.stack([diff[:, :, p] for p in pairs.T])
+    return diff[:, :, pairs.T].transpose(2, 0, 1, 3)
 
 
 def _decoder_candidates(x: np.ndarray, patterns: np.ndarray) -> np.ndarray:
@@ -272,7 +278,7 @@ def _decoder_candidates(x: np.ndarray, patterns: np.ndarray) -> np.ndarray:
     sums = np.zeros((x.shape[1], len(x), 1))  # (row, R, subset)
     for column in np.ascontiguousarray(x.transpose(2, 1, 0))[..., None]:
         sums = np.concatenate((sums, sums + column), axis=2)
-    return np.stack([sums[:, :, p] for p in patterns.T], axis=1)
+    return sums[:, :, patterns.T].transpose(0, 2, 1, 3)
 
 
 def _best_coordinate_move(
@@ -374,17 +380,13 @@ def _climb(ce: np.ndarray, dd: np.ndarray, pairs: np.ndarray, e: np.ndarray) -> 
     return current
 
 
-def _vertex_max(dd: np.ndarray, pairs: np.ndarray) -> tuple[float, int, int]:
-    """(|det W|, a, b) at the first maximizing vertex pair (encoder a, decoder b)
-    in row-major order.  The dets are small integers, so exact."""
-    best = (-1.0, 0, 0)
-    step = max(1, _BLOCK_CANDIDATES // len(dd))
-    for start in range(0, len(pairs), step):
-        dets = abs_det(_encoder_candidates(dd, pairs[start : start + step])).T
-        a, b = np.unravel_index(np.argmax(dets), dets.shape)
-        if dets[a, b] > best[0]:
-            best = (float(dets[a, b]), start + int(a), int(b))
-    return best
+def _vertex_max(dd: np.ndarray, encoders: np.ndarray, pairs: np.ndarray) -> tuple[float, int, int]:
+    """Exact (|det W|, a, b) at the first maximizing vertex pair (encoder row a, decoder b) in
+    row-major order, scoring only canonical encoders: relabelling messages keeps |det W|."""
+    rows = _canonical_rows(encoders)
+    dets = abs_det(_encoder_candidates(dd, pairs[rows])).T
+    a, b = np.unravel_index(np.argmax(dets), dets.shape)
+    return float(dets[a, b]), int(rows[a]), int(b)
 
 
 def classical_max_det(d: int, restarts: int = 10_000, seed: int = 0) -> DetBoundResult:
@@ -392,20 +394,20 @@ def classical_max_det(d: int, restarts: int = 10_000, seed: int = 0) -> DetBound
     encoder/decoder randomness, on the preparations and measurements that
     `DET_CONTRAST` defines W over.
 
-    All deterministic strategies are checked exhaustively; on top of
-    that, seeded random-restart coordinate ascent runs over the product
-    of the encoder-mixture and decoder-mixture simplices, with an exact
-    quadratic line search per coordinate move.  Restarts climb in
-    lockstep blocks sized so that each line search scores about
-    `_BLOCK_CANDIDATES` candidate matrices; restart k always starts from
-    row k of one seeded stream of exponentials, so the result depends only
-    on (restarts, seed).  Each `DET_CONTRAST` row is one +1 and one -1
-    preparation, so a candidate matrix entry is one subtraction (encoder
-    moves) or an in-order sum of mixture columns (decoder moves): built
-    elementwise, not through BLAS.  The maximum of the bilinear objective is attained
-    at a vertex pair, so the returned value is the exhaustive maximum and
-    the climbs are a numerical confirmation rather than an extension of
-    the bound.
+    All deterministic strategies are checked, up to relabelling messages
+    (`_vertex_max`); on top of that, seeded random-restart coordinate
+    ascent runs over the product of the encoder-mixture and
+    decoder-mixture simplices, with an exact quadratic line search per
+    coordinate move.  Restarts climb in lockstep blocks sized so that
+    each line search scores about `_BLOCK_CANDIDATES` candidate
+    matrices; restart k always starts from row k of one seeded stream of
+    exponentials, so the result depends only on (restarts, seed).  Each
+    `DET_CONTRAST` row is one +1 and one -1 preparation, so a candidate
+    matrix entry is one subtraction (encoder moves) or an in-order sum
+    of mixture columns (decoder moves): built elementwise, not through
+    BLAS.  The maximum of the bilinear objective is attained at a vertex
+    pair, so the returned value is the exhaustive maximum and the climbs
+    are a numerical confirmation rather than an extension of the bound.
     """
     if d < 2:
         raise ValueError(f"determinant search needs message dimension >= 2, got {d}")
@@ -422,7 +424,7 @@ def classical_max_det(d: int, restarts: int = 10_000, seed: int = 0) -> DetBound
     dd = 1.0 - decoders.astype(float)
     pairs = _message_pairs(DET_CONTRAST, encoders, d)
 
-    det_max, a, b = _vertex_max(dd, pairs)
+    det_max, a, b = _vertex_max(dd, encoders, pairs)
 
     mixture_max = 0.0
     rng = np.random.default_rng(seed)

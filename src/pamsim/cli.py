@@ -94,18 +94,26 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def _write_outputs(outputs: str | None, files: dict) -> None:
-    """Create the output directory, write each `name -> write(path)` of `files` into it and
-    print the "wrote" line; an OSError is a ConfigError.  Call it once the outputs are computed."""
+    """Create the output directory, write each `name -> write(path)` of `files` into it all or
+    nothing and print the "wrote" line; an OSError is a ConfigError.  Call it once computed."""
     out = Path("out" if outputs is None else outputs)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {out}: cannot create the directory ({exc.strerror})") from exc
-    for name, write in files.items():
-        try:
-            write(out / name)
-        except OSError as exc:
-            raise ConfigError(f"--out {out}: cannot write {name} ({exc.strerror})") from exc
+    for name in files:
+        if (out / name).exists() and not (out / name).is_file():
+            raise ConfigError(f"--out {out}: cannot write {name} (not a regular file)")
+    temps = {name: out / f".{name}.tmp" for name in files}  # renamed once all are written
+    try:
+        for name, write in files.items():
+            write(temps[name])
+        for name in files:
+            temps[name].replace(out / name)
+    except OSError as exc:
+        for temp in temps.values():  # the renamed ones are gone already
+            temp.unlink(missing_ok=True)
+        raise ConfigError(f"--out {out}: cannot write {name} ({exc.strerror})") from exc
     print(f"wrote {out}/{', '.join(files)}")
 
 

@@ -14,6 +14,7 @@ from pamsim.classical import (
     DeterministicStrategy,
     EnumerationCapExceeded,
     _affine_coefficients,
+    _canonical_rows,
     _climb,
     _decoder_candidates,
     _encoder_candidates,
@@ -476,15 +477,54 @@ class TestDeterminantBound:
             "decode": [list(row) for row in decode],
         }
 
-    @pytest.mark.parametrize("d", (2, 3, 4))
+    @pytest.mark.parametrize("d", (2, 3, 4, 5))
     @pytest.mark.parametrize("slice_pairs", (1, 7, 4096))
-    def test_vertex_max_is_the_first_stacked_maximum(self, monkeypatch, d, slice_pairs):
-        # the pass scores slices of _BLOCK_CANDIDATES // n_dec encoders
-        monkeypatch.setattr(classical, "_BLOCK_CANDIDATES", slice_pairs)
+    def test_vertex_max_is_the_first_stacked_maximum(self, d, slice_pairs):
+        # the first maximum over every encoder of the grid, found here in slices of
+        # `slice_pairs` encoders; the pass itself scores only canonical ones
         ce, dd, pairs = det_search_vertices(d, 4)
-        dets = abs_det(_entries(ce[:, None] @ dd))
-        a, b = np.unravel_index(np.argmax(dets), dets.shape)
-        assert _vertex_max(dd, pairs) == (dets[a, b], a, b)
+        best = (-1.0, 0, 0)
+        for start in range(0, len(ce), slice_pairs):
+            dets = abs_det(_entries(ce[start : start + slice_pairs, None] @ dd))
+            a, b = np.unravel_index(np.argmax(dets), dets.shape)
+            if dets[a, b] > best[0]:
+                best = (dets[a, b], start + a, b)
+        assert _vertex_max(dd, _lex_grid(d, 4), pairs) == best
+
+    @pytest.mark.parametrize("d, n_prep", ((1, 3), (2, 4), (3, 4), (4, 4), (5, 4), (3, 5)))
+    def test_canonical_rows_are_the_first_of_each_relabelling_class(self, d, n_prep):
+        grid = _lex_grid(d, n_prep)
+        first = {}
+        for k, row in enumerate(grid.tolist()):
+            # rows that relabel each other put equal values at the same positions
+            first.setdefault(tuple(row.index(m) for m in row), k)
+        rows = _canonical_rows(grid)
+        assert rows.tolist() == sorted(first.values())
+        if n_prep == 4:
+            assert len(rows) == (1, 8, 14, 15, 15)[d - 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(2, 6), data=st.data())
+    def test_relabelling_messages_keeps_abs_det(self, d, data):
+        encode = data.draw(st.lists(st.integers(0, d - 1), min_size=4, max_size=4))
+        bits = st.tuples(st.integers(0, 1), st.integers(0, 1))
+        decode = data.draw(st.lists(bits, min_size=d, max_size=d))
+        perm = data.draw(st.permutations(range(d)))
+        vertex = DeterministicStrategy(tuple(encode), tuple(decode))
+        relabelled = DeterministicStrategy(
+            tuple(perm[m] for m in encode), tuple(decode[perm.index(m)] for m in range(d))
+        )
+        expected = det_witness(strategy_table(vertex, 4, 2))
+        assert det_witness(strategy_table(relabelled, 4, 2)) == expected
+
+    def test_d6_certificate_is_pinned(self):
+        # as computed before the pass scored only canonical encoders (1.3 s then)
+        result = classical_max_det(6, restarts=0)
+        assert (result.value, result.deterministic_max, result.mixture_max) == (2.0, 2.0, 0.0)
+        assert result.strategy.to_json_dict() == {
+            "encode": [0, 1, 2, 3],
+            "decode": [list(row) for row in ("dd", "ee", "de", "ed", "dd", "dd")],
+        }
 
     @pytest.mark.parametrize(
         "row",
@@ -606,7 +646,7 @@ class TestDetStartPoints:
         assert classical_max_det(d, restarts=restarts, seed=23).mixture_max == expected
 
     def test_block_size_follows_the_candidate_count(self):
-        assert [restart_count("block", d) for d in (2, 3, 4, 5)] == [256, 50, 16, 4]
+        assert [restart_count("block", d) for d in (2, 3, 4, 5)] == [1024, 202, 64, 16]
 
 
 class TestRetrocausal:

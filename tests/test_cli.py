@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pamsim.cli import build_parser, main
+from pamsim.cli import ConfigError, _write_outputs, build_parser, main
 from pamsim.spacetime import Event, Schedule, reference_schedule
 from pamsim.witness import DET_CLASSICAL_BOUND, I_DW_CLASSICAL_BOUND, I_DW_QUANTUM, R_QUANTUM
 
@@ -726,6 +726,36 @@ def test_unwritable_output_file_is_config_error(configs_dir, tmp_path, capsys, a
     err = capsys.readouterr().err
     assert err.startswith(f"error: --out {out}: cannot write {taken} (")
     assert (out / taken).is_dir()
+
+
+def test_refused_output_file_leaves_the_directory_as_it_was(configs_dir, tmp_path, capsys):
+    # the refused witness.json comes after three files predict would have written
+    out = tmp_path / "o"
+    (out / "witness.json").mkdir(parents=True)
+    (out / "scenario.json").write_text("kept\n")
+    before = sorted(p.name for p in out.iterdir())
+    argv = ["predict", "--config", str(configs_dir / "det_witness_ideal.json"), "--out", str(out)]
+    assert main(argv) == 1
+    assert sorted(p.name for p in out.iterdir()) == before
+    assert (out / "scenario.json").read_text() == "kept\n"
+    assert "cannot write witness.json (not a regular file)" in capsys.readouterr().err
+
+
+def test_failed_write_leaves_no_file_behind(tmp_path, capsys):
+    def fail(path):
+        Path(path).write_text("partial")
+        raise PermissionError(13, "Permission denied")
+
+    (tmp_path / "a.txt").write_text("kept\n")
+    files = {"a.txt": lambda path: Path(path).write_text("new\n"), "b.txt": fail}
+    with pytest.raises(ConfigError, match="cannot write b.txt \\(Permission denied\\)"):
+        _write_outputs(str(tmp_path), files)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
+    assert (tmp_path / "a.txt").read_text() == "kept\n"
+    _write_outputs(str(tmp_path), {"a.txt": files["a.txt"]})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
+    assert (tmp_path / "a.txt").read_text() == "new\n"
+    assert capsys.readouterr().out == f"wrote {tmp_path}/a.txt\n"
 
 
 def readme_commands():
