@@ -104,7 +104,15 @@ def strategy_count(d: int, n_prep: int, n_meas: int) -> int:
     return d**n_prep * 2 ** (d * n_meas)
 
 
-def _check_cap(count: int) -> None:
+def _check_cap(d: int, n_prep: int, n_meas: int) -> None:
+    """Refuse more strategies than the cap; 2**(d * n_meas) decoders alone over it refuse
+    before the count is built, so a huge d costs no huge integer."""
+    if d * n_meas >= DEFAULT_ENUMERATION_CAP.bit_length():
+        raise EnumerationCapExceeded(
+            f"message dimension {d} gives at least 2**{d * n_meas} strategies, more than "
+            f"the enumeration cap of {DEFAULT_ENUMERATION_CAP}"
+        )
+    count = strategy_count(d, n_prep, n_meas)
     if count > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapExceeded(
             f"{count} strategies exceed the enumeration cap of {DEFAULT_ENUMERATION_CAP}"
@@ -127,11 +135,9 @@ def _grid_strategy(encoder: np.ndarray, decode: np.ndarray) -> DeterministicStra
     )
 
 
-def _affine_coefficients(
-    witness: TableFunctional, n_prep: int, n_meas: int
-) -> tuple[float, np.ndarray]:
-    """(c0, C) with witness(table) = c0 + sum(C * p_e) for an affine witness,
-    read off the all-"d" table and the n_prep * n_meas unit tables."""
+def _affine_form(witness: TableFunctional, n_prep: int, n_meas: int) -> tuple[float, np.ndarray]:
+    """(c0, C) with witness(table) = c0 + sum(C * p_e), read off the all-"d" table and the
+    n_prep * n_meas unit tables and checked at all-"e" and at a fixed interior table."""
     zero = np.zeros((n_prep, n_meas))
     c0 = witness(_pe_table(zero))
     coef = np.empty((n_prep, n_meas))
@@ -139,28 +145,22 @@ def _affine_coefficients(
         unit = zero.copy()
         unit[i, j] = 1.0
         coef[i, j] = witness(_pe_table(unit)) - c0
+    for p_e in (np.ones(coef.shape), np.random.default_rng(0).random(coef.shape)):
+        _affine_value(witness, c0, coef, p_e)
     return c0, coef
 
 
-def _check_affine(
-    witness: TableFunctional, c0: float, coef: np.ndarray, p_e: np.ndarray, value: float
-) -> None:
-    """Refuse a witness that (c0, C) does not reproduce at the maximizer
-    `p_e` (where it took `value`), at all-"e" and at a fixed interior table."""
-    interior = np.random.default_rng(0).random(coef.shape)
-    ones = np.ones(coef.shape)
+def _affine_value(witness: TableFunctional, c0: float, coef: np.ndarray, p_e: np.ndarray) -> float:
+    """The witness at the table of `p_e`, refused (ValueError) unless (c0, C) predicts it."""
+    value = witness(_pe_table(p_e))
+    expected = c0 + float(np.sum(coef * p_e))
     tol = 1e-9 * (1.0 + abs(c0) + np.abs(coef).sum())
-    for table, got in (
-        (p_e, value),
-        (ones, witness(_pe_table(ones))),
-        (interior, witness(_pe_table(interior))),
-    ):
-        expected = c0 + float(np.sum(coef * table))
-        if not math.isclose(got, expected, rel_tol=0.0, abs_tol=tol):
-            raise ValueError(
-                f"witness is not affine in p_e: it gives {got!r} where its unit-table "
-                f"coefficients predict {expected!r}"
-            )
+    if not math.isclose(value, expected, rel_tol=0.0, abs_tol=tol):
+        raise ValueError(
+            f"witness is not affine in p_e: it gives {value!r} where its unit-table "
+            f"coefficients predict {expected!r}"
+        )
+    return value
 
 
 def classical_max_linear(
@@ -182,8 +182,8 @@ def classical_max_linear(
     """
     if d < 1:
         raise ValueError(f"message dimension must be >= 1, got {d}")
-    _check_cap(strategy_count(d, n_prep, n_meas))
-    c0, coef = _affine_coefficients(witness, n_prep, n_meas)
+    _check_cap(d, n_prep, n_meas)
+    c0, coef = _affine_form(witness, n_prep, n_meas)
 
     # mass[e, m, j] = S[m, j] of encoder e, summed in preparation order
     encoders = _lex_grid(d, n_prep)
@@ -199,11 +199,8 @@ def classical_max_linear(
         score += np.where(bits[rows, encoders[:, i]], coef[i], 0.0).sum(axis=1)
     best = int(np.argmax(score))
 
-    strategy = _grid_strategy(encoders[best], bits[best])
-    table = strategy_table(strategy, n_prep, n_meas)
-    value = witness(table)
-    _check_affine(witness, c0, coef, table.p_e, value)
-    return value, strategy
+    p_e = bits[best][encoders[best]].astype(float)
+    return _affine_value(witness, c0, coef, p_e), _grid_strategy(encoders[best], bits[best])
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +411,7 @@ def classical_max_det(d: int, restarts: int = 10_000, seed: int = 0) -> DetBound
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     n_meas, n_prep = DET_CONTRAST.shape  # W is n_meas x n_meas
-    _check_cap(strategy_count(d, n_prep, n_meas))
+    _check_cap(d, n_prep, n_meas)
 
     encoders = _lex_grid(d, n_prep)  # (n_enc, n_prep) messages
     decoders = _lex_grid(2, d * n_meas).reshape(-1, d, n_meas)  # (n_dec, d, n_meas) bits
@@ -427,9 +424,10 @@ def classical_max_det(d: int, restarts: int = 10_000, seed: int = 0) -> DetBound
     det_max, a, b = _vertex_max(dd, encoders, pairs)
 
     mixture_max = 0.0
-    rng = np.random.default_rng(seed)
     block = _restart_block(ce, dd)
-    for start in range(0, restarts, block):
+    starts = range(0, restarts, block)
+    rng = np.random.default_rng(seed) if starts else None  # numpy.random only when drawn
+    for start in starts:
         e = rng.standard_exponential((min(block, restarts - start), len(ce) + len(dd)))
         mixture_max = max(mixture_max, float(_climb(ce, dd, pairs, e).max()))
 
@@ -466,14 +464,12 @@ def setting_aware_max(
     """
     if d < 1:
         raise ValueError(f"message dimension must be >= 1, got {d}")
-    c0, coef = _affine_coefficients(witness, n_prep, n_meas)
+    c0, coef = _affine_form(witness, n_prep, n_meas)
     if d == 1:
         p_e = np.broadcast_to(coef.sum(axis=0) > 0.0, coef.shape).astype(float)
     else:
         p_e = (coef > 0.0).astype(float)
-    value = witness(_pe_table(p_e))
-    _check_affine(witness, c0, coef, p_e, value)
-    return float(value)
+    return float(_affine_value(witness, c0, coef, p_e))
 
 
 def retrocausal_max(

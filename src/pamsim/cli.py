@@ -71,6 +71,8 @@ def _read(kind: str, load, path: str):
         return load(path)
     except FileNotFoundError as exc:
         raise ConfigError(f"{kind} file not found: {path}") from exc
+    except OSError as exc:  # a directory, no read permission, ...
+        raise ConfigError(f"{kind} file {path}: {exc.strerror}") from exc
     except ValueError as exc:
         raise ConfigError(f"{kind} file {path}: {exc}") from exc
 

@@ -135,6 +135,10 @@ def interval(a: Event, b: Event) -> str:
     """Classify the Minkowski interval between two events."""
     dt = (b.time - a.time) * C_M_PER_NS
     dx = math.dist(a.position, b.position)
+    # one power-of-two scale for both is exact and puts the larger in [0.5, 1), so its
+    # square neither overflows nor underflows
+    exponent = math.frexp(max(abs(dt), dx))[1]
+    dt, dx = math.ldexp(dt, -exponent), math.ldexp(dx, -exponent)
     s2 = dt * dt - dx * dx
     scale = dt * dt + dx * dx
     if abs(s2) <= LIGHT_LIKE_REL_TOL * scale:

@@ -2,6 +2,10 @@ import functools
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from pamsim import classical
 from pamsim.classical import (
     DeterministicStrategy,
     EnumerationCapExceeded,
-    _affine_coefficients,
+    _affine_form,
     _canonical_rows,
     _climb,
     _decoder_candidates,
@@ -308,7 +312,7 @@ class TestLinearBounds:
 
 class TestLinearBoundOracle:
     def test_dimension_witness_coefficients_are_the_idw_matrix(self):
-        c0, coef = _affine_coefficients(dimension_witness, 3, 2)
+        c0, coef = _affine_form(dimension_witness, 3, 2)
         assert c0 == -IDW_COEF.sum()
         np.testing.assert_array_equal(coef, 2 * IDW_COEF)
 
@@ -525,6 +529,18 @@ class TestDeterminantBound:
             "encode": [0, 1, 2, 3],
             "decode": [list(row) for row in ("dd", "ee", "de", "ed", "dd", "dd")],
         }
+
+    def test_zero_restarts_load_no_random_module(self):
+        # no restart draws anything, so numpy.random (about 10 ms to import) stays unloaded
+        code = (
+            "import sys; from pamsim.classical import classical_max_det; "
+            "classical_max_det(6, restarts=0); print('numpy.random' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(classical.__file__).resolve().parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out.strip() == "False"
 
     @pytest.mark.parametrize(
         "row",

@@ -1,7 +1,10 @@
 import csv
+import errno
 import json
 import math
+import os
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -412,6 +415,23 @@ class TestBounds:
         assert main(["bounds", "--witness", "idw", "-d", "8", "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("witness", ["idw", "det"])
+    def test_enumeration_cap_at_large_dimension(self, tmp_path, capsys, witness):
+        # the count, 8000^n_prep * 2^16000, has more digits than int-to-str converts
+        out = tmp_path / "out"
+        assert main(["bounds", "--witness", witness, "-d", "8000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: message dimension 8000 gives at least 2**16000 strategies")
+        assert err.endswith("the enumeration cap of 10000000\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("witness", ["idw", "det"])
+    def test_enumeration_cap_refusal_is_quick_at_huge_dimension(self, tmp_path, witness):
+        start = time.perf_counter()
+        argv = ["bounds", "--witness", witness, "-d", str(10**12), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+
 
 class TestSpacetime:
     def test_bundled_fixture_passes(self, configs_dir, tmp_path):
@@ -708,6 +728,24 @@ class TestStrictConfig:
         argv = ["--seed", "0", "--resamples", "10000", "--fair-sampling", "true"]
         assert main(["report", "--counts", str(counts), *argv, "--out", str(explicit)]) == 0
         assert (bare / "witness.json").read_bytes() == (explicit / "witness.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["predict", "--config"], "config"),
+        (["simulate", "--config"], "config"),
+        (["report", "--counts"], "counts"),
+        (["spacetime"], "schedule"),
+    ],
+    ids=["predict", "simulate", "report", "spacetime"],
+)
+def test_directory_input_is_config_error(tmp_path, capsys, argv, kind):
+    out = tmp_path / "out"
+    assert main([*argv, str(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {kind} file {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,16 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pamsim.spacetime import (
     C_M_PER_NS,
     LIGHT_LIKE,
+    LIGHT_LIKE_REL_TOL,
     SPACE_LIKE,
     TIME_LIKE,
     Event,
@@ -15,6 +19,17 @@ from pamsim.spacetime import (
     interval,
     reference_schedule,
     validate,
+)
+
+# zero, or either sign at any binary exponent from -520 to 520
+MAGNITUDES = st.one_of(
+    st.just(0.0),
+    st.builds(
+        lambda sign, mantissa, exponent: sign * math.ldexp(mantissa, exponent),
+        st.sampled_from((-1.0, 1.0)),
+        st.floats(0.5, 1.0, exclude_max=True),
+        st.integers(-520, 520),
+    ),
 )
 
 
@@ -60,6 +75,44 @@ class TestInterval:
                     Event("a", tuple(k * pa), k * ta), Event("b", tuple(k * pb), k * tb)
                 )
                 assert scaled == base
+
+    @pytest.mark.parametrize(
+        "b, expected",
+        [
+            (Event("b", (0.0, 0.0, 0.0), 1e160), TIME_LIKE),
+            (Event("b", (1e200, 0.0, 0.0), 0.0), SPACE_LIKE),
+            (Event("b", (0.0, 0.0, 0.0), 1e-170), TIME_LIKE),
+            (Event("b", (1e-170, 0.0, 0.0), 0.0), SPACE_LIKE),
+        ],
+        ids=["1e160-ns", "1e200-m", "1e-170-ns", "1e-170-m"],
+    )
+    def test_squares_out_of_range_keep_their_class(self, b, expected):
+        # dt^2 or dx^2 overflows to inf or underflows to 0, which read as light-like
+        assert interval(Event("a", (0.0, 0.0, 0.0), 0.0), b) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=MAGNITUDES,
+        y=MAGNITUDES,
+        t=MAGNITUDES,
+        cone=st.one_of(st.none(), st.floats(-3e-6, 3e-6)),
+    )
+    def test_unscaled_formula_where_its_squares_are_normal(self, x, y, t, cone):
+        if cone is not None:  # near the light cone, where the tolerance decides
+            t = math.hypot(x, y) / C_M_PER_NS * (1.0 + cone)
+        a, b = Event("a", (0.0, 0.0, 0.0), 0.0), Event("b", (x, y, 0.0), t)
+        dt = (b.time - a.time) * C_M_PER_NS
+        dx = math.dist(a.position, b.position)
+        s2, scale = dt * dt - dx * dx, dt * dt + dx * dx
+        # each square, and the tolerance, is normal or the exact product of a zero
+        tolerance = LIGHT_LIKE_REL_TOL * scale
+        for base, square in ((dt, dt * dt), (dx, dx * dx), (scale, tolerance)):
+            assume(base == 0.0 or sys.float_info.min <= square < math.inf)
+        if abs(s2) <= tolerance:
+            expected = LIGHT_LIKE
+        else:
+            expected = TIME_LIKE if s2 > 0.0 else SPACE_LIKE
+        assert interval(a, b) == expected
 
 
 class TestValidate:
