@@ -30,7 +30,8 @@ and `classical_max_det` refuse loudly when their strategy count exceeds
 `DEFAULT_ENUMERATION_CAP`.  Outcome encoding: decode entries are 1 for
 outcome "e" and 0 for outcome "d".
 
-The determinant search's climbs build their candidate matrices
+The determinant search's line searches run on the product grid of their
+candidates, restarts innermost, and build the candidate matrices
 elementwise, not through BLAS (see `classical_max_det`), so their
 rounding does not depend on the BLAS build.
 """
@@ -137,7 +138,9 @@ def _grid_strategy(encoder: np.ndarray, decode: np.ndarray) -> DeterministicStra
 
 def _affine_form(witness: TableFunctional, n_prep: int, n_meas: int) -> tuple[float, np.ndarray]:
     """(c0, C) with witness(table) = c0 + sum(C * p_e), read off the all-"d" table and the
-    n_prep * n_meas unit tables and checked at all-"e" and at a fixed interior table."""
+    n_prep * n_meas unit tables and checked at all-"e" and at a fixed interior table, whose
+    entries 1/2, 1/3, ... are distinct and strictly inside (0, 1).  (Evenly spaced entries
+    would not do: their W has equal rows, so det W would pass as affine.)"""
     zero = np.zeros((n_prep, n_meas))
     c0 = witness(_pe_table(zero))
     coef = np.empty((n_prep, n_meas))
@@ -145,7 +148,8 @@ def _affine_form(witness: TableFunctional, n_prep: int, n_meas: int) -> tuple[fl
         unit = zero.copy()
         unit[i, j] = 1.0
         coef[i, j] = witness(_pe_table(unit)) - c0
-    for p_e in (np.ones(coef.shape), np.random.default_rng(0).random(coef.shape)):
+    interior = 1.0 / np.arange(2.0, coef.size + 2.0).reshape(coef.shape)
+    for p_e in (np.ones(coef.shape), interior):
         _affine_value(witness, c0, coef, p_e)
     return c0, coef
 
@@ -229,7 +233,8 @@ class DetBoundResult:
         return {**asdict(self), "strategy": self.strategy.to_json_dict()}
 
 
-# Candidate matrices per line search, which sizes a lockstep block of restarts.
+# Restarts x the larger of the encoder and decoder counts, which sizes a lockstep
+# block of restarts.
 _BLOCK_CANDIDATES = 16384
 
 
@@ -262,61 +267,101 @@ def _message_pairs(contrast: np.ndarray, encoders: np.ndarray, d: int) -> np.nda
 
 def _encoder_candidates(y: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """ce @ y[:, None] entries first, (2, 2, R, n_enc) from y (R, d, 2): each
-    entry is the one subtraction y[m+] - y[m-] that the product also rounds to."""
+    entry is the one subtraction y[m+] - y[m-] that the product also rounds to.
+    The vertex pass scores its encoders with it, taking the decoders as y."""
     yt = np.ascontiguousarray(y.transpose(2, 0, 1))  # (column, R, message)
     diff = (yt[:, :, :, None] - yt[:, :, None, :]).reshape(*yt.shape[:2], -1)
     return diff[:, :, pairs.T].transpose(2, 0, 1, 3)
 
 
-def _decoder_candidates(x: np.ndarray, patterns: np.ndarray) -> np.ndarray:
-    """x[:, None] @ dd entries first, (2, 2, R, n_dec) from x (R, 2, d): column l
-    of decoder b adds the columns m of x with bit m set in patterns[b, l], in
-    order from 0.0 as the product does, gathered from every subset's sum."""
-    sums = np.zeros((x.shape[1], len(x), 1))  # (row, R, subset)
-    for column in np.ascontiguousarray(x.transpose(2, 1, 0))[..., None]:
-        sums = np.concatenate((sums, sums + column), axis=2)
-    return sums[:, :, patterns.T].transpose(0, 2, 1, 3)
+def _encoder_grid(pairs: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The product grid of the encoder moves, row-0 pair x row-1 pair: the kept
+    message pairs (m+, m-) of one contrast row, and the first encoder of `pairs`
+    at each grid cell, in grid order (which is encoder order for `DET_CONTRAST`,
+    whose encoders sort by row-0 pair, then row-1 pair).  A pair (m, m) with
+    m >= 1 gives the same zero row as the earlier (0, 0), so it is dropped:
+    d = 3 keeps 7 of 9 pairs, 49 of 81 encoders."""
+    plus, minus = np.divmod(np.arange(d * d), d)
+    kept = np.flatnonzero((plus != minus) | (plus == 0))
+    _, first = np.unique(pairs[:, 0] * d * d + pairs[:, 1], return_index=True)
+    return plus[kept], minus[kept], first.reshape(d * d, d * d)[np.ix_(kept, kept)].ravel()
+
+
+def _decoder_grid(dd: np.ndarray) -> np.ndarray:
+    """The product grid of the decoder moves, column-0 subset x column-1 subset
+    of messages (those with p_d = 1): the flattened grid cell of each decoder,
+    which gathers the grid into decoder order.  dd must hold every decoder."""
+    subsets = (dd.astype(np.intp) << np.arange(dd.shape[1])[:, None]).sum(axis=1)
+    return subsets[:, 0] << dd.shape[1] | subsets[:, 1]
+
+
+def _encoder_rows(y: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> list:
+    """Entries [k][l] of the encoder candidates from y (R, d, 2): row k of a
+    candidate is y[m+] - y[m-], one subtraction per kept pair and restart, as
+    (P, 1, R) arrays for row 0 and (1, P, R) arrays for row 1 of the grid."""
+    yt = np.ascontiguousarray(y.transpose(2, 1, 0))  # (column, message, R)
+    rows = yt[:, plus] - yt[:, minus]  # (column, pair, R)
+    return [[rows[0, :, None], rows[1, :, None]], [rows[0, None], rows[1, None]]]
+
+
+def _decoder_columns(x: np.ndarray) -> list:
+    """Entries [k][l] of the decoder candidates from x (R, 2, d): column l of a
+    candidate adds the columns m of x in one message subset, in order from 0.0
+    as x @ dd does, so each subset's sum is built once; (P, 1, R) arrays for
+    column 0 and (1, P, R) arrays for column 1 of the grid."""
+    sums = np.zeros((2, 1, len(x)))  # (row, subset, R)
+    for column in np.ascontiguousarray(x.transpose(2, 1, 0))[:, :, None]:
+        sums = np.concatenate((sums, sums + column), axis=1)
+    return [[sums[k, :, None], sums[k, None]] for k in range(2)]
 
 
 def _best_coordinate_move(
-    w: np.ndarray, candidates: np.ndarray
+    w: np.ndarray, candidates: list, order: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact line search from each matrix w[r] toward each candidate
-    vertex matrix candidates[:, :, r, k] (entries first; overwritten).
+    """Exact line search from each matrix w[r] (R, 2, 2) toward each candidate
+    vertex matrix of a product grid.
 
-    Along w(t) = (1-t) w + t b the determinant is quadratic in t, so
-    |det| on [0, 1] peaks at an endpoint or the interior extremum.
-    Returns per row r: (best |det|, candidate index, t).
+    Each entry candidates[k][l] broadcasts to the (P0, P1, R) grid, restarts
+    innermost; `order` gathers the flattened grid into candidate order (by
+    default the grid order is the candidate order).  Every grid value is the
+    one that candidate's own scalar arithmetic gives, so ties and first
+    maxima are those of a materialised (R, K) stack.  Along
+    w(t) = (1-t) w + t b the determinant is quadratic in t, so |det| on
+    [0, 1] peaks at an endpoint or the interior extremum.  Returns per row
+    r: (best |det|, first maximizing candidate index, t).
     """
-    w = np.ascontiguousarray(_entries(w))[..., None]
-    delta = np.subtract(candidates, w, out=candidates)
-    det_w, det_delta = det(w), det(delta)
+    n = len(w)
+    w = np.ascontiguousarray(_entries(w))  # w[k][l] of shape (R,)
+    delta = [[c - w_kl for c, w_kl in zip(c_row, w_row)] for c_row, w_row in zip(candidates, w)]
+    det_w, det_delta = det(w), det(delta).reshape(-1, n)
     cross = (
         w[0][0] * delta[1][1]
         + delta[0][0] * w[1][1]
         - w[0][1] * delta[1][0]
         - delta[0][1] * w[1][0]
-    )
-    del delta, candidates  # free the (2, 2, R, K) stack before scoring
+    ).reshape(-1, n)
     at_one = np.abs(det_w + cross + det_delta)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # t_star is NaN or +-inf where det_delta = 0 and its square may overflow:
+    # such values fail both comparisons, so `valid` masks all they give
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_star = -cross / (2.0 * det_delta)
-    # NaN and +-inf, where det_delta = 0, fail both comparisons
-    valid = (t_star > 0.0) & (t_star < 1.0)
-    t_star = np.where(valid, t_star, 0.0)
-    at_star = np.where(
-        valid, np.abs(det_w + cross * t_star + det_delta * t_star**2), -np.inf
-    )
-    rows = np.arange(len(at_one))
-    best_at_one = np.argmax(at_one, axis=1)
-    best_at_star = np.argmax(at_star, axis=1)
-    one = at_one[rows, best_at_one]
-    star = at_star[rows, best_at_star]
+        valid = (t_star > 0.0) & (t_star < 1.0)
+        at_star = np.where(
+            valid, np.abs(det_w + cross * t_star + det_delta * t_star**2), -np.inf
+        )
+    if order is not None:
+        at_one, at_star = at_one[order], at_star[order]
+    rows = np.arange(n)
+    best_at_one = np.argmax(at_one, axis=0)
+    best_at_star = np.argmax(at_star, axis=0)
+    one = at_one[best_at_one, rows]
+    star = at_star[best_at_star, rows]
     use_star = star > one
+    cell = best_at_star if order is None else order[best_at_star]
     return (
         np.where(use_star, star, one),
         np.where(use_star, best_at_star, best_at_one),
-        np.where(use_star, t_star[rows, best_at_star], 1.0),
+        np.where(use_star, t_star[cell, rows], 1.0),
     )
 
 
@@ -349,9 +394,10 @@ def _climb(ce: np.ndarray, dd: np.ndarray, pairs: np.ndarray, e: np.ndarray) -> 
     Each round moves the encoder mixture x, then the decoder mixture y,
     of every climb still improving; a climb stops after a round with no
     move, or after 200 rounds.  `pairs` are the message pairs of the rows
-    of ce (`_message_pairs`); dd must be 0/1.
+    of ce (`_message_pairs`); dd must be 0/1 and hold every decoder.
     """
-    patterns = (dd.astype(np.intp) << np.arange(dd.shape[1])[:, None]).sum(axis=1)
+    plus, minus, enc_rows = _encoder_grid(pairs, dd.shape[1])
+    dec_cells = _decoder_grid(dd)
     x, y = _start_points(ce, dd, e)
     w = x @ y
     current = abs_det(_entries(w))
@@ -359,20 +405,24 @@ def _climb(ce: np.ndarray, dd: np.ndarray, pairs: np.ndarray, e: np.ndarray) -> 
     for _ in range(200):
         if not active.size:
             break
-        xa, ya, wa, ca = x[active], y[active], w[active], current[active]
-        enc_val, a, t = _best_coordinate_move(wa, _encoder_candidates(ya, pairs))
+        if active.size == len(e):  # every climb: work on the arrays themselves
+            xa, ya, wa, ca = x, y, w, current
+        else:
+            xa, ya, wa, ca = x[active], y[active], w[active], current[active]
+        enc_val, a, t = _best_coordinate_move(wa, _encoder_rows(ya, plus, minus))
         enc_moved = enc_val > ca + 1e-15
         t = t[enc_moved, None, None]
-        xa[enc_moved] = (1.0 - t) * xa[enc_moved] + t * ce[a[enc_moved]]
+        xa[enc_moved] = (1.0 - t) * xa[enc_moved] + t * ce[enc_rows[a[enc_moved]]]
         wa[enc_moved] = xa[enc_moved] @ ya[enc_moved]
         ca[enc_moved] = abs_det(_entries(wa[enc_moved]))
-        dec_val, b, t = _best_coordinate_move(wa, _decoder_candidates(xa, patterns))
+        dec_val, b, t = _best_coordinate_move(wa, _decoder_columns(xa), dec_cells)
         dec_moved = dec_val > ca + 1e-15
         t = t[dec_moved, None, None]
         ya[dec_moved] = (1.0 - t) * ya[dec_moved] + t * dd[b[dec_moved]]
         wa[dec_moved] = xa[dec_moved] @ ya[dec_moved]
         ca[dec_moved] = abs_det(_entries(wa[dec_moved]))
-        x[active], y[active], w[active], current[active] = xa, ya, wa, ca
+        if xa is not x:
+            x[active], y[active], w[active], current[active] = xa, ya, wa, ca
         active = active[enc_moved | dec_moved]
     return current
 
@@ -395,16 +445,25 @@ def classical_max_det(d: int, restarts: int = 10_000, seed: int = 0) -> DetBound
     (`_vertex_max`); on top of that, seeded random-restart coordinate
     ascent runs over the product of the encoder-mixture and
     decoder-mixture simplices, with an exact quadratic line search per
-    coordinate move.  Restarts climb in lockstep blocks sized so that
-    each line search scores about `_BLOCK_CANDIDATES` candidate
-    matrices; restart k always starts from row k of one seeded stream of
-    exponentials, so the result depends only on (restarts, seed).  Each
-    `DET_CONTRAST` row is one +1 and one -1 preparation, so a candidate
-    matrix entry is one subtraction (encoder moves) or an in-order sum
-    of mixture columns (decoder moves): built elementwise, not through
-    BLAS.  The maximum of the bilinear objective is attained at a vertex
-    pair, so the returned value is the exhaustive maximum and the climbs
-    are a numerical confirmation rather than an extension of the bound.
+    coordinate move.  Restarts climb in lockstep blocks of
+    `_BLOCK_CANDIDATES` // (the larger of the encoder and decoder counts);
+    restart k always starts from row k of one seeded stream of
+    exponentials, so the result depends only on (restarts, seed).
+
+    Each `DET_CONTRAST` row is one +1 and one -1 preparation, so row k of
+    an encoder candidate is y[m+] - y[m-] for one message pair, and
+    column l of a decoder candidate is the in-order sum of the mixture
+    columns in one message subset.  The candidates are therefore product
+    grids, row-0 pair x row-1 pair and column-0 subset x column-1 subset:
+    each entry is built once per pair or subset and restart, as a (P, R)
+    array with the restarts innermost, and only the line search's own
+    values span the grid.  Pairs (m, m) with m >= 1 repeat the zero row of
+    the earlier (0, 0) and are dropped (49 of 81 encoders are scored at
+    d = 3).  All of it is elementwise, not BLAS, and every value and first
+    maximum is the one a materialised candidate stack gives.  The maximum
+    of the bilinear objective is attained at a vertex pair, so the
+    returned value is the exhaustive maximum and the climbs are a
+    numerical confirmation rather than an extension of the bound.
     """
     if d < 2:
         raise ValueError(f"determinant search needs message dimension >= 2, got {d}")

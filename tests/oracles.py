@@ -4,14 +4,19 @@
 lexicographic (encode, decode) order, the order whose first maximizer
 `classical_max_linear` must return.  `mixture_table` evaluates a convex
 mixture of strategies (shared randomness) as one table.
+
+`decoder_candidates` and `materialised_move` are the determinant climb's
+line search on a materialised (2, 2, R, K) candidate stack, whose first
+maxima the product-grid line search of `classical` must reproduce.
 """
 
 import itertools
 
 import numpy as np
 
-from pamsim.classical import DeterministicStrategy, strategy_table
+from pamsim.classical import DeterministicStrategy, _entries, strategy_table
 from pamsim.scenario import ProbabilityTable
+from pamsim.witness import det
 
 
 def enumerate_deterministic(d, n_prep, n_meas):
@@ -29,3 +34,48 @@ def mixture_table(components, n_prep, n_meas):
     for weight, strategy in components:
         p_e += weight * strategy_table(strategy, n_prep, n_meas).p_e
     return ProbabilityTable(p_e, 1.0 - p_e, np.zeros(p_e.shape))
+
+
+def decoder_candidates(x, dd):
+    """x[:, None] @ dd entries first, (2, 2, R, n_dec) from x (R, 2, d) and 0/1
+    dd: column l of decoder b adds the columns m of x with dd[b, m, l] = 1, in
+    order from 0.0 as the product does, gathered from every subset's sum."""
+    patterns = (dd.astype(np.intp) << np.arange(dd.shape[1])[:, None]).sum(axis=1)
+    sums = np.zeros((x.shape[1], len(x), 1))  # (row, R, subset)
+    for column in np.ascontiguousarray(x.transpose(2, 1, 0))[..., None]:
+        sums = np.concatenate((sums, sums + column), axis=2)
+    return sums[:, :, patterns.T].transpose(0, 2, 1, 3)
+
+
+def materialised_move(w, candidates):
+    """Exact line search from each matrix w[r] toward each candidate vertex
+    matrix candidates[:, :, r, k] (entries first): per row r, (best |det|,
+    first maximizing candidate index, t)."""
+    w = np.ascontiguousarray(_entries(w))[..., None]
+    delta = candidates - w
+    det_w, det_delta = det(w), det(delta)
+    cross = (
+        w[0][0] * delta[1][1]
+        + delta[0][0] * w[1][1]
+        - w[0][1] * delta[1][0]
+        - delta[0][1] * w[1][0]
+    )
+    at_one = np.abs(det_w + cross + det_delta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_star = -cross / (2.0 * det_delta)
+    valid = (t_star > 0.0) & (t_star < 1.0)
+    t_star = np.where(valid, t_star, 0.0)
+    at_star = np.where(
+        valid, np.abs(det_w + cross * t_star + det_delta * t_star**2), -np.inf
+    )
+    rows = np.arange(len(at_one))
+    best_at_one = np.argmax(at_one, axis=1)
+    best_at_star = np.argmax(at_star, axis=1)
+    one = at_one[rows, best_at_one]
+    star = at_star[rows, best_at_star]
+    use_star = star > one
+    return (
+        np.where(use_star, star, one),
+        np.where(use_star, best_at_star, best_at_one),
+        np.where(use_star, t_star[rows, best_at_star], 1.0),
+    )

@@ -11,17 +11,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import enumerate_deterministic, mixture_table
+from oracles import decoder_candidates, enumerate_deterministic, materialised_move, mixture_table
 
 from pamsim import classical
 from pamsim.classical import (
     DeterministicStrategy,
     EnumerationCapExceeded,
     _affine_form,
+    _best_coordinate_move,
     _canonical_rows,
     _climb,
-    _decoder_candidates,
+    _decoder_columns,
+    _decoder_grid,
     _encoder_candidates,
+    _encoder_grid,
+    _encoder_rows,
     _entries,
     _lex_grid,
     _message_pairs,
@@ -112,6 +116,11 @@ def quadratic_witness(t):
     return float(t.p_e[0, 0] * t.p_e[1, 0])
 
 
+def vertex_affine_witness(t):
+    """I_DW plus p_e[0, 0] (1 - p_e[0, 0]): equal to it on every 0/1 table."""
+    return dimension_witness(t) + float(t.p_e[0, 0] * (1.0 - t.p_e[0, 0]))
+
+
 def in_order_dirichlet(weights):
     """Unit exponentials over their sum taken left to right, as
     Generator.dirichlet(np.ones(K)) computes it."""
@@ -179,6 +188,19 @@ def per_restart_start_points(ce, dd, e):
         np.concatenate(x).reshape(-1, *ce.shape[1:]),
         np.concatenate(y).reshape(-1, *dd.shape[1:]),
     )
+
+
+def loads_random_module(call):
+    """Whether `call`, run in a fresh interpreter after `from pamsim import classical,
+    witness`, leaves numpy.random in sys.modules."""
+    code = f"import sys; from pamsim import classical, witness; {call}; " + (
+        "print('numpy.random' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(classical.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    return out.strip() == "True"
 
 
 def start_exponentials(ce, dd, seed, restarts):
@@ -352,6 +374,17 @@ class TestLinearBoundOracle:
     def test_rejects_non_affine_witness(self, witness):
         with pytest.raises(ValueError, match="not affine"):
             classical_max_linear(witness, 2, 4, 2)
+
+    @pytest.mark.parametrize("bound", (classical_max_linear, setting_aware_max))
+    def test_rejects_witness_affine_on_every_vertex_table_only(self, bound):
+        # p(1 - p) is 0 on every 0/1 table, so only the interior check table sees it
+        with pytest.raises(ValueError, match="not affine"):
+            bound(vertex_affine_witness, 2, 3, 2)
+
+    def test_fresh_linear_bound_loads_no_random_module(self):
+        # the interior check table is fixed, so no generator is built
+        call = "classical.classical_max_linear(witness.dimension_witness, 2, 3, 2)"
+        assert not loads_random_module(call)
 
 
 class TestSettingAwareOracle:
@@ -532,15 +565,7 @@ class TestDeterminantBound:
 
     def test_zero_restarts_load_no_random_module(self):
         # no restart draws anything, so numpy.random (about 10 ms to import) stays unloaded
-        code = (
-            "import sys; from pamsim.classical import classical_max_det; "
-            "classical_max_det(6, restarts=0); print('numpy.random' in sys.modules)"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(classical.__file__).resolve().parents[1]))
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-        ).stdout
-        assert out.strip() == "False"
+        assert not loads_random_module("classical.classical_max_det(6, restarts=0)")
 
     @pytest.mark.parametrize(
         "row",
@@ -552,25 +577,64 @@ class TestDeterminantBound:
             _message_pairs(contrast, _lex_grid(2, 4), 2)
 
 
-def check_builders(monkeypatch, ce, dd, seen):
-    """Make every candidate build of the climbs assert that it equals, bit
-    for bit, the entries-first matmul it replaces; record the inputs in `seen`."""
-    build_encoders, build_decoders = _encoder_candidates, _decoder_candidates
+def grid_stack(entries, order=None):
+    """Candidate entries [k][l], each broadcast over the product grid, as an
+    entries-first (2, 2, R, K) stack in candidate order (`order` gathers the
+    flattened grid into it)."""
+    shape = np.broadcast_shapes(*(c.shape for row in entries for c in row))
+    flat = np.stack(
+        [np.broadcast_to(c, shape).reshape(-1, shape[-1]) for row in entries for c in row]
+    )
+    if order is not None:
+        flat = flat[:, order]
+    return np.ascontiguousarray(flat.reshape(2, 2, *flat.shape[1:]).transpose(0, 1, 3, 2))
 
-    def encoders(y, pairs):
-        got = build_encoders(y, pairs)
-        assert got.tobytes() == np.ascontiguousarray(_entries(ce @ y[:, None])).tobytes()
-        seen.append(("y", y))
+
+def check_builders(monkeypatch, ce, dd, pairs, seen):
+    """Make every candidate build of the climbs assert that, broadcast to
+    candidate order, it equals bit for bit the entries-first matmul it
+    replaces; record the inputs in `seen`."""
+    build_rows, build_columns = _encoder_rows, _decoder_columns
+    enc_rows = _encoder_grid(pairs, dd.shape[1])[2]
+
+    def rows(y, plus, minus):
+        got = build_rows(y, plus, minus)
+        assert grid_stack(got).tobytes() == np.ascontiguousarray(
+            _entries(ce[enc_rows] @ y[:, None])
+        ).tobytes()
+        seen.append(("y", y.copy()))
         return got
 
-    def decoders(x, patterns):
-        got = build_decoders(x, patterns)
-        assert got.tobytes() == np.ascontiguousarray(_entries(x[:, None] @ dd)).tobytes()
-        seen.append(("x", x))
+    def columns(x):
+        got = build_columns(x)
+        assert grid_stack(got, _decoder_grid(dd)).tobytes() == np.ascontiguousarray(
+            _entries(x[:, None] @ dd)
+        ).tobytes()
+        seen.append(("x", x.copy()))
         return got
 
-    monkeypatch.setattr(classical, "_encoder_candidates", encoders)
-    monkeypatch.setattr(classical, "_decoder_candidates", decoders)
+    monkeypatch.setattr(classical, "_encoder_rows", rows)
+    monkeypatch.setattr(classical, "_decoder_columns", columns)
+
+
+def grid_moves(w, x, y, dd, pairs):
+    """(encoder move, decoder move) of the grid line search from (w, x, y), with
+    each move's index mapped to its encoder or decoder row."""
+    plus, minus, enc_rows = _encoder_grid(pairs, dd.shape[1])
+    value, a, t = _best_coordinate_move(w, _encoder_rows(y, plus, minus))
+    return (value, enc_rows[a], t), _best_coordinate_move(w, _decoder_columns(x), _decoder_grid(dd))
+
+
+def materialised_moves(w, x, y, dd, pairs):
+    """The same two moves on materialised candidate stacks."""
+    return (
+        materialised_move(w, _encoder_candidates(y, pairs)),
+        materialised_move(w, decoder_candidates(x, dd)),
+    )
+
+
+def move_bytes(moves):
+    return [[np.asarray(part).tobytes() for part in move] for move in moves]
 
 
 class TestDetCandidates:
@@ -580,7 +644,7 @@ class TestDetCandidates:
         # start points only: see the next test
         seen = []
         ce, dd, pairs = det_search_vertices(d, 4)
-        check_builders(monkeypatch, ce, dd, seen)
+        check_builders(monkeypatch, ce, dd, pairs, seen)
         _climb(ce, dd, pairs, start_exponentials(ce, dd, d, restarts))
         xs = [m for kind, m in seen if kind == "x"]
         assert len([kind for kind, _ in seen if kind == "y"]) == len(xs) >= 2
@@ -592,13 +656,78 @@ class TestDetCandidates:
     def test_builders_match_the_matmuls_at_start_points(self, d):
         ce, dd, pairs = det_search_vertices(d, 4)
         x, y = _start_points(ce, dd, start_exponentials(ce, dd, 7 + d, 33))
-        patterns = (dd.astype(np.intp) << np.arange(d)[:, None]).sum(axis=1)
-        assert _encoder_candidates(y, pairs).tobytes() == np.ascontiguousarray(
-            _entries(ce @ y[:, None])
+        plus, minus, enc_rows = _encoder_grid(pairs, d)
+        by_encoder = np.ascontiguousarray(_entries(ce @ y[:, None]))
+        by_decoder = np.ascontiguousarray(_entries(x[:, None] @ dd))
+        assert _encoder_candidates(y, pairs).tobytes() == by_encoder.tobytes()
+        assert decoder_candidates(x, dd).tobytes() == by_decoder.tobytes()
+        assert grid_stack(_encoder_rows(y, plus, minus)).tobytes() == np.ascontiguousarray(
+            by_encoder[:, :, :, enc_rows]
         ).tobytes()
-        assert _decoder_candidates(x, patterns).tobytes() == np.ascontiguousarray(
-            _entries(x[:, None] @ dd)
-        ).tobytes()
+        assert grid_stack(_decoder_columns(x), _decoder_grid(dd)).tobytes() == by_decoder.tobytes()
+
+    @pytest.mark.parametrize("d", (2, 3, 4, 5))
+    def test_encoder_grid_drops_only_repeated_zero_rows(self, d):
+        ce, dd, pairs = det_search_vertices(d, 4)
+        plus, minus, enc_rows = _encoder_grid(pairs, d)
+        assert len(plus) == d * d - d + 1
+        # every distinct vertex matrix once, at its first encoder, in encoder order
+        first = {}
+        for a, vertex in enumerate(ce):
+            first.setdefault(vertex.tobytes(), a)
+        assert enc_rows.tolist() == sorted(first.values())
+
+
+class TestDetLineSearch:
+    @pytest.mark.parametrize("d", (2, 3, 4, 5))
+    def test_grid_moves_match_the_stack_at_start_points(self, d):
+        ce, dd, pairs = det_search_vertices(d, 4)
+        x, y = _start_points(ce, dd, start_exponentials(ce, dd, 40 + d, 50))
+        w = x @ y
+        got = move_bytes(grid_moves(w, x, y, dd, pairs))
+        assert got == move_bytes(materialised_moves(w, x, y, dd, pairs))
+
+    @pytest.mark.parametrize("d, restarts", ((2, 40), (3, 120), (4, 40), (5, 9)))
+    def test_grid_moves_match_the_stack_along_the_climbs(self, monkeypatch, d, restarts):
+        ce, dd, pairs = det_search_vertices(d, 4)
+        enc_rows = _encoder_grid(pairs, d)[2]
+        seen, xs = [], []
+        check_builders(monkeypatch, ce, dd, pairs, seen)
+        move = _best_coordinate_move
+
+        def checked(w, candidates, order=None):
+            got = move(w, candidates, order)
+            kind, mixture = seen[-1]
+            if kind == "y":
+                expected = materialised_move(w, _encoder_candidates(mixture, pairs))
+                got_index = (got[0], enc_rows[got[1]], got[2])
+            else:
+                expected = materialised_move(w, decoder_candidates(mixture, dd))
+                got_index = got
+                xs.append(mixture)
+            assert move_bytes([got_index]) == move_bytes([expected])
+            return got
+
+        monkeypatch.setattr(classical, "_best_coordinate_move", checked)
+        _climb(ce, dd, pairs, start_exponentials(ce, dd, 50 + d, restarts))
+        assert len(xs) >= 1
+        if d > 2:  # climbed states: encoder mixtures with negative entries
+            assert any((x < 0.0).any() for x in xs[1:])
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(2, 4), data=st.data())
+    def test_ties_go_to_the_stacks_first_maximum(self, d, data):
+        # small-integer mixtures make |det| exact, so candidates tie everywhere,
+        # the dropped zero-row repeats included
+        ce, dd, pairs = det_search_vertices(d, 4)
+        n = data.draw(st.integers(1, 4))
+        small = st.integers(-2, 2)
+        x = np.array(data.draw(st.lists(small, min_size=n * 2 * d, max_size=n * 2 * d)))
+        y = np.array(data.draw(st.lists(small, min_size=n * d * 2, max_size=n * d * 2)))
+        x, y = x.reshape(n, 2, d).astype(float), y.reshape(n, d, 2).astype(float)
+        w = x @ y
+        got = move_bytes(grid_moves(w, x, y, dd, pairs))
+        assert got == move_bytes(materialised_moves(w, x, y, dd, pairs))
 
 
 class TestDetStartPoints:
