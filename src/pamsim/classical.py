@@ -24,11 +24,13 @@ two outcomes.  Two kinds of randomness sit on top:
 Linear bounds are exact without enumerating decoders: a linear witness
 is affine in p_e, and for a fixed encoder the best decoder picks every
 (message, measurement) bit on its own, so the maximum is found in closed
-form per encoder, over all encoders at once.  The test suite checks
-these results against brute-force enumeration.  `classical_max_linear`
-and `classical_max_det` refuse loudly when their strategy count exceeds
-`DEFAULT_ENUMERATION_CAP`.  Outcome encoding: decode entries are 1 for
-outcome "e" and 0 for outcome "d".
+form per encoder, over all encoders at once.  The affine form (c0, C)
+is read off the witness once per bound, and `retrocausal_max` reads it
+once for both of its maxima; the maximisers themselves take (c0, C).
+The test suite checks these results against brute-force enumeration.
+`classical_max_linear` and `classical_max_det` refuse loudly when their
+strategy count exceeds `DEFAULT_ENUMERATION_CAP`.  Outcome encoding:
+decode entries are 1 for outcome "e" and 0 for outcome "d".
 
 The determinant search's line searches run on the product grid of their
 candidates, restarts innermost, and build the candidate matrices
@@ -136,6 +138,11 @@ def _grid_strategy(encoder: np.ndarray, decode: np.ndarray) -> DeterministicStra
     )
 
 
+def _check_dimension(d: int) -> None:
+    if d < 1:
+        raise ValueError(f"message dimension must be >= 1, got {d}")
+
+
 def _affine_form(witness: TableFunctional, n_prep: int, n_meas: int) -> tuple[float, np.ndarray]:
     """(c0, C) with witness(table) = c0 + sum(C * p_e), read off the all-"d" table and the
     n_prep * n_meas unit tables and checked at all-"e" and at a fixed interior table, whose
@@ -184,11 +191,16 @@ def classical_max_linear(
     witness evaluated at that strategy.  Raises ValueError if the witness
     is not affine in p_e.
     """
-    if d < 1:
-        raise ValueError(f"message dimension must be >= 1, got {d}")
+    _check_dimension(d)
     _check_cap(d, n_prep, n_meas)
-    c0, coef = _affine_form(witness, n_prep, n_meas)
+    return _linear_max(witness, d, *_affine_form(witness, n_prep, n_meas))
 
+
+def _linear_max(
+    witness: TableFunctional, d: int, c0: float, coef: np.ndarray
+) -> tuple[float, DeterministicStrategy]:
+    """`classical_max_linear` of the witness whose affine form is (c0, coef)."""
+    n_prep, n_meas = coef.shape
     # mass[e, m, j] = S[m, j] of encoder e, summed in preparation order
     encoders = _lex_grid(d, n_prep)
     rows = np.arange(len(encoders))
@@ -521,9 +533,12 @@ def setting_aware_max(
     the witness evaluated at that table.  Raises ValueError if the
     witness is not affine in p_e.
     """
-    if d < 1:
-        raise ValueError(f"message dimension must be >= 1, got {d}")
-    c0, coef = _affine_form(witness, n_prep, n_meas)
+    _check_dimension(d)
+    return _setting_aware_max(witness, d, *_affine_form(witness, n_prep, n_meas))
+
+
+def _setting_aware_max(witness: TableFunctional, d: int, c0: float, coef: np.ndarray) -> float:
+    """`setting_aware_max` of the witness whose affine form is (c0, coef)."""
     if d == 1:
         p_e = np.broadcast_to(coef.sum(axis=0) > 0.0, coef.shape).astype(float)
     else:
@@ -538,12 +553,17 @@ def retrocausal_max(
     n_meas: int,
     leak: float,
 ) -> float:
-    """Maximum witness value at a given leak probability (optimal base)."""
+    """Maximum witness value at a given leak probability (optimal base):
+    (1 - leak) * `classical_max_linear` + leak * `setting_aware_max`, with
+    the same checks, from one read of the witness's affine form."""
     # written so that NaN, which fails every comparison, is refused
     if not 0.0 <= leak <= 1.0:
         raise ValueError(f"leak must be in [0, 1], got {leak}")
-    causal, _ = classical_max_linear(witness, d, n_prep, n_meas)
+    _check_dimension(d)
+    _check_cap(d, n_prep, n_meas)
+    form = _affine_form(witness, n_prep, n_meas)
+    causal, _ = _linear_max(witness, d, *form)
     if leak == 0.0:
         return causal
-    leaked = setting_aware_max(witness, d, n_prep, n_meas)
+    leaked = _setting_aware_max(witness, d, *form)
     return (1.0 - leak) * causal + leak * leaked

@@ -7,6 +7,12 @@ are parsed in `scenario`, `trials` and `spacetime`; a bad one exits 1.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 domain error
 (e.g. enumeration cap exceeded), 3 spacetime validation failure.
+
+`main` builds its parser once per process and reuses it: parsing leaves
+an argparse parser unchanged, each call gets a fresh namespace, and
+usage, errors and `-h` write to the `sys.stdout`/`sys.stderr` of the
+moment, so a `redirect_stdout` still captures them.  `build_parser`
+returns a new parser on every call.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -97,23 +103,30 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 def _write_outputs(outputs: str | None, files: dict) -> None:
     """Create the output directory, write each `name -> write(path)` of `files` into it all or
-    nothing and print the "wrote" line; an OSError is a ConfigError.  Call it once computed."""
+    nothing and print the "wrote" line; an OSError is a ConfigError.  Call it once computed.
+    A target or temporary path that is not a regular file is refused before anything is
+    written, and a failed write removes only the temporaries that this call wrote."""
     out = Path("out" if outputs is None else outputs)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {out}: cannot create the directory ({exc.strerror})") from exc
-    for name in files:
+    temps = {name: out / f".{name}.tmp" for name in files}  # renamed once all are written
+    for name, temp in temps.items():
         if (out / name).exists() and not (out / name).is_file():
             raise ConfigError(f"--out {out}: cannot write {name} (not a regular file)")
-    temps = {name: out / f".{name}.tmp" for name in files}  # renamed once all are written
+        if temp.exists() and not temp.is_file():
+            why = f"{temp.name} is not a regular file"
+            raise ConfigError(f"--out {out}: cannot write {name} ({why})")
+    written = []  # the temporaries this call has begun to write
     try:
         for name, write in files.items():
+            written.append(temps[name])
             write(temps[name])
         for name in files:
             temps[name].replace(out / name)
     except OSError as exc:
-        for temp in temps.values():  # the renamed ones are gone already
+        for temp in written:  # the renamed ones are gone already
             temp.unlink(missing_ok=True)
         raise ConfigError(f"--out {out}: cannot write {name} ({exc.strerror})") from exc
     print(f"wrote {out}/{', '.join(files)}")
@@ -316,10 +329,15 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that `main` reuses."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

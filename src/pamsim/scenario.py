@@ -191,10 +191,11 @@ class ProbabilityTable:
         p_e, p_d, p_none = (np.asarray(a, dtype=float) for a in (self.p_e, self.p_d, self.p_none))
         if p_e.shape != p_d.shape or p_e.shape != p_none.shape or p_e.ndim != 2:
             raise ValueError("probability arrays must share one 2-d shape")
-        # written so that NaN, which fails every comparison, is rejected
-        for name, arr in (("p_e", p_e), ("p_d", p_d), ("p_none", p_none)):
-            if not (arr.min() >= -TABLE_TOL and arr.max() <= 1.0 + TABLE_TOL):
-                raise ValueError(f"{name} has entries outside [0, 1]")
+        # one min and one max over the three arrays; a refusal names the first bad one
+        if not _in_unit_range(np.array((p_e, p_d, p_none))):
+            arrays = {"p_e": p_e, "p_d": p_d, "p_none": p_none}
+            name = next(name for name, arr in arrays.items() if not _in_unit_range(arr))
+            raise ValueError(f"{name} has entries outside [0, 1]")
         total = p_e + p_d + p_none
         if not np.abs(total - 1.0).max() <= TABLE_TOL:
             raise ValueError("cell probabilities must sum to 1")
@@ -228,6 +229,11 @@ class ProbabilityTable:
             )
         zeros = np.zeros_like(self.p_e)
         return ProbabilityTable(self.p_e / det, self.p_d / det, zeros)
+
+
+def _in_unit_range(arr: np.ndarray) -> bool:
+    # written so that NaN, which fails every comparison, is rejected
+    return arr.min() >= -TABLE_TOL and arr.max() <= 1.0 + TABLE_TOL
 
 
 def write_grid_csv(path, columns: dict[str, np.ndarray]) -> None:

@@ -820,6 +820,56 @@ class TestRetrocausal:
         assert setting_aware_max(dimension_witness, d, 3, 2) == 5.0
         assert retrocausal_max(dimension_witness, d, 3, 2, 0.3) == 5.0
 
+    @pytest.mark.parametrize("leak, calls", [(0.0, 10), (0.1, 11), (1.0, 11)])
+    def test_reads_the_affine_form_once(self, leak, calls):
+        # 1 all-"d" + 6 unit + 2 check tables, then one per maximiser computed
+        seen = []
+
+        def counted(t):
+            seen.append(t)
+            return dimension_witness(t)
+
+        retrocausal_max(counted, 2, 3, 2, leak)
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    @pytest.mark.parametrize("leak", (0.0, 0.1, 0.37, 1.0))
+    @pytest.mark.parametrize("seed", (None, 1, 2))
+    def test_equals_the_mix_of_the_public_bounds(self, d, leak, seed):
+        witness = dimension_witness if seed is None else random_witness(seed, 3, 2)
+        causal, _ = classical_max_linear(witness, d, 3, 2)
+        expected = (1 - leak) * causal + leak * setting_aware_max(witness, d, 3, 2)
+        assert retrocausal_max(witness, d, 3, 2, leak).hex() == expected.hex()
+
+    @pytest.mark.parametrize("leak", (0.0, 0.5))
+    @pytest.mark.parametrize(
+        "witness, n_prep",
+        [(quadratic_witness, 4), (det_witness, 4), (vertex_affine_witness, 3)],
+        ids=["quadratic", "det", "vertex-affine"],
+    )
+    def test_refuses_what_the_linear_bound_refuses(self, witness, n_prep, leak):
+        with pytest.raises(ValueError, match="not affine") as linear:
+            classical_max_linear(witness, 2, n_prep, 2)
+        with pytest.raises(ValueError, match="not affine") as retro:
+            retrocausal_max(witness, 2, n_prep, 2, leak)
+        assert str(retro.value) == str(linear.value)
+
+    @pytest.mark.parametrize("maximiser", ("linear", "setting-aware"))
+    def test_each_maximiser_table_is_checked(self, maximiser):
+        # a witness off its affine form only at the table that one maximiser reaches
+        if maximiser == "linear":
+            target = strategy_table(classical_max_linear(dimension_witness, 2, 3, 2)[1], 3, 2).p_e
+        else:
+            target = (IDW_COEF > 0).astype(float)
+
+        def witness(t):
+            return dimension_witness(t) + float(np.array_equal(t.p_e, target))
+
+        with pytest.raises(ValueError, match="not affine"):
+            retrocausal_max(witness, 2, 3, 2, 0.5)
+        if maximiser == "setting-aware":  # not reached without a leak
+            assert retrocausal_max(witness, 2, 3, 2, 0.0) == 3.0
+
     def test_retrocausality_never_exceeds_leak(self):
         rng = np.random.default_rng(33)
         strategies = list(enumerate_deterministic(2, 3, 2))

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import errno
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from pamsim import cli
 from pamsim.cli import ConfigError, _write_outputs, build_parser, main
 from pamsim.spacetime import Event, Schedule, reference_schedule
 from pamsim.witness import DET_CLASSICAL_BOUND, I_DW_CLASSICAL_BOUND, I_DW_QUANTUM, R_QUANTUM
@@ -794,6 +797,87 @@ def test_failed_write_leaves_no_file_behind(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
     assert (tmp_path / "a.txt").read_text() == "new\n"
     assert capsys.readouterr().out == f"wrote {tmp_path}/a.txt\n"
+
+
+def test_temporary_path_that_is_a_directory_is_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / ".bounds.json.tmp").mkdir(parents=True)
+    assert main(["bounds", "--witness", "idw", "-d", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: --out {out}: cannot write bounds.json "
+        "(.bounds.json.tmp is not a regular file)\n"
+    )
+    assert sorted(p.name for p in out.iterdir()) == [".bounds.json.tmp"]
+    assert (out / ".bounds.json.tmp").is_dir()
+
+
+def test_failed_write_keeps_temporaries_it_did_not_write(tmp_path):
+    def fail(path):
+        raise PermissionError(13, "Permission denied")
+
+    stale = tmp_path / ".b.txt.tmp"
+    stale.write_text("stale\n")
+    files = {"a.txt": fail, "b.txt": lambda path: Path(path).write_text("new\n")}
+    with pytest.raises(ConfigError, match="cannot write a.txt \\(Permission denied\\)"):
+        _write_outputs(str(tmp_path), files)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".b.txt.tmp"]
+    assert stale.read_text() == "stale\n"
+
+
+class TestParserReuse:
+    """`main` reuses one parser per process; no call may see another's flags."""
+
+    def test_main_reuses_one_parser_and_build_parser_makes_new_ones(self):
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
+
+    def test_search_flags_do_not_carry_over(self, tmp_path):
+        given, bare = tmp_path / "given", tmp_path / "bare"
+        argv = ["bounds", "--witness", "det", "-d", "2"]
+        assert main([*argv, "--restarts", "5", "--seed", "3", "--out", str(given)]) == 0
+        assert main([*argv, "--out", str(bare)]) == 0
+        assert read_json(given / "bounds.json")["restarts"] == 5
+        payload = read_json(bare / "bounds.json")
+        assert (payload["restarts"], payload["seed"]) == (10_000, 0)
+
+    @pytest.mark.parametrize(
+        "first, code",
+        [(["bounds", "--witness", "idw", "--bogus"], 1), (["-h"], 0), (["bounds", "-h"], 0)],
+        ids=["bad-flag", "help", "command-help"],
+    )
+    def test_good_call_after_an_exit(self, tmp_path, capsys, first, code):
+        assert main(first) == code
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["bounds", "--witness", "idw", "-d", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"classical I_DW bound (d=2): 3\nwrote {out}/bounds.json\n"
+        assert read_json(out / "bounds.json")["value"] == 3.0
+
+    def test_report_takes_its_own_seed_default_after_simulate(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", DET_SCENARIO, trials=2000)
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--seed", "9", "--out", str(sim)]) == 0
+        counts = ["report", "--counts", str(sim / "counts.csv"), "--resamples", "500"]
+        bare, zero = tmp_path / "bare", tmp_path / "zero"
+        assert main([*counts, "--out", str(bare)]) == 0
+        assert main([*counts, "--seed", "0", "--out", str(zero)]) == 0
+        witness = (bare / "witness.json").read_bytes()
+        assert witness == (zero / "witness.json").read_bytes()
+        assert witness != (sim / "witness.json").read_bytes()  # seed 9's bootstrap
+
+    def test_output_goes_to_the_streams_of_the_call(self):
+        main(["bounds", "-h"])  # the parser exists before the redirected calls
+        help_out, help_err, bad_out, bad_err = (io.StringIO() for _ in range(4))
+        with contextlib.redirect_stdout(help_out), contextlib.redirect_stderr(help_err):
+            assert main(["-h"]) == 0
+        with contextlib.redirect_stdout(bad_out), contextlib.redirect_stderr(bad_err):
+            assert main(["bounds", "--bogus"]) == 1
+        assert help_out.getvalue().startswith("usage: pamsim ")
+        assert "predict" in help_out.getvalue()
+        assert help_err.getvalue() == bad_out.getvalue() == ""
+        assert bad_err.getvalue().startswith("usage: pamsim bounds ")
+        assert "pamsim bounds: error: " in bad_err.getvalue()
 
 
 def readme_commands():

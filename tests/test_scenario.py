@@ -121,7 +121,25 @@ class TestProbabilityTable:
     def test_nan_entries_rejected(self, column):
         cells = [np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]), np.array([[0.0, 0.0]])]
         cells[column][0, 1] = math.nan
-        with pytest.raises(ValueError):
+        name = ("p_e", "p_d", "p_none")[column]
+        with pytest.raises(ValueError, match=rf"^{name} has entries outside \[0, 1\]$"):
+            ProbabilityTable(*cells)
+
+    @pytest.mark.parametrize("bad", [-0.25, 1.25])
+    @pytest.mark.parametrize("column, name", [(0, "p_e"), (1, "p_d"), (2, "p_none")])
+    def test_out_of_range_entry_names_its_array(self, column, name, bad):
+        cells = [np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]), np.array([[0.0, 0.0]])]
+        cells[column][0, 1] = bad
+        with pytest.raises(ValueError, match=rf"^{name} has entries outside \[0, 1\]$"):
+            ProbabilityTable(*cells)
+
+    @pytest.mark.parametrize("columns", [(0, 1), (0, 2), (1, 2), (2, 1), (0, 1, 2)])
+    def test_first_bad_array_is_named(self, columns):
+        cells = [np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]), np.array([[0.0, 0.0]])]
+        for k, column in enumerate(columns):
+            cells[column][0, k % 2] = (math.nan, 2.0, -1.0)[k]
+        name = ("p_e", "p_d", "p_none")[min(columns)]
+        with pytest.raises(ValueError, match=rf"^{name} has entries outside \[0, 1\]$"):
             ProbabilityTable(*cells)
 
     def test_postselection_names_the_undetected_cell(self):
