@@ -35,12 +35,19 @@ decode entries are 1 for outcome "e" and 0 for outcome "d".
 The determinant search's line searches run on the product grid of their
 candidates, restarts innermost, and build the candidate matrices
 elementwise, not through BLAS (see `classical_max_det`), so their
-rounding does not depend on the BLAS build.
+rounding does not depend on the BLAS build.  They write every grid-sized
+value in place into one workspace per thread (`_grid_buffers`): five
+float64 and two bool arrays, allocated on the thread's first search and
+grown only when a larger grid arrives; `classical_max_det` keeps its grids
+within `_BLOCK_CANDIDATES` elements.  A line search therefore allocates, and
+page-faults in, no grid array, and concurrent searches in other threads
+use workspaces of their own.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -246,8 +253,10 @@ class DetBoundResult:
 
 
 # Restarts x the larger of the encoder and decoder counts, which sizes a lockstep
-# block of restarts.
+# block of restarts.  A block's line-search grids are no larger, so the workspace
+# of `_best_coordinate_move` holds at most 7 such arrays (672 KB) per thread.
 _BLOCK_CANDIDATES = 16384
+_workspace = threading.local()
 
 
 def _restart_block(ce: np.ndarray, dd: np.ndarray) -> int:
@@ -327,6 +336,17 @@ def _decoder_columns(x: np.ndarray) -> list:
     return [[sums[k, :, None], sums[k, None]] for k in range(2)]
 
 
+def _grid_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Five float64 and then two bool arrays of `shape`, views of this thread's workspace:
+    allocated on first use, grown only when a larger grid arrives, and overwritten by the
+    next call in the same thread."""
+    size = math.prod(shape)
+    if getattr(_workspace, "size", 0) < size:
+        _workspace.size = size
+        _workspace.buffers = (*np.empty((5, size)), *np.empty((2, size), dtype=bool))
+    return tuple(buffer[:size].reshape(shape) for buffer in _workspace.buffers)
+
+
 def _best_coordinate_move(
     w: np.ndarray, candidates: list, order: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -334,35 +354,47 @@ def _best_coordinate_move(
     vertex matrix of a product grid.
 
     Each entry candidates[k][l] broadcasts to the (P0, P1, R) grid, restarts
-    innermost; `order` gathers the flattened grid into candidate order (by
-    default the grid order is the candidate order).  Every grid value is the
-    one that candidate's own scalar arithmetic gives, so ties and first
-    maxima are those of a materialised (R, K) stack.  Along
-    w(t) = (1-t) w + t b the determinant is quadratic in t, so |det| on
-    [0, 1] peaks at an endpoint or the interior extremum.  Returns per row
-    r: (best |det|, first maximizing candidate index, t).
+    innermost; `order`, a permutation, gathers the flattened grid into
+    candidate order (by default the grid order is the candidate order).
+    Every grid value is the one that candidate's own scalar arithmetic
+    gives, so ties and first maxima are those of a materialised (R, K)
+    stack.  Along w(t) = (1-t) w + t b the determinant is quadratic in t,
+    so |det| on [0, 1] peaks at an endpoint or the interior extremum.
+    Returns per row r: (best |det|, first maximizing candidate index, t),
+    as new arrays.
+
+    Every grid-sized value is written in place into this thread's
+    workspace (`_grid_buffers`), in the order the plain expressions
+    evaluate, so each value is bit for bit what they give and no call
+    allocates (or page-faults in) a grid array.
     """
     n = len(w)
     w = np.ascontiguousarray(_entries(w))  # w[k][l] of shape (R,)
-    delta = [[c - w_kl for c, w_kl in zip(c_row, w_row)] for c_row, w_row in zip(candidates, w)]
-    det_w, det_delta = det(w), det(delta).reshape(-1, n)
-    cross = (
-        w[0][0] * delta[1][1]
-        + delta[0][0] * w[1][1]
-        - w[0][1] * delta[1][0]
-        - delta[0][1] * w[1][0]
-    ).reshape(-1, n)
-    at_one = np.abs(det_w + cross + det_delta)
+    (d00, d01), (d10, d11) = (
+        [c - w_kl for c, w_kl in zip(c_row, w_row)] for c_row, w_row in zip(candidates, w)
+    )
+    grid = np.broadcast_shapes(d00.shape, d01.shape, d10.shape, d11.shape)
+    det_delta, tmp, cross, at_one, t_star, valid, invalid = _grid_buffers(grid)
+    det_w = det(w)
+    np.subtract(np.multiply(d00, d11, out=det_delta), np.multiply(d01, d10, out=tmp), out=det_delta)
+    np.add(w[0][0] * d11, d00 * w[1][1], out=cross)
+    np.subtract(cross, w[0][1] * d10, out=cross)
+    np.subtract(cross, d01 * w[1][0], out=cross)
+    np.abs(np.add(np.add(det_w, cross, out=at_one), det_delta, out=at_one), out=at_one)
     # t_star is NaN or +-inf where det_delta = 0 and its square may overflow:
     # such values fail both comparisons, so `valid` masks all they give
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_star = -cross / (2.0 * det_delta)
-        valid = (t_star > 0.0) & (t_star < 1.0)
-        at_star = np.where(
-            valid, np.abs(det_w + cross * t_star + det_delta * t_star**2), -np.inf
-        )
-    if order is not None:
-        at_one, at_star = at_one[order], at_star[order]
+        np.divide(np.negative(cross, out=t_star), np.multiply(2.0, det_delta, out=tmp), out=t_star)
+        np.greater(t_star, 0.0, out=valid)
+        np.logical_and(valid, np.less(t_star, 1.0, out=invalid), out=valid)
+        at_star = np.add(det_w, np.multiply(cross, t_star, out=cross), out=cross)
+        np.multiply(det_delta, np.square(t_star, out=tmp), out=tmp)
+        np.abs(np.add(at_star, tmp, out=at_star), out=at_star)
+    np.copyto(at_star, -np.inf, where=np.logical_not(valid, out=invalid))
+    at_one, at_star, t_star = (a.reshape(-1, n) for a in (at_one, at_star, t_star))
+    if order is not None:  # into buffers free by now; "clip" takes no copy, as "raise" does
+        at_one = np.take(at_one, order, axis=0, out=tmp.reshape(-1, n), mode="clip")
+        at_star = np.take(at_star, order, axis=0, out=det_delta.reshape(-1, n), mode="clip")
     rows = np.arange(n)
     best_at_one = np.argmax(at_one, axis=0)
     best_at_star = np.argmax(at_star, axis=0)
@@ -496,6 +528,8 @@ def classical_max_det(d: int, restarts: int = 10_000, seed: int = 0) -> DetBound
 
     mixture_max = 0.0
     block = _restart_block(ce, dd)
+    # the grids have at most max(len(ce), len(dd)) cells; the cap keeps a block within the bound
+    assert block * max(len(ce), len(dd)) <= _BLOCK_CANDIDATES
     starts = range(0, restarts, block)
     rng = np.random.default_rng(seed) if starts else None  # numpy.random only when drawn
     for start in starts:

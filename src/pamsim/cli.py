@@ -18,6 +18,7 @@ returns a new parser on every call.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, replace
 from functools import cache, partial
@@ -101,11 +102,18 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **top)
 
 
-def _write_outputs(outputs: str | None, files: dict) -> None:
+# creates a file only where no file or symlink, not even a dangling one, exists
+_CREATE_NEW = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW
+
+
+def _write_outputs(outputs: str | None, files: dict, lines=()) -> None:
     """Create the output directory, write each `name -> write(path)` of `files` into it all or
-    nothing and print the "wrote" line; an OSError is a ConfigError.  Call it once computed.
+    nothing, then print the caller's result `lines` and the "wrote" line; an OSError is a
+    ConfigError, and on one nothing is printed.  Call it once computed.
     A target or temporary path that is not a regular file is refused before anything is
-    written, and a failed write removes only the temporaries that this call wrote."""
+    written, and a failed write removes only the temporaries that this call wrote.  A stale
+    temporary (a regular file or a symlink, never followed) is removed and each temporary is
+    created anew, exclusively, so no write leaves the directory."""
     out = Path("out" if outputs is None else outputs)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -115,12 +123,14 @@ def _write_outputs(outputs: str | None, files: dict) -> None:
     for name, temp in temps.items():
         if (out / name).exists() and not (out / name).is_file():
             raise ConfigError(f"--out {out}: cannot write {name} (not a regular file)")
-        if temp.exists() and not temp.is_file():
+        if not temp.is_symlink() and temp.exists() and not temp.is_file():
             why = f"{temp.name} is not a regular file"
             raise ConfigError(f"--out {out}: cannot write {name} ({why})")
-    written = []  # the temporaries this call has begun to write
+    written = []  # the temporaries this call has created
     try:
         for name, write in files.items():
+            temps[name].unlink(missing_ok=True)  # a stale one; a symlink is not followed
+            os.close(os.open(temps[name], _CREATE_NEW, 0o666))
             written.append(temps[name])
             write(temps[name])
         for name in files:
@@ -129,6 +139,8 @@ def _write_outputs(outputs: str | None, files: dict) -> None:
         for temp in written:  # the renamed ones are gone already
             temp.unlink(missing_ok=True)
         raise ConfigError(f"--out {out}: cannot write {name} ({exc.strerror})") from exc
+    for line in lines:
+        print(line)
     print(f"wrote {out}/{', '.join(files)}")
 
 
@@ -144,14 +156,14 @@ def _witness_files(report: WitnessReport) -> dict:
     }
 
 
-def _print_report(report: WitnessReport) -> None:
+def _report_lines(report: WitnessReport) -> list[str]:
     lines = [(f"I_DW = {report.i_dw:.6g}, R = {report.r:.6g}", "i_dw", report.sigma_idw)]
     if report.det_abs is not None:
         lines.insert(0, (f"|det W| = {report.det_abs:.6g}", "det_abs", report.sigma_det))
-    for text, name, sigma in lines:
-        if sigma is not None:
-            text += f" ({sigma:.1f} sigma above {SIGMA_BOUNDS[name]:g})"
-        print(text)
+    return [
+        text if sigma is None else f"{text} ({sigma:.1f} sigma above {SIGMA_BOUNDS[name]:g})"
+        for text, name, sigma in lines
+    ]
 
 
 def _require(cfg_value, what: str):
@@ -173,23 +185,22 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     report = report_from_table(table)
     d = table.d_values()
     terms = [[f"D_{i}{j}", i, j, c, float(d[i, j])] for (i, j), c in np.ndenumerate(IDW_COEF) if c]
-    _print_report(report)
     files = {
         "scenario.json": partial(write_json, payload=scenario.to_json_dict()),
         "probabilities.csv": table.to_csv,
         "dw_terms.csv": partial(write_csv, header=["term", "i", "j", "sign", "value"], rows=terms),
     }
-    _write_outputs(cfg.outputs, {**files, **_witness_files(report)})
+    _write_outputs(cfg.outputs, {**files, **_witness_files(report)}, _report_lines(report))
     return 0
 
 
 def _analyze(counts: CountTable, resamples: int, seed: int, fair: bool, outputs, files) -> int:
-    """The end of simulate and report: estimate and bootstrap `counts`, print
-    the report and write `files`, estimated.csv and the witness files."""
+    """The end of simulate and report: estimate and bootstrap `counts`, write
+    `files`, estimated.csv and the witness files and print the report."""
     estimated = estimate(counts, fair)
     report = bootstrap_report(counts, resamples, seed, fair)
-    _print_report(report)
-    _write_outputs(outputs, {**files, "estimated.csv": estimated.to_csv, **_witness_files(report)})
+    files = {**files, "estimated.csv": estimated.to_csv, **_witness_files(report)}
+    _write_outputs(outputs, files, _report_lines(report))
     return 0
 
 
@@ -225,28 +236,32 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             "n_strategies": strategy_count(args.dimension, *IDW_COEF.shape),
             "strategy": strategy.to_json_dict(),
         }
-        print(f"classical I_DW bound (d={args.dimension}): {value:.6g}")
+        line = f"classical I_DW bound (d={args.dimension}): {value:.6g}"
     else:
         result = classical_max_det(args.dimension, **search)
         payload = {"witness": "det", "dimension": args.dimension, **result.to_json_dict()}
-        print(
+        line = (
             f"classical |det W| bound (d={args.dimension}): deterministic max "
             f"{result.deterministic_max:.3g}, mixture search max {result.mixture_max:.3g} "
             f"over {result.restarts} restarts"
         )
-    _write_outputs(args.out, {"bounds.json": partial(write_json, payload=payload)})
+    _write_outputs(args.out, {"bounds.json": partial(write_json, payload=payload)}, [line])
     return 0
 
 
 def _cmd_spacetime(args: argparse.Namespace) -> int:
     schedule = _read("schedule", Schedule.from_json_file, args.schedule)
     report = validate(schedule)
-    for cond in report.conditions:
-        status = "PASS" if cond.passed else "FAIL"
-        print(f"{cond.name} {status}: {cond.description} ({cond.detail})")
-    if args.out is not None:
+    lines = [
+        f"{cond.name} {'PASS' if cond.passed else 'FAIL'}: {cond.description} ({cond.detail})"
+        for cond in report.conditions
+    ]
+    if args.out is None:
+        for line in lines:
+            print(line)
+    else:
         files = {"spacetime.json": partial(write_json, payload=report.to_json_dict())}
-        _write_outputs(args.out, files)
+        _write_outputs(args.out, files, lines)
     return 0 if report.all_passed else 3
 
 

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from oracles import decoder_candidates, enumerate_deterministic, materialised_mo
 
 from pamsim import classical
 from pamsim.classical import (
+    _BLOCK_CANDIDATES,
     DeterministicStrategy,
     EnumerationCapExceeded,
     _affine_form,
@@ -728,6 +731,98 @@ class TestDetLineSearch:
         w = x @ y
         got = move_bytes(grid_moves(w, x, y, dd, pairs))
         assert got == move_bytes(materialised_moves(w, x, y, dd, pairs))
+
+
+def in_new_thread(call):
+    """call() on a new thread (with a workspace of its own), its result returned."""
+    results = []
+    thread = threading.Thread(target=lambda: results.append(call()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return results[0]
+
+
+def workspace_buffers():
+    """This thread's `_best_coordinate_move` workspace arrays (none before a search)."""
+    return getattr(classical._workspace, "buffers", ())
+
+
+class TestDetWorkspace:
+    """The line searches write every grid-sized value into one workspace per thread."""
+
+    def test_results_survive_a_later_search(self):
+        ce, dd, pairs = det_search_vertices(3, 4)
+        plus, minus, _ = _encoder_grid(pairs, 3)
+        moves = []
+        for seed in (1, 2):
+            x, y = _start_points(ce, dd, start_exponentials(ce, dd, seed, 202))
+            w = x @ y
+            moves.append(_best_coordinate_move(w, _encoder_rows(y, plus, minus)))
+            moves.append(_best_coordinate_move(w, _decoder_columns(x), _decoder_grid(dd)))
+        kept = move_bytes(moves)
+        x, y = _start_points(ce, dd, start_exponentials(ce, dd, 3, 202))
+        _best_coordinate_move(x @ y, _decoder_columns(x), _decoder_grid(dd))
+        assert move_bytes(moves) == kept
+        assert len(workspace_buffers()) == 7
+        for part in (part for move in moves for part in move):
+            assert not any(np.shares_memory(part, buffer) for buffer in workspace_buffers())
+
+    def test_concurrent_searches_match_sequential_ones(self):
+        ce, dd, pairs = det_search_vertices(3, 4)
+        e = start_exponentials(ce, dd, 9, 202)
+
+        def search(seed):
+            climbed = _climb(ce, dd, pairs, e).tobytes()
+            return climbed, classical_max_det(3, 500, seed).mixture_max.hex()
+
+        seeds = (0, 1, 7, 918273645)  # more threads than the two cores of CI hosts
+        expected = {seed: search(seed) for seed in seeds}
+        start, got = threading.Barrier(len(seeds)), {}
+
+        def run(seed):
+            start.wait()
+            got[seed] = [search(seed) for _ in range(10)]
+
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == {seed: [expected[seed]] * 10 for seed in seeds}
+
+    def test_buffers_stay_within_a_block_of_candidates(self):
+        def sizes():
+            for d, restarts in ((2, 1025), (3, 203), (4, 65), (5, 17), (6, 5)):
+                classical_max_det(d, restarts, seed=d)
+            return [buffer.size for buffer in workspace_buffers()]
+
+        got = in_new_thread(sizes)
+        assert len(got) == 7
+        assert max(got) <= _BLOCK_CANDIDATES
+
+    def test_warm_search_allocates_less_than_three_grid_arrays(self):
+        # d = 2, 1024 restarts: the decoder grid is 16 x 1024 float64, 128 KB
+        ce, dd, _ = det_search_vertices(2, 4)
+        x, y = _start_points(ce, dd, start_exponentials(ce, dd, 4, 1024))
+        w, columns, order = x @ y, _decoder_columns(x), _decoder_grid(dd)
+
+        def peak():
+            _best_coordinate_move(w, columns, order)  # warm: the workspace is there
+            tracemalloc.start()
+            try:
+                _best_coordinate_move(w, columns, order)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert in_new_thread(peak) < 3 * len(order) * len(w) * 8
 
 
 class TestDetStartPoints:

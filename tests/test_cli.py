@@ -812,6 +812,57 @@ def test_temporary_path_that_is_a_directory_is_config_error(tmp_path, capsys):
     assert (out / ".bounds.json.tmp").is_dir()
 
 
+@pytest.mark.parametrize("target", ["../victim.txt", "../absent.txt"], ids=["file", "dangling"])
+def test_symlinked_temporary_is_not_followed(tmp_path, capsys, target):
+    out = tmp_path / "o"
+    out.mkdir()
+    victim = tmp_path / "victim.txt"
+    victim.write_text("kept\n")
+    (out / ".bounds.json.tmp").symlink_to(target)
+    assert main(["bounds", "--witness", "idw", "-d", "2", "--out", str(out)]) == 0
+    assert victim.read_text() == "kept\n"
+    assert not (tmp_path / "absent.txt").exists()
+    assert not (out / "bounds.json").is_symlink()
+    assert read_json(out / "bounds.json")["value"] == 3.0
+    assert sorted(p.name for p in out.iterdir()) == ["bounds.json"]
+
+
+def test_stale_temporary_file_is_replaced(tmp_path):
+    (tmp_path / ".a.txt.tmp").write_text("stale and longer than the new text\n")
+    _write_outputs(str(tmp_path), {"a.txt": lambda path: Path(path).write_text("new\n")})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
+    assert (tmp_path / "a.txt").read_text() == "new\n"
+
+
+@pytest.mark.parametrize(
+    "argv, taken",
+    [
+        (["predict", "--config", "det_witness_ideal.json"], "witness.json"),
+        (["simulate", "--config", "det_witness_ideal.json", "--trials", "2000"], "counts.csv"),
+        (["report", "--counts", "counts.csv"], "estimated.csv"),
+        (["bounds", "--witness", "idw", "-d", "2"], "bounds.json"),
+        (["bounds", "--witness", "det", "-d", "2", "--restarts", "10"], "bounds.json"),
+        (["spacetime", "reference_geometry_schedule.json"], "spacetime.json"),
+    ],
+    ids=["predict", "simulate", "report", "bounds-idw", "bounds-det", "spacetime"],
+)
+def test_failed_write_prints_no_result(configs_dir, tmp_path, capsys, argv, taken):
+    # a script reading stdout must not see the result of a run that exits 1
+    counts = tmp_path / "counts.csv"
+    cells = "".join(f"{i},{j},60,40,0\n" for i in range(4) for j in range(2))
+    counts.write_text("i,j,n_e,n_d,n_none\n" + cells)
+    paths = {"counts.csv": str(counts)}
+    argv = [paths.get(a, str(configs_dir / a) if a.endswith(".json") else a) for a in argv]
+    if argv[0] in ("simulate", "report"):
+        argv += ["--resamples", "100"]
+    out = tmp_path / "o"
+    (out / taken).mkdir(parents=True)
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --out {out}: cannot write {taken} (")
+
+
 def test_failed_write_keeps_temporaries_it_did_not_write(tmp_path):
     def fail(path):
         raise PermissionError(13, "Permission denied")
