@@ -11,19 +11,13 @@ from .qubits import (
     Ket4,
     PHI_PLUS,
     ZeroProbabilityBranch,
-    born,
-    canonical_phase,
     herald,
-    phase_ket,
 )
 from .scenario import (
     ProbabilityTable,
     Scenario,
-    det_witness_settings,
-    dimension_witness_settings,
     heralded_table,
     probability_table,
-    quantum_cell,
 )
 from .classical import (
     DeterministicStrategy,
@@ -41,7 +35,6 @@ from .witness import (
     report_from_table,
     retrocausality,
     sigma_violation,
-    witness_matrix,
 )
 from .trials import (
     CountTable,

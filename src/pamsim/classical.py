@@ -17,9 +17,9 @@ two outcomes.  Two kinds of randomness sit on top:
   a null test against this class: with d = 2 every product of a
   stochastic encoder and a stochastic decoder has det W = 0, whereas
   *correlated* mixtures reach |det W| = 1/4 (see tests for an explicit
-  two-strategy example).  `classical_max_det` therefore searches the
-  independent (product) space, and `classical_max_linear` the full
-  mixture space.
+  two-strategy example).  `classical_max_det` therefore bounds the
+  independent (product) space, in closed form, and `classical_max_linear`
+  the full mixture space.
 
 Linear bounds are exact without enumerating decoders: a linear witness
 is affine in p_e, and for a fixed encoder the best decoder picks every
@@ -32,13 +32,13 @@ The test suite checks these results against brute-force enumeration.
 strategy count exceeds `DEFAULT_ENUMERATION_CAP`.  Outcome encoding:
 decode entries are 1 for outcome "e" and 0 for outcome "d".
 
-The determinant search's line searches run on the product grid of their
+The determinant climbs' line searches run on the product grid of their
 candidates, restarts innermost, and build the candidate matrices
-elementwise, not through BLAS (see `classical_max_det`), so their
+elementwise, not through BLAS (see `_mixture_max`), so their
 rounding does not depend on the BLAS build.  They write every grid-sized
 value in place into one workspace per thread (`_grid_buffers`): five
 float64 and two bool arrays, allocated on the thread's first search and
-grown only when a larger grid arrives; `classical_max_det` keeps its grids
+grown only when a larger grid arrives; `_mixture_max` keeps its grids
 within `_BLOCK_CANDIDATES` elements.  A line search therefore allocates, and
 page-faults in, no grid array, and concurrent searches in other threads
 use workspaces of their own.
@@ -233,10 +233,11 @@ def _linear_max(
 
 @dataclass(frozen=True)
 class DetBoundResult:
-    """Outcome of the determinant-witness search.
+    """Outcome of the determinant-witness bound.
 
-    `value` is the exact bound `deterministic_max`, as |det W| peaks at a
-    vertex (deterministic) pair; `mixture_max` is the best value reached by
+    `value` is the closed-form bound, attained by the deterministic
+    `strategy`; `deterministic_max` repeats it, as |det W| peaks at a
+    vertex (deterministic) pair.  `mixture_max` is the best value reached by
     hill climbs over independent randomization from one seeded start stream.
     """
 
@@ -269,30 +270,23 @@ def _entries(w: np.ndarray) -> np.ndarray:
     return w.transpose(-2, -1, *range(w.ndim - 2))
 
 
-def _canonical_rows(grid: np.ndarray) -> np.ndarray:
-    """Indices of the canonical rows of a `_lex_grid`, which are the first of each class
-    of rows equal up to relabelling: e[0] = 0 and each e[i] <= max(e[:i]) + 1."""
-    prior = np.maximum.accumulate(grid, axis=1)[:, :-1]
-    return np.flatnonzero((grid[:, 0] == 0) & (grid[:, 1:] <= prior + 1).all(axis=1))
+def _contrast_preparations(contrast: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The +1 and the -1 preparation of each contrast row, refused (ValueError) unless
+    the contrast is two rows, each one +1 and one -1, on disjoint preparations."""
+    one_pair = np.zeros(contrast.shape[1])
+    one_pair[[0, -1]] = -1, 1
+    paired = len(contrast) == 2 and (np.sort(contrast, axis=1) == one_pair).all()
+    if not paired or (np.count_nonzero(contrast, axis=0) > 1).any():
+        why = "two rows, each one +1 and one -1, on disjoint preparations"
+        raise ValueError(f"the contrast must be {why}, got {contrast.tolist()}")
+    return contrast.argmax(axis=1), contrast.argmin(axis=1)
 
 
 def _message_pairs(contrast: np.ndarray, encoders: np.ndarray, d: int) -> np.ndarray:
     """(n_enc, contrast rows) index m+ * d + m- of the messages a contrast row
     compares: that row of the encoder's vertex matrix is one-hot(m+) - one-hot(m-)."""
-    one_pair = np.zeros(contrast.shape[1])
-    one_pair[[0, -1]] = -1, 1
-    if not (np.sort(contrast, axis=1) == one_pair).all():
-        raise ValueError(f"each contrast row must be one +1 and one -1, got {contrast.tolist()}")
-    return encoders[:, contrast.argmax(axis=1)] * d + encoders[:, contrast.argmin(axis=1)]
-
-
-def _encoder_candidates(y: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """ce @ y[:, None] entries first, (2, 2, R, n_enc) from y (R, d, 2): each
-    entry is the one subtraction y[m+] - y[m-] that the product also rounds to.
-    The vertex pass scores its encoders with it, taking the decoders as y."""
-    yt = np.ascontiguousarray(y.transpose(2, 0, 1))  # (column, R, message)
-    diff = (yt[:, :, :, None] - yt[:, :, None, :]).reshape(*yt.shape[:2], -1)
-    return diff[:, :, pairs.T].transpose(2, 0, 1, 3)
+    plus, minus = _contrast_preparations(contrast)
+    return encoders[:, plus] * d + encoders[:, minus]
 
 
 def _encoder_grid(pairs: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -471,13 +465,14 @@ def _climb(ce: np.ndarray, dd: np.ndarray, pairs: np.ndarray, e: np.ndarray) -> 
     return current
 
 
-def _vertex_max(dd: np.ndarray, encoders: np.ndarray, pairs: np.ndarray) -> tuple[float, int, int]:
-    """Exact (|det W|, a, b) at the first maximizing vertex pair (encoder row a, decoder b) in
-    row-major order, scoring only canonical encoders: relabelling messages keeps |det W|."""
-    rows = _canonical_rows(encoders)
-    dets = abs_det(_encoder_candidates(dd, pairs[rows])).T
-    a, b = np.unravel_index(np.argmax(dets), dets.shape)
-    return float(dets[a, b]), int(rows[a]), int(b)
+# At min(d, 4) messages: the bound and its first maximising vertex pair in lexicographic
+# (encode, decode) order, as the messages (m+, m-) that the +1 and the -1 preparation of
+# each contrast row send, and the decode rows by message (1 for "e"), padded with "d" rows.
+_DET_VERTICES = {
+    2: (0.0, ((0, 0), (0, 0)), ((0, 0), (0, 0))),  # dd/dd
+    3: (1.0, ((0, 1), (0, 2)), ((0, 0), (0, 1), (1, 0))),  # dd/de/ed
+    4: (2.0, ((0, 1), (2, 3)), ((0, 0), (1, 1), (0, 1), (1, 0))),  # dd/ee/de/ed
+}
 
 
 def classical_max_det(d: int, restarts: int = 10_000, seed: int = 0) -> DetBoundResult:
@@ -485,37 +480,71 @@ def classical_max_det(d: int, restarts: int = 10_000, seed: int = 0) -> DetBound
     encoder/decoder randomness, on the preparations and measurements that
     `DET_CONTRAST` defines W over.
 
-    All deterministic strategies are checked, up to relabelling messages
-    (`_vertex_max`); on top of that, seeded random-restart coordinate
-    ascent runs over the product of the encoder-mixture and
-    decoder-mixture simplices, with an exact quadratic line search per
-    coordinate move.  Restarts climb in lockstep blocks of
-    `_BLOCK_CANDIDATES` // (the larger of the encoder and decoder counts);
-    restart k always starts from row k of one seeded stream of
-    exponentials, so the result depends only on (restarts, seed).
+    The value is closed-form.  |det W| is multilinear in the independent
+    encoder and decoder mixtures, so its maximum sits at a vertex
+    (deterministic) pair.  Each contrast row is one +1 and one -1
+    preparation, on disjoint preparations (any other contrast is refused
+    with ValueError), so at a vertex each entry of W is y[m+, l] - y[m-, l]
+    in {-1, 0, 1}, for the p_d rows y of the decoder, and |ad - bc| <= 2.
+    At d = 2 the bound is 0, by the rank argument of Bowles, Quintino &
+    Brunner (PRL 112, 140407, 2014).  Reaching 2 needs all four entries
+    +-1, hence four distinct messages: the bound is 1 at d = 3 and 2 at
+    d >= 4.  The strategy returned is the first maximising vertex pair in
+    lexicographic (encode, decode) order (`_DET_VERTICES`), which the test
+    suite checks against an enumeration of the vertex pairs.
 
-    Each `DET_CONTRAST` row is one +1 and one -1 preparation, so row k of
-    an encoder candidate is y[m+] - y[m-] for one message pair, and
-    column l of a decoder candidate is the in-order sum of the mixture
-    columns in one message subset.  The candidates are therefore product
-    grids, row-0 pair x row-1 pair and column-0 subset x column-1 subset:
-    each entry is built once per pair or subset and restart, as a (P, R)
-    array with the restarts innermost, and only the line search's own
-    values span the grid.  Pairs (m, m) with m >= 1 repeat the zero row of
-    the earlier (0, 0) and are dropped (49 of 81 encoders are scored at
-    d = 3).  All of it is elementwise, not BLAS, and every value and first
-    maximum is the one a materialised candidate stack gives.  The maximum
-    of the bilinear objective is attained at a vertex pair, so the
-    returned value is the exhaustive maximum and the climbs are a
-    numerical confirmation rather than an extension of the bound.
+    `mixture_max` records the best value that seeded climbs over the
+    independent mixtures reach (`_mixture_max`): a numerical confirmation,
+    not part of the bound.
     """
     if d < 2:
         raise ValueError(f"determinant search needs message dimension >= 2, got {d}")
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
+    plus, minus = _contrast_preparations(DET_CONTRAST)
     n_meas, n_prep = DET_CONTRAST.shape  # W is n_meas x n_meas
     _check_cap(d, n_prep, n_meas)
 
+    value, messages, decode = _DET_VERTICES[min(d, 4)]
+    encode = np.zeros(n_prep, dtype=int)  # a preparation outside W sends message 0
+    encode[plus], encode[minus] = np.transpose(messages)
+    decode += ((0,) * n_meas,) * (d - len(decode))
+    return DetBoundResult(
+        value=value,
+        strategy=DeterministicStrategy(encode=tuple(encode.tolist()), decode=decode),
+        deterministic_max=value,
+        mixture_max=_mixture_max(d, restarts, seed),
+        n_strategies=strategy_count(d, n_prep, n_meas),
+        restarts=restarts,
+        seed=seed,
+    )
+
+
+def _mixture_max(d: int, restarts: int, seed: int) -> float:
+    """The best |det W| that `restarts` seeded climbs reach, or 0.0 for none (which
+    imports no numpy.random).
+
+    Random-restart coordinate ascent runs over the product of the
+    encoder-mixture and decoder-mixture simplices, with an exact quadratic
+    line search per coordinate move.  Restarts climb in lockstep blocks of
+    `_BLOCK_CANDIDATES` // (the larger of the encoder and decoder counts);
+    restart k always starts from row k of one seeded stream of
+    exponentials, so the result depends only on (restarts, seed).
+
+    Row k of an encoder candidate is y[m+] - y[m-] for one message pair,
+    and column l of a decoder candidate is the in-order sum of the mixture
+    columns in one message subset.  The candidates are therefore product
+    grids, row-0 pair x row-1 pair and column-0 subset x column-1 subset:
+    each entry is built once per pair or subset and restart, as a (P, R)
+    array with the restarts innermost, and only the line search's own
+    values span the grid.  Pairs (m, m) with m >= 1 repeat the zero row of
+    the earlier (0, 0) and are dropped (49 of 81 encoders are searched at
+    d = 3).  All of it is elementwise, not BLAS, and every value and first
+    maximum is the one a materialised candidate stack gives.
+    """
+    if restarts == 0:
+        return 0.0
+    n_meas, n_prep = DET_CONTRAST.shape
     encoders = _lex_grid(d, n_prep)  # (n_enc, n_prep) messages
     decoders = _lex_grid(2, d * n_meas).reshape(-1, d, n_meas)  # (n_dec, d, n_meas) bits
     # contrast @ one-hot(encoder): shape (n_enc, 2, d)
@@ -524,27 +553,15 @@ def classical_max_det(d: int, restarts: int = 10_000, seed: int = 0) -> DetBound
     dd = 1.0 - decoders.astype(float)
     pairs = _message_pairs(DET_CONTRAST, encoders, d)
 
-    det_max, a, b = _vertex_max(dd, encoders, pairs)
-
     mixture_max = 0.0
     block = _restart_block(ce, dd)
     # the grids have at most max(len(ce), len(dd)) cells; the cap keeps a block within the bound
     assert block * max(len(ce), len(dd)) <= _BLOCK_CANDIDATES
-    starts = range(0, restarts, block)
-    rng = np.random.default_rng(seed) if starts else None  # numpy.random only when drawn
-    for start in starts:
+    rng = np.random.default_rng(seed)
+    for start in range(0, restarts, block):
         e = rng.standard_exponential((min(block, restarts - start), len(ce) + len(dd)))
         mixture_max = max(mixture_max, float(_climb(ce, dd, pairs, e).max()))
-
-    return DetBoundResult(
-        value=det_max,
-        strategy=_grid_strategy(encoders[a], decoders[b]),
-        deterministic_max=det_max,
-        mixture_max=mixture_max,
-        n_strategies=strategy_count(d, n_prep, n_meas),
-        restarts=restarts,
-        seed=seed,
-    )
+    return mixture_max
 
 
 # ---------------------------------------------------------------------------

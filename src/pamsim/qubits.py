@@ -62,11 +62,6 @@ class Ket4:
     vh: complex
     vv: complex
 
-    def norm_error(self) -> float:
-        return abs(
-            abs(self.hh) ** 2 + abs(self.hv) ** 2 + abs(self.vh) ** 2 + abs(self.vv) ** 2 - 1.0
-        )
-
 
 def phase_ket(phi: float) -> Ket2:
     """Return (|H> + e^{i phi}|V>) / sqrt(2)."""

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qubits import Ket2, Ket4, PHI_PLUS, born, canonical_phase, herald, phase_ket
+from .qubits import Ket2, PHI_PLUS, born, canonical_phase, herald, phase_ket
 
 TABLE_TOL = 1e-12
 
@@ -167,18 +167,6 @@ _SCENARIO_KEYS = {
 }
 
 
-def det_witness_settings(**noise) -> Scenario:
-    """Four-preparation settings certifying the 2x2 witness matrix;
-    `noise` sets any of visibility, efficiency and fair_sampling."""
-    return Scenario((0.0, math.pi, -math.pi / 2, math.pi / 2), (math.pi / 2, 0.0), **noise)
-
-
-def dimension_witness_settings(**noise) -> Scenario:
-    """Three-preparation settings for the linear dimension witness;
-    `noise` sets any of visibility, efficiency and fair_sampling."""
-    return Scenario((math.pi / 4, 3 * math.pi / 4, -math.pi / 2), (math.pi / 2, 0.0), **noise)
-
-
 @dataclass(frozen=True)
 class ProbabilityTable:
     """Per-setting outcome probabilities, shape (n_prep, n_meas) each."""
@@ -282,21 +270,18 @@ def _dephased_born(state: Ket2, projector: Ket2, visibility: float) -> float:
     return visibility * born(state, projector) + (1.0 - visibility) * 0.5
 
 
-def heralded_table(s: Scenario, pair: Ket4 = PHI_PLUS) -> ProbabilityTable:
-    """Outcome probabilities when each preparation is heralded from `pair`.
+def heralded_table(s: Scenario) -> ProbabilityTable:
+    """Outcome probabilities when each preparation is heralded from the Bell pair PHI_PLUS.
 
     For every alpha_i the two heralding routes that relabel to alpha_i
     (sender phase alpha_i with outcome +1, sender phase alpha_i - pi
     with outcome -1) are averaged with weights proportional to their
-    heralding probabilities.  For PHI_PLUS the result must match
-    `probability_table` exactly: the delayed preparation leaves no
-    statistical trace.
+    heralding probabilities.  The result must match `probability_table`
+    exactly: the delayed preparation leaves no statistical trace.
     """
-    if pair.norm_error() > 1e-9:
-        raise ValueError("pair state must be normalized")
 
     def row(a: float) -> list[tuple[float, float, float]]:
-        routes = [herald(pair, a, +1), herald(pair, a - math.pi, -1)]
+        routes = [herald(PHI_PLUS, a, +1), herald(PHI_PLUS, a - math.pi, -1)]
         total = sum(w for w, _ in routes)
 
         def detected(phase: float) -> float:

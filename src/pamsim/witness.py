@@ -44,12 +44,6 @@ def check_shape(what: str, shape: tuple[int, int], needed: tuple[int, int]) -> N
         )
 
 
-def witness_matrix(t: ProbabilityTable) -> np.ndarray:
-    """The 2x2 matrix of paired p_d differences."""
-    check_shape("witness matrix", t.p_d.shape, DET_CONTRAST.shape[::-1])
-    return np.array(witness_entries(t.p_d))
-
-
 def witness_entries(p_d):
     """W as nested rows, from p_d looked up as p_d[i, j].
 
@@ -76,7 +70,8 @@ def abs_det(w):
 
 def det_witness(t: ProbabilityTable) -> float:
     """|det W| of the witness matrix."""
-    return float(abs_det(witness_matrix(t)))
+    check_shape("witness matrix", t.p_d.shape, DET_CONTRAST.shape[::-1])
+    return float(abs_det(witness_entries(t.p_d)))
 
 
 def dimension_witness(t: ProbabilityTable) -> float:

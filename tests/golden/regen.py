@@ -1,0 +1,94 @@
+"""Rebuild the golden outputs that `tests/test_golden.py` compares byte for byte.
+
+Each case runs one deterministic CLI command in a fresh working directory,
+writing into `out/` there, and records what the command wrote: the files in
+`out/` (kept under `files/`, since `out/` is git-ignored), its stdout and
+stderr, and its exit code.  Seeded climbs, `simulate`
+and `report` are left out, because numpy does not promise its `Generator`
+streams across versions.
+
+Run from the repository root after an intended output change:
+
+    PYTHONPATH=src python tests/golden/regen.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import shutil
+import tempfile
+from pathlib import Path
+
+from pamsim.cli import main
+
+GOLDEN = Path(__file__).resolve().parent
+CONFIGS = GOLDEN.parent.parent / "configs"
+
+
+def _bounds(witness: str, d: int, *extra: str) -> list[str]:
+    return ["bounds", "--witness", witness, "-d", str(d), *extra, "--out", "out"]
+
+
+CASES = {
+    **{
+        f"predict_{name}": ["predict", "--config", str(CONFIGS / f"{name}.json"), "--out", "out"]
+        for name in ("det_witness_ideal", "dimension_witness_ideal", "fitted_no_fsa")
+    },
+    **{f"bounds_idw_d{d}": _bounds("idw", d) for d in (*range(1, 9), 8000)},
+    **{f"bounds_det_d{d}": _bounds("det", d, "--restarts", "0") for d in range(2, 7)},
+    "spacetime": ["spacetime", str(CONFIGS / "reference_geometry_schedule.json"), "--out", "out"],
+}
+
+
+def run_case(argv: list[str], workdir: Path) -> dict[str, bytes]:
+    """Run `pamsim argv` in `workdir` and return what it wrote, by golden file name:
+    `exit_code`, `stdout`, `stderr` and `files/<name>` for each file in `out/`."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    found = {
+        "exit_code": f"{code}\n".encode(),
+        "stdout": stdout.getvalue().encode(),
+        "stderr": stderr.getvalue().encode(),
+    }
+    out = workdir / "out"
+    if out.is_dir():
+        found.update((f"files/{path.name}", path.read_bytes()) for path in sorted(out.iterdir()))
+    return found
+
+
+def recorded(name: str) -> dict[str, bytes]:
+    """The golden files of case `name`, as `run_case` returns them."""
+    case = GOLDEN / name
+    return {
+        path.relative_to(case).as_posix(): path.read_bytes()
+        for path in sorted(case.rglob("*"))
+        if path.is_file()
+    }
+
+
+def regenerate() -> None:
+    """Rewrite every case directory from a fresh run, and drop directories of unlisted cases."""
+    for stale in GOLDEN.iterdir():
+        if stale.is_dir() and stale.name not in CASES and stale.name != "__pycache__":
+            shutil.rmtree(stale)
+    for name, argv in CASES.items():
+        case = GOLDEN / name
+        shutil.rmtree(case, ignore_errors=True)
+        with tempfile.TemporaryDirectory() as work:
+            files = run_case(argv, Path(work))
+        for rel, data in files.items():
+            (case / rel).parent.mkdir(parents=True, exist_ok=True)
+            (case / rel).write_bytes(data)
+        print(f"{name}: exit {files['exit_code'].decode().strip()}, {len(files) - 3} output files")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -5,18 +5,27 @@ lexicographic (encode, decode) order, the order whose first maximizer
 `classical_max_linear` must return.  `mixture_table` evaluates a convex
 mixture of strategies (shared randomness) as one table.
 
-`decoder_candidates` and `materialised_move` are the determinant climb's
-line search on a materialised (2, 2, R, K) candidate stack, whose first
-maxima the product-grid line search of `classical` must reproduce.
+`encoder_candidates`, `decoder_candidates` and `materialised_move` are the
+determinant climb's line search on a materialised (2, 2, R, K) candidate
+stack, whose first maxima the product-grid line search of `classical` must
+reproduce.  `vertex_max_det` enumerates the vertex pairs of the determinant
+witness, the reference for the closed form of `classical_max_det`.
 """
 
 import itertools
 
 import numpy as np
 
-from pamsim.classical import DeterministicStrategy, _entries, strategy_table
+from pamsim.classical import (
+    DeterministicStrategy,
+    _entries,
+    _grid_strategy,
+    _lex_grid,
+    _message_pairs,
+    strategy_table,
+)
 from pamsim.scenario import ProbabilityTable
-from pamsim.witness import det
+from pamsim.witness import DET_CONTRAST, abs_det, det
 
 
 def enumerate_deterministic(d, n_prep, n_meas):
@@ -34,6 +43,43 @@ def mixture_table(components, n_prep, n_meas):
     for weight, strategy in components:
         p_e += weight * strategy_table(strategy, n_prep, n_meas).p_e
     return ProbabilityTable(p_e, 1.0 - p_e, np.zeros(p_e.shape))
+
+
+def canonical_rows(grid):
+    """Indices of the canonical rows of a `_lex_grid`, which are the first of each class
+    of rows equal up to relabelling: e[0] = 0 and each e[i] <= max(e[:i]) + 1."""
+    prior = np.maximum.accumulate(grid, axis=1)[:, :-1]
+    return np.flatnonzero((grid[:, 0] == 0) & (grid[:, 1:] <= prior + 1).all(axis=1))
+
+
+def encoder_candidates(y, pairs):
+    """ce @ y[:, None] entries first, (2, 2, R, n_enc) from y (R, d, 2) and the message
+    pairs of the encoders (`_message_pairs`): each entry is the one subtraction
+    y[m+] - y[m-] that the product also rounds to."""
+    yt = np.ascontiguousarray(y.transpose(2, 0, 1))  # (column, R, message)
+    diff = (yt[:, :, :, None] - yt[:, :, None, :]).reshape(*yt.shape[:2], -1)
+    return diff[:, :, pairs.T].transpose(2, 0, 1, 3)
+
+
+def vertex_max(dd, encoders, pairs):
+    """Exact (|det W|, a, b) at the first maximizing vertex pair (encoder row a, decoder b) in
+    row-major order, scoring only canonical encoders: relabelling messages keeps |det W|.
+    The decoders' p_d rows dd serve as the y of `encoder_candidates`."""
+    rows = canonical_rows(encoders)
+    dets = abs_det(encoder_candidates(dd, pairs[rows])).T
+    a, b = np.unravel_index(np.argmax(dets), dets.shape)
+    return float(dets[a, b]), int(rows[a]), int(b)
+
+
+def vertex_max_det(d):
+    """(max |det W|, first maximizing strategy) over every d-message vertex pair on the
+    preparations and measurements of `DET_CONTRAST`."""
+    n_meas, n_prep = DET_CONTRAST.shape
+    encoders = _lex_grid(d, n_prep)
+    decoders = _lex_grid(2, d * n_meas).reshape(-1, d, n_meas)
+    pairs = _message_pairs(DET_CONTRAST, encoders, d)
+    value, a, b = vertex_max(1.0 - decoders.astype(float), encoders, pairs)
+    return value, _grid_strategy(encoders[a], decoders[b])
 
 
 def decoder_candidates(x, dd):

@@ -8,6 +8,7 @@ import math
 from time import perf_counter
 
 import numpy as np
+from bundled import DET, IDW, bundled_scenario
 from oracles import enumerate_deterministic, mixture_table
 
 from pamsim.classical import (
@@ -17,10 +18,7 @@ from pamsim.classical import (
     strategy_table,
 )
 from pamsim.cli import main
-from pamsim.qubits import PHI_PLUS
 from pamsim.scenario import (
-    det_witness_settings,
-    dimension_witness_settings,
     heralded_table,
     probability_table,
 )
@@ -106,11 +104,11 @@ def test_criterion_3_loss_noise_scaling_laws():
     for eta in etas:
         for v in vees:
             raw = probability_table(
-                det_witness_settings(visibility=float(v), efficiency=float(eta), fair_sampling=False)
+                bundled_scenario(DET, visibility=float(v), efficiency=float(eta), fair_sampling=False)
             )
             if abs(det_witness(raw) - eta**2 * v**2) > 1e-12:
                 det_ok = False
-            fsa = probability_table(dimension_witness_settings(visibility=float(v)))
+            fsa = probability_table(bundled_scenario(IDW, visibility=float(v)))
             if abs(dimension_witness(fsa) - v * I_DW_QUANTUM) > 1e-12:
                 idw_ok = False
     checks = [
@@ -123,11 +121,11 @@ def test_criterion_3_loss_noise_scaling_laws():
 def test_criterion_4_reported_value_reconstruction():
     t0 = perf_counter()
     v_fit = math.sqrt(0.778)
-    det_fsa = det_witness(probability_table(det_witness_settings(visibility=v_fit)))
+    det_fsa = det_witness(probability_table(bundled_scenario(DET, visibility=v_fit)))
     eta_fit = math.sqrt(0.0268 / 0.778)
     det_raw = det_witness(
         probability_table(
-            det_witness_settings(visibility=v_fit, efficiency=eta_fit, fair_sampling=False)
+            bundled_scenario(DET, visibility=v_fit, efficiency=eta_fit, fair_sampling=False)
         )
     )
     checks = [
@@ -141,7 +139,7 @@ def test_criterion_4_reported_value_reconstruction():
 
 def test_criterion_5_finite_statistics_behavior():
     t0 = perf_counter()
-    table = probability_table(dimension_witness_settings())
+    table = probability_table(bundled_scenario(IDW))
     sigmas = {}
     for k, n in enumerate((1_000, 10_000, 100_000)):
         counts = sample(table, RunPlan(n, seed=SEED + k))
@@ -152,7 +150,7 @@ def test_criterion_5_finite_statistics_behavior():
     sqrt10 = math.sqrt(10.0)
 
     raw = probability_table(
-        det_witness_settings(visibility=0.9, efficiency=0.8, fair_sampling=False)
+        bundled_scenario(DET, visibility=0.9, efficiency=0.8, fair_sampling=False)
     )
     counts = sample(raw, RunPlan(1_000_000, seed=SEED))
     est = estimate(counts, fair_sampling=False)
@@ -172,11 +170,11 @@ def test_criterion_5_finite_statistics_behavior():
 def test_criterion_6_remote_preparation_equivalence():
     t0 = perf_counter()
     max_dev = 0.0
-    for settings in (det_witness_settings, dimension_witness_settings):
+    for config in (DET, IDW):
         for fair in (True, False):
-            s = settings(fair_sampling=fair)
+            s = bundled_scenario(config, fair_sampling=fair)
             direct = probability_table(s)
-            heralded = heralded_table(s, PHI_PLUS)
+            heralded = heralded_table(s)
             max_dev = max(
                 max_dev,
                 np.abs(heralded.p_e - direct.p_e).max(),

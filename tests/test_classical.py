@@ -13,7 +13,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import decoder_candidates, enumerate_deterministic, materialised_move, mixture_table
+from oracles import (
+    canonical_rows,
+    decoder_candidates,
+    encoder_candidates,
+    enumerate_deterministic,
+    materialised_move,
+    mixture_table,
+    vertex_max,
+    vertex_max_det,
+)
 
 from pamsim import classical
 from pamsim.classical import (
@@ -22,11 +31,9 @@ from pamsim.classical import (
     EnumerationCapExceeded,
     _affine_form,
     _best_coordinate_move,
-    _canonical_rows,
     _climb,
     _decoder_columns,
     _decoder_grid,
-    _encoder_candidates,
     _encoder_grid,
     _encoder_rows,
     _entries,
@@ -34,7 +41,6 @@ from pamsim.classical import (
     _message_pairs,
     _restart_block,
     _start_points,
-    _vertex_max,
     classical_max_det,
     classical_max_linear,
     retrocausal_max,
@@ -213,7 +219,7 @@ def start_exponentials(ce, dd, seed, restarts):
 
 @functools.cache
 def det_search_vertices(d, n_prep):
-    """(ce, dd, pairs) built the way `classical_max_det` builds its own
+    """(ce, dd, pairs) built the way `_mixture_max` builds its own
     (checked below), with W read off the first four of `n_prep`
     preparations: a fifth only widens the encoder grid the climbs run over."""
     encoders = _lex_grid(d, n_prep)
@@ -529,7 +535,7 @@ class TestDeterminantBound:
             a, b = np.unravel_index(np.argmax(dets), dets.shape)
             if dets[a, b] > best[0]:
                 best = (dets[a, b], start + a, b)
-        assert _vertex_max(dd, _lex_grid(d, 4), pairs) == best
+        assert vertex_max(dd, _lex_grid(d, 4), pairs) == best
 
     @pytest.mark.parametrize("d, n_prep", ((1, 3), (2, 4), (3, 4), (4, 4), (5, 4), (3, 5)))
     def test_canonical_rows_are_the_first_of_each_relabelling_class(self, d, n_prep):
@@ -538,7 +544,7 @@ class TestDeterminantBound:
         for k, row in enumerate(grid.tolist()):
             # rows that relabel each other put equal values at the same positions
             first.setdefault(tuple(row.index(m) for m in row), k)
-        rows = _canonical_rows(grid)
+        rows = canonical_rows(grid)
         assert rows.tolist() == sorted(first.values())
         if n_prep == 4:
             assert len(rows) == (1, 8, 14, 15, 15)[d - 1]
@@ -578,6 +584,70 @@ class TestDeterminantBound:
         contrast = np.array([row, [0, 0, 1, -1]])
         with pytest.raises(ValueError, match="one \\+1 and one -1"):
             _message_pairs(contrast, _lex_grid(2, 4), 2)
+
+
+def independent_mixture_dets(d, n, seed):
+    """|det W| of n seeded independent mixtures: a Dirichlet encoder per preparation, and
+    per message a Dirichlet mixture of the decode rows."""
+    rng = np.random.default_rng(seed)
+    n_meas, n_prep = DET_CONTRAST.shape
+    encoder = rng.dirichlet(np.ones(d), size=(n, n_prep))  # (n, n_prep, d)
+    rows = 1.0 - _lex_grid(2, n_meas)  # p_d of each decode row
+    decoder = rng.dirichlet(np.ones(len(rows)), size=(n, d)) @ rows  # (n, d, n_meas) p_d
+    return abs_det(_entries(DET_CONTRAST @ encoder @ decoder))
+
+
+class TestDetClosedForm:
+    @pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
+    def test_matches_the_vertex_enumeration(self, d):
+        result = classical_max_det(d, restarts=0)
+        assert (result.value, result.strategy) == vertex_max_det(d)
+        assert det_witness(strategy_table(result.strategy, 4, 2)) == result.value
+        assert result.value == (0.0, 1.0, 2.0)[min(d, 4) - 2]
+
+    @pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
+    def test_independent_mixtures_never_exceed_it(self, d):
+        dets = independent_mixture_dets(d, 20_000, seed=d)
+        assert dets.max() <= classical_max_det(d, restarts=0).value + 1e-12
+        if d == 2:  # the rank argument: 0 up to rounding
+            assert dets.max() <= 1e-12
+        else:
+            assert dets.max() > 0.1
+
+    @pytest.mark.parametrize(
+        "contrast",
+        (
+            [[0, 0, 1, -1], [1, -1, 0, 0]],
+            [[-1, 1, 0, 0], [0, 0, -1, 1]],
+            [[0, 1, 0, -1], [1, 0, -1, 0]],
+            [[1, 0, 0, -1, 0], [0, 0, 1, 0, -1]],
+        ),
+    )
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    def test_strategy_attains_it_on_any_accepted_contrast(self, monkeypatch, contrast, d):
+        contrast = np.array(contrast)
+        monkeypatch.setattr(classical, "DET_CONTRAST", contrast)
+        result = classical_max_det(d, restarts=0)
+        w = contrast @ strategy_table(result.strategy, *contrast.shape[::-1]).p_d
+        assert abs(np.linalg.det(w)) == pytest.approx(result.value, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "contrast",
+        (
+            [[1, -1, 0, 0], [0, 1, -1, 0]],  # a preparation shared between the rows
+            [[1, -1, 0, 0], [1, 0, 0, -1]],
+            [[1, 1, -1, -1], [0, 0, 1, -1]],
+            [[2, -2, 0, 0], [0, 0, 1, -1]],
+            [[1, 0, 0, 0], [0, 0, 1, -1]],
+            [[1, -1, 0, 0]],
+            [[1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 1, -1]],
+        ),
+    )
+    @pytest.mark.parametrize("restarts", (0, 3))
+    def test_refuses_any_other_contrast(self, monkeypatch, contrast, restarts):
+        monkeypatch.setattr(classical, "DET_CONTRAST", np.array(contrast))
+        with pytest.raises(ValueError, match="on disjoint preparations"):
+            classical_max_det(3, restarts=restarts)
 
 
 def grid_stack(entries, order=None):
@@ -631,7 +701,7 @@ def grid_moves(w, x, y, dd, pairs):
 def materialised_moves(w, x, y, dd, pairs):
     """The same two moves on materialised candidate stacks."""
     return (
-        materialised_move(w, _encoder_candidates(y, pairs)),
+        materialised_move(w, encoder_candidates(y, pairs)),
         materialised_move(w, decoder_candidates(x, dd)),
     )
 
@@ -662,7 +732,7 @@ class TestDetCandidates:
         plus, minus, enc_rows = _encoder_grid(pairs, d)
         by_encoder = np.ascontiguousarray(_entries(ce @ y[:, None]))
         by_decoder = np.ascontiguousarray(_entries(x[:, None] @ dd))
-        assert _encoder_candidates(y, pairs).tobytes() == by_encoder.tobytes()
+        assert encoder_candidates(y, pairs).tobytes() == by_encoder.tobytes()
         assert decoder_candidates(x, dd).tobytes() == by_decoder.tobytes()
         assert grid_stack(_encoder_rows(y, plus, minus)).tobytes() == np.ascontiguousarray(
             by_encoder[:, :, :, enc_rows]
@@ -702,7 +772,7 @@ class TestDetLineSearch:
             got = move(w, candidates, order)
             kind, mixture = seen[-1]
             if kind == "y":
-                expected = materialised_move(w, _encoder_candidates(mixture, pairs))
+                expected = materialised_move(w, encoder_candidates(mixture, pairs))
                 got_index = (got[0], enc_rows[got[1]], got[2])
             else:
                 expected = materialised_move(w, decoder_candidates(mixture, dd))

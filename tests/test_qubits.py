@@ -143,7 +143,8 @@ class TestRemotePreparation:
 
 class TestNormalization:
     def test_bell_states_normalized(self):
-        assert PHI_PLUS.norm_error() < 1e-12
+        amplitudes = (PHI_PLUS.hh, PHI_PLUS.hv, PHI_PLUS.vh, PHI_PLUS.vv)
+        assert sum(abs(a) ** 2 for a in amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCanonicalPhase:

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from bundled import DET, IDW, bundled_scenario
 
-from pamsim.qubits import Ket4, PHI_PLUS, born, phase_ket
+from pamsim.qubits import born, phase_ket
 from pamsim.scenario import (
     ProbabilityTable,
     Scenario,
-    det_witness_settings,
-    dimension_witness_settings,
     heralded_table,
     probability_table,
     quantum_cell,
@@ -70,7 +69,7 @@ class TestQuantumCell:
 
 class TestProbabilityTable:
     def test_ideal_det_settings_give_unit_witness(self):
-        table = probability_table(det_witness_settings())
+        table = probability_table(bundled_scenario(DET))
         assert det_witness(table) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_visibility_is_flat(self):
@@ -80,7 +79,7 @@ class TestProbabilityTable:
         np.testing.assert_allclose(table.p_d, 0.35, atol=1e-15)
 
     def test_idw_settings_d_values(self):
-        table = probability_table(dimension_witness_settings())
+        table = probability_table(bundled_scenario(IDW))
         d = table.d_values()
         expected = np.array([[SQ2 / 2, SQ2 / 2], [SQ2 / 2, -SQ2 / 2], [-1.0, 0.0]])
         np.testing.assert_allclose(d[:, :2], expected, atol=1e-12)
@@ -88,7 +87,7 @@ class TestProbabilityTable:
         assert idw == pytest.approx(1.0 + 2.0 * SQ2, abs=1e-12)
 
     def test_cells_sum_to_one(self):
-        s = det_witness_settings(visibility=0.7, efficiency=0.3, fair_sampling=False)
+        s = bundled_scenario(DET, visibility=0.7, efficiency=0.3, fair_sampling=False)
         table = probability_table(s)
         np.testing.assert_allclose(table.p_e + table.p_d + table.p_none, 1.0, atol=1e-12)
 
@@ -105,8 +104,8 @@ class TestProbabilityTable:
         assert table.p_none.max() == 0.0
 
     def test_fair_sampling_removes_efficiency(self):
-        full = probability_table(det_witness_settings(visibility=0.8, efficiency=1.0))
-        lossy = probability_table(det_witness_settings(visibility=0.8, efficiency=0.3))
+        full = probability_table(bundled_scenario(DET, visibility=0.8, efficiency=1.0))
+        lossy = probability_table(bundled_scenario(DET, visibility=0.8, efficiency=0.3))
         np.testing.assert_allclose(full.p_e, lossy.p_e, atol=1e-12)
         np.testing.assert_allclose(full.p_d, lossy.p_d, atol=1e-12)
         assert lossy.p_none.max() == 0.0
@@ -152,18 +151,20 @@ class TestProbabilityTable:
     @pytest.mark.parametrize("build", (probability_table, heralded_table))
     def test_underflowed_efficiency_names_the_cell(self, build):
         # at efficiency 5e-324 every detection probability rounds to 0
-        s = det_witness_settings(visibility=0.0, efficiency=5e-324, fair_sampling=True)
+        s = bundled_scenario(DET, visibility=0.0, efficiency=5e-324, fair_sampling=True)
         with pytest.raises(ValueError, match=r"cell \(i=0, j=0\): its detection probability is 0"):
             build(s)
 
 
 class TestHeraldedTable:
-    @pytest.mark.parametrize("settings", [det_witness_settings, dimension_witness_settings])
-    def test_matches_direct_preparation(self, settings):
+    @pytest.mark.parametrize(
+        "config", (DET, IDW), ids=("det_witness_settings", "dimension_witness_settings")
+    )
+    def test_matches_direct_preparation(self, config):
         for fair in (True, False):
-            s = settings(visibility=0.9, efficiency=0.6, fair_sampling=fair)
+            s = bundled_scenario(config, visibility=0.9, efficiency=0.6, fair_sampling=fair)
             direct = probability_table(s)
-            heralded = heralded_table(s, PHI_PLUS)
+            heralded = heralded_table(s)
             np.testing.assert_allclose(heralded.p_e, direct.p_e, atol=1e-12)
             np.testing.assert_allclose(heralded.p_d, direct.p_d, atol=1e-12)
             np.testing.assert_allclose(heralded.p_none, direct.p_none, atol=1e-12)
@@ -180,31 +181,21 @@ class TestHeraldedTable:
         self, alphas, betas, visibility, efficiency, fair
     ):
         s = Scenario(tuple(alphas), tuple(betas), visibility, efficiency, fair)
-        direct, heralded = probability_table(s), heralded_table(s, PHI_PLUS)
+        direct, heralded = probability_table(s), heralded_table(s)
         for name in ("p_e", "p_d", "p_none"):
             np.testing.assert_allclose(
                 getattr(heralded, name), getattr(direct, name), rtol=0, atol=1e-12
             )
 
-    def test_product_pair_is_flat(self):
-        s = det_witness_settings(efficiency=0.5, fair_sampling=False)
-        table = heralded_table(s, Ket4(1.0, 0.0, 0.0, 0.0))
-        np.testing.assert_allclose(table.p_e, 0.25, atol=1e-12)
-        np.testing.assert_allclose(table.p_d, 0.25, atol=1e-12)
-
     def test_efficiency_squares_in_witness(self):
-        s = det_witness_settings(efficiency=0.5, fair_sampling=False)
-        table = heralded_table(s, PHI_PLUS)
+        s = bundled_scenario(DET, efficiency=0.5, fair_sampling=False)
+        table = heralded_table(s)
         assert det_witness(table) == pytest.approx(0.25, abs=1e-12)
-
-    def test_unnormalized_pair_rejected(self):
-        with pytest.raises(ValueError):
-            heralded_table(det_witness_settings(), Ket4(1.0, 0.0, 0.0, 1.0))
 
 
 class TestScenarioConfig:
     def test_json_round_trip(self):
-        s = dimension_witness_settings(visibility=0.88, efficiency=0.2, fair_sampling=False)
+        s = bundled_scenario(IDW, visibility=0.88, efficiency=0.2, fair_sampling=False)
         loaded = Scenario.from_json_dict(json.loads(json.dumps(s.to_json_dict())))
         assert loaded == s
 

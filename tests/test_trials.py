@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from bundled import DET, IDW, bundled_scenario
 
 import pamsim
 from pamsim import trials
 from pamsim.scenario import (
     ProbabilityTable,
-    det_witness_settings,
-    dimension_witness_settings,
     probability_table,
 )
 from pamsim.trials import (
@@ -56,7 +55,7 @@ class TestSample:
         assert abs(counts.n_e[0, 0] / 1_000_000 - 0.5) < 0.002
 
     def test_deterministic_for_fixed_seed(self):
-        table = probability_table(det_witness_settings(visibility=0.9))
+        table = probability_table(bundled_scenario(DET, visibility=0.9))
         plan = RunPlan(5000, seed=77)
         c1, c2 = sample(table, plan), sample(table, plan)
         np.testing.assert_array_equal(c1.n_e, c2.n_e)
@@ -65,7 +64,7 @@ class TestSample:
         assert not np.array_equal(c1.n_e, c3.n_e)
 
     def test_random_per_trial_order(self):
-        table = probability_table(det_witness_settings())
+        table = probability_table(bundled_scenario(DET))
         plan = RunPlan(1000, seed=4, setting_order=RANDOM_PER_TRIAL)
         counts = sample(table, plan)
         assert counts.n_trials.sum() == 1000 * 8
@@ -109,7 +108,7 @@ class TestEstimate:
 
     def test_consistency_at_large_n(self):
         table = probability_table(
-            det_witness_settings(visibility=0.9, efficiency=0.8, fair_sampling=False)
+            bundled_scenario(DET, visibility=0.9, efficiency=0.8, fair_sampling=False)
         )
         counts = sample(table, RunPlan(1_000_000, seed=6))
         est = estimate(counts, fair_sampling=False)
@@ -120,14 +119,14 @@ class TestEstimate:
 
 class TestBootstrap:
     def test_ideal_run_recovers_unit_det(self):
-        table = probability_table(det_witness_settings())
+        table = probability_table(bundled_scenario(DET))
         counts = sample(table, RunPlan(100_000, seed=8))
         report = bootstrap_report(counts, resamples=2000, seed=8, fair_sampling=True)
         assert report.uncertainties["det_abs"] < 0.01
         assert abs(report.det_abs - 1.0) <= 3 * max(report.uncertainties["det_abs"], 1e-12)
 
     def test_sigma_shrinks_with_n(self):
-        table = probability_table(dimension_witness_settings())
+        table = probability_table(bundled_scenario(IDW))
         sigmas = {}
         for n in (10_000, 40_000):
             counts = sample(table, RunPlan(n, seed=9))
@@ -137,7 +136,7 @@ class TestBootstrap:
         assert ratio == pytest.approx(2.0, rel=0.2)
 
     def test_deterministic(self):
-        table = probability_table(dimension_witness_settings(visibility=0.9))
+        table = probability_table(bundled_scenario(IDW, visibility=0.9))
         counts = sample(table, RunPlan(2000, seed=10))
         r1 = bootstrap_report(counts, resamples=500, seed=10, fair_sampling=True)
         r2 = bootstrap_report(counts, resamples=500, seed=10, fair_sampling=True)
@@ -145,7 +144,7 @@ class TestBootstrap:
         assert r1.to_json_dict() == r2.to_json_dict()
 
     def test_reports_sigma_violations(self):
-        s = det_witness_settings(visibility=0.9, efficiency=0.5, fair_sampling=False)
+        s = bundled_scenario(DET, visibility=0.9, efficiency=0.5, fair_sampling=False)
         counts = sample(probability_table(s), RunPlan(200_000, seed=11))
         report = bootstrap_report(counts, resamples=1000, seed=11, fair_sampling=False)
         # eta^2 V^2 = 0.2025; far above 0 in units of its error
@@ -224,24 +223,24 @@ def workers(monkeypatch, n):
     monkeypatch.setattr(trials, "_usable_cpus", lambda: n)
 
 
-def counts_for(settings_fn, fair, seed, trials_per_setting=5000):
-    s = settings_fn(visibility=0.9, efficiency=0.4, fair_sampling=fair)
+def counts_for(config, fair, seed, trials_per_setting=5000):
+    s = bundled_scenario(config, visibility=0.9, efficiency=0.4, fair_sampling=fair)
     return sample(probability_table(s), RunPlan(trials_per_setting, seed=seed))
 
 
 class TestConcurrentBootstrap:
-    @pytest.mark.parametrize("settings_fn", [dimension_witness_settings, det_witness_settings])
+    @pytest.mark.parametrize("config", (IDW, DET), ids=("dimension_witness_settings", "det_witness_settings"))
     @pytest.mark.parametrize("fair", [True, False])
     @pytest.mark.parametrize("resamples", [101, 333])
-    def test_matches_sequential_oracle(self, settings_fn, fair, resamples):
-        counts = counts_for(settings_fn, fair, seed=resamples)
+    def test_matches_sequential_oracle(self, config, fair, resamples):
+        counts = counts_for(config, fair, seed=resamples)
         expected = sequential_bootstrap_report(counts, resamples, 17, fair).to_json_dict()
         assert bootstrap_report(counts, resamples, 17, fair).to_json_dict() == expected
 
-    @pytest.mark.parametrize("settings_fn", [dimension_witness_settings, det_witness_settings])
+    @pytest.mark.parametrize("config", (IDW, DET), ids=("dimension_witness_settings", "det_witness_settings"))
     @pytest.mark.parametrize("fair", [True, False])
-    def test_independent_of_worker_count(self, monkeypatch, settings_fn, fair):
-        counts = counts_for(settings_fn, fair, seed=3)
+    def test_independent_of_worker_count(self, monkeypatch, config, fair):
+        counts = counts_for(config, fair, seed=3)
         n_cells = counts.n_prep * counts.n_meas
         reports = []
         for n in (1, n_cells):
@@ -450,7 +449,7 @@ def test_import_does_not_load_thread_pool():
 
 class TestCountTableCsv:
     def test_round_trip(self, tmp_path):
-        table = probability_table(det_witness_settings(efficiency=0.5, fair_sampling=False))
+        table = probability_table(bundled_scenario(DET, efficiency=0.5, fair_sampling=False))
         counts = sample(table, RunPlan(1000, seed=12))
         path = tmp_path / "counts.csv"
         counts.to_csv(path)

@@ -3,12 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from bundled import DET, IDW, bundled_scenario
 
 from pamsim.scenario import (
     ProbabilityTable,
     Scenario,
-    det_witness_settings,
-    dimension_witness_settings,
     probability_table,
 )
 from pamsim.witness import (
@@ -22,10 +21,15 @@ from pamsim.witness import (
     report_from_table,
     retrocausality,
     sigma_violation,
-    witness_matrix,
+    witness_entries,
 )
 
 SQ2 = math.sqrt(2.0)
+
+
+def witness_matrix(t):
+    """W of table `t` as a 2x2 array."""
+    return np.array(witness_entries(t.p_d))
 
 
 def uniform_table(n_prep=4, n_meas=2):
@@ -35,9 +39,9 @@ def uniform_table(n_prep=4, n_meas=2):
 
 class TestWitnessMatrix:
     def test_ideal_quantum_matrix(self):
-        w = witness_matrix(probability_table(det_witness_settings()))
+        w = witness_matrix(probability_table(bundled_scenario(DET)))
         np.testing.assert_allclose(w, [[0.0, -1.0], [1.0, 0.0]], atol=1e-12)
-        assert det_witness(probability_table(det_witness_settings())) == pytest.approx(
+        assert det_witness(probability_table(bundled_scenario(DET))) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -45,11 +49,11 @@ class TestWitnessMatrix:
         np.testing.assert_array_equal(witness_matrix(uniform_table()), np.zeros((2, 2)))
 
     def test_shape_error(self):
-        with pytest.raises(ValueError):
-            witness_matrix(uniform_table(n_prep=3))
+        with pytest.raises(ValueError, match="witness matrix needs >= 4 preparations"):
+            det_witness(uniform_table(n_prep=3))
 
     def test_swapping_measurements_flips_det_sign(self):
-        s = det_witness_settings(visibility=0.9)
+        s = bundled_scenario(DET, visibility=0.9)
         swapped = Scenario(
             s.alphas, (s.betas[1], s.betas[0]), s.visibility, s.efficiency, s.fair_sampling
         )
@@ -66,7 +70,7 @@ class TestWitnessMatrix:
 
 class TestDimensionWitness:
     def test_ideal_value(self):
-        idw = dimension_witness(probability_table(dimension_witness_settings()))
+        idw = dimension_witness(probability_table(bundled_scenario(IDW)))
         assert idw == pytest.approx(I_DW_QUANTUM, abs=1e-12)
 
     def test_uniform_table(self):
@@ -80,22 +84,22 @@ class TestDimensionWitness:
 class TestScalingLaws:
     def test_efficiency_squares_without_postselection(self):
         ideal = det_witness(
-            probability_table(det_witness_settings(efficiency=1.0, fair_sampling=False))
+            probability_table(bundled_scenario(DET, efficiency=1.0, fair_sampling=False))
         )
         for eta in np.arange(0.1, 1.01, 0.1):
-            s = det_witness_settings(efficiency=float(eta), fair_sampling=False)
+            s = bundled_scenario(DET, efficiency=float(eta), fair_sampling=False)
             assert det_witness(probability_table(s)) == pytest.approx(
                 eta**2 * ideal, abs=1e-12
             )
 
     def test_visibility_squares(self):
         for v in np.arange(0.0, 1.01, 0.1):
-            s = det_witness_settings(visibility=float(v))
+            s = bundled_scenario(DET, visibility=float(v))
             assert det_witness(probability_table(s)) == pytest.approx(v**2, abs=1e-12)
 
     def test_idw_linear_in_visibility(self):
         for v in np.arange(0.0, 1.01, 0.1):
-            s = dimension_witness_settings(visibility=float(v))
+            s = bundled_scenario(IDW, visibility=float(v))
             assert dimension_witness(probability_table(s)) == pytest.approx(
                 v * I_DW_QUANTUM, abs=1e-12
             )
@@ -180,6 +184,6 @@ class TestWitnessReport:
         assert flat.sigma_det is None and flat.sigma_idw is None
 
     def test_report_from_table_without_det(self):
-        report = report_from_table(probability_table(dimension_witness_settings()))
+        report = report_from_table(probability_table(bundled_scenario(IDW)))
         assert report.det_abs is None
         assert report.i_dw == pytest.approx(I_DW_QUANTUM, abs=1e-12)
