@@ -2,7 +2,7 @@
 
 Exact quantum predictions for phase-encoded qubit preparations, exhaustive
 classical bounds for bounded-dimension message models, witness statistics
-with finite-count bootstrap errors, and causality validation of the event
+with finite-count standard errors, and causality validation of the event
 schedule.
 """
 

@@ -195,8 +195,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _analyze(counts: CountTable, resamples: int, seed: int, fair: bool, outputs, files) -> int:
-    """The end of simulate and report: estimate and bootstrap `counts`, write
-    `files`, estimated.csv and the witness files and print the report."""
+    """The end of simulate and report: estimate `counts` and their standard errors,
+    write `files`, estimated.csv and the witness files and print the report."""
     estimated = estimate(counts, fair)
     report = bootstrap_report(counts, resamples, seed, fair)
     files = {**files, "estimated.csv": estimated.to_csv, **_witness_files(report)}
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     flags = {
         "config": dict(required=True, help="run configuration JSON"),
         "seed": dict(type=_non_negative_int, help="RNG seed"),
-        "resamples": dict(type=_non_negative_int, help="bootstrap resample count"),
+        "resamples": dict(type=_non_negative_int, help="|det W| bootstrap resample count"),
         "fair_sampling": dict(type=_parse_bool, metavar="BOOL", help="postselect (true/false)"),
         "out": dict(help="output directory"),
     }
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     add(p, "config", "fair_sampling", "out")
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("simulate", help="finite sampled run with bootstrap errors")
+    p = sub.add_parser("simulate", help="finite sampled run with standard errors")
     add(p, "config", "seed", "resamples", "fair_sampling", "out")
     p.add_argument("--trials", type=_non_negative_int, help="override trials per setting")
     p.set_defaults(func=_cmd_simulate)

@@ -1,20 +1,24 @@
-"""Finite-run simulation: sampling, counting, and bootstrap errors.
+"""Finite-run simulation: sampling, counting, and standard errors.
 
 Randomness is derived from numpy SeedSequence streams so results are
 independent of evaluation order: `sample` uses spawn key (0,) and one
 child stream per cell in row-major order (plus one leading stream for
 the random setting order), `bootstrap_report` uses spawn key (1,) and
-one child stream per cell.  The bootstrap streams its resamples: each
-cell draws chunks of `_CHUNK` rows from its own generator (exactly the
-rows of one draw of them all), one thread per usable CPU drawing every
-n-th cell, and the calling thread folds each chunk into one vector per
-quantity, so memory grows with the resample count only, not with the
-cells.  The output depends on neither the thread count nor the chunk size.
+one child stream per cell, of which only the cells of W draw.
+
+I_DW and R get closed-form errors and draw nothing.  |det W| gets a
+parametric bootstrap that streams its resamples: each cell of W draws
+chunks of `_CHUNK` rows from its own generators (exactly the rows of one
+draw of them all), one thread per usable CPU drawing every n-th cell,
+and the calling thread folds each chunk into one |det W| vector, so
+memory grows with the resample count only, not with the cells.  The
+output depends on neither the thread count nor the chunk size.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 import threading
 from contextlib import contextmanager
@@ -26,13 +30,14 @@ import numpy as np
 from .scenario import ProbabilityTable, read_section, write_grid_csv
 # det_witness and dimension_witness are unused here, but perfbench/tracing.py wraps them
 from .witness import (
+    DET_CONTRAST,
+    IDW_COEF,
     WitnessReport,
     abs_det,
     det_witness,
     dimension_witness,
-    idw_sum,
     report_from_table,
-    retrocausality,
+    retrocausality_error,
     witness_entries,
 )
 
@@ -42,6 +47,10 @@ MIN_RESAMPLES = 100
 INT64_MAX = np.iinfo(np.int64).max  # the most trials a cell's counts can hold
 MAX_RESAMPLES = INT64_MAX // (3 * 8)  # the most resamples taken: more than any memory holds
 _CHUNK = 8192  # resample rows a cell draws at a time
+# the cells whose p_d `witness_entries` reads, in row-major order
+_W_CELLS = tuple(
+    (int(i), l) for i in np.flatnonzero(DET_CONTRAST.any(axis=0)) for l in range(len(DET_CONTRAST))
+)
 
 _SAMPLE_KEY = 0
 _BOOTSTRAP_KEY = 1
@@ -182,28 +191,43 @@ def sample(t: ProbabilityTable, plan: RunPlan) -> CountTable:
     return CountTable(*np.moveaxis(np.reshape(draws, (t.n_prep, t.n_meas, 3)), -1, 0))
 
 
-def _per_trial(n_e, n_d, n_none, fair: bool, emptied) -> np.ndarray:
-    """The counts frequencies are taken per: detected trials with fair sampling, else all
-    trials.  With fair sampling, a 0 raises InsufficientStatisticsError(emptied(counts == 0))."""
-    denom = n_e + n_d
+def _per_trial(c: CountTable, fair: bool) -> np.ndarray:
+    """The counts each cell's frequencies are taken per: detected trials with fair
+    sampling (InsufficientStatisticsError for a cell with none), else all trials."""
     if not fair:
-        denom += n_none
-    elif denom.min() <= 0:
-        raise InsufficientStatisticsError(emptied(denom == 0))
-    return denom
+        return c.n_trials
+    detected = c.n_e + c.n_d
+    if detected.min() <= 0:
+        i, j = np.argwhere(detected == 0)[0]
+        raise InsufficientStatisticsError(
+            f"cell (i={i}, j={j}) has no detected events to postselect on"
+        )
+    return detected
 
 
 def estimate(c: CountTable, fair_sampling: bool) -> ProbabilityTable:
     """Relative frequencies; with fair sampling, per detected trial."""
-    def emptied(undetected):
-        i, j = np.argwhere(undetected)[0]
-        return f"cell (i={i}, j={j}) has no detected events to postselect on"
-
     if c.n_trials.min() <= 0:
         raise ValueError("every cell needs at least one trial")
-    denom = _per_trial(c.n_e, c.n_d, c.n_none, fair_sampling, emptied)
+    denom = _per_trial(c, fair_sampling)
     p_none = np.zeros(denom.shape) if fair_sampling else c.n_none / denom
     return ProbabilityTable(c.n_e / denom, c.n_d / denom, p_none)
+
+
+def _idw_error(t: ProbabilityTable, n: np.ndarray) -> float:
+    """Standard deviation of I_DW under the plug-in multinomial model of the estimated
+    table `t`, whose frequencies are taken per `n` trials of each cell.  The cells
+    are independent, so
+    Var I_DW = sum_ij IDW_COEF[i, j]^2 Var <D_ij>, with
+
+        Var <D_ij> = (p_e (1 - p_e) + p_d (1 - p_d) + 2 p_e p_d) / n
+                   = (p_e + p_d - (p_e - p_d)^2) / n,
+
+    which is 4 q (1 - q) / n_det for q = n_d / n_det with fair sampling (the
+    delta method); the first form has no negative term to cancel.
+    """
+    var = (t.p_e * (1.0 - t.p_e) + t.p_d * (1.0 - t.p_d) + 2.0 * t.p_e * t.p_d) / n
+    return math.sqrt(sum(coef * coef * var[ij] for ij, coef in np.ndenumerate(IDW_COEF) if coef))
 
 
 def _usable_cpus() -> int:
@@ -214,28 +238,33 @@ def _usable_cpus() -> int:
 
 def _resample_cell(
     cell: tuple[int, int],
-    rng: np.random.Generator,
+    rngs: tuple[np.random.Generator, np.random.Generator],
     counts: tuple[int, int, int],
     size: int,
     fair: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(<D>, p_d) vectors of the next `size` resamples of `cell`, drawn from `rng`."""
-    def emptied(_):
-        return f"a bootstrap resample emptied a postselected cell (i={cell[0]}, j={cell[1]})"
+) -> np.ndarray:
+    """p_d of the next `size` resamples of `cell`, whose raw counts are `counts`.
 
-    freqs = np.array(counts, dtype=float)
-    draws = rng.multinomial(sum(counts), freqs / freqs.sum(), size=size)
-    # counts are integers far below 2**53, so int64 sums and true division
-    # give exactly the floats that float arithmetic on the counts would
-    n_e, n_d, n_none = draws.T
-    denom = _per_trial(n_e, n_d, n_none, fair, emptied)
-    p_d = n_d / denom
-    return n_e / denom - p_d, p_d
+    Without fair sampling n_d* ~ Binomial(N, n_d/N), over N.  With it, n_det* ~
+    Binomial(N, n_det/N) from rngs[0], then n_d* ~ Binomial(n_det*, n_d/n_det) from
+    rngs[1], over n_det*: the multinomial resample's p_d, each stage on its own
+    stream so that chunks of draws concatenate to one draw of them all.
+    """
+    n_e, n_d, n_none = counts
+    n = n_e + n_d + n_none
+    if not fair:
+        return rngs[0].binomial(n, n_d / n, size) / n
+    detected = rngs[0].binomial(n, (n_e + n_d) / n, size)
+    if detected.min() <= 0:
+        raise InsufficientStatisticsError(
+            f"a bootstrap resample emptied a postselected cell (i={cell[0]}, j={cell[1]})"
+        )
+    return rngs[1].binomial(detected, n_d / (n_e + n_d)) / detected
 
 
 def _draw_cells(jobs, resamples: int, fair: bool, out, stop: threading.Event) -> None:
-    """Put on `out`, chunk by chunk, {k: (<D>, p_d) vectors or the error raised}
-    for the jobs (k, (cell, rng, counts)), until done or `stop` is set."""
+    """Put on `out`, chunk by chunk, {k: p_d vector or the error raised} for the
+    jobs (k, (cell, rngs, counts)), until done or `stop` is set."""
     for lo in range(0, resamples, _CHUNK):
         chunk = {}
         for k, job in jobs:
@@ -275,49 +304,57 @@ def _drawing(jobs: list, resamples: int, fair: bool):
 def bootstrap_report(
     c: CountTable, resamples: int, seed: int, fair_sampling: bool
 ) -> WitnessReport:
-    """Witness report with parametric-bootstrap standard errors.
+    """Witness report with standard errors, and sigma_* as violations of the classical bounds.
 
-    Each resample redraws every cell from a multinomial at the observed
-    raw frequencies and recomputes the witnesses; reported values are
-    the plug-in estimates, uncertainties are resample standard
-    deviations, and sigma_* are violations of the classical bounds.
-    A failing cell raises once every cell is drawn: the first in row-major order.
+    Reported values are the plug-in estimates.  The errors of I_DW and R are
+    closed forms that draw nothing: the exact standard deviation of I_DW under
+    the plug-in multinomial model (`_idw_error`), and that of R for a normal
+    I_DW clipped at the bound (`witness.retrocausality_error`).  The error of
+    |det W| is the standard deviation of a parametric bootstrap of `resamples`
+    resamples, which redraws only the p_d of W's cells at the observed raw
+    frequencies (`_det_error`); a table without W draws nothing.
     """
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
     if resamples > MAX_RESAMPLES:
         raise ValueError(f"resamples {resamples} is too large: at most {MAX_RESAMPLES} are taken")
-    report = report_from_table(estimate(c, fair_sampling))
+    table = estimate(c, fair_sampling)
+    report = report_from_table(table)
+    sd_idw = _idw_error(table, _per_trial(c, fair_sampling))
+    uncertainties = {"i_dw": sd_idw, "r": retrocausality_error(report.i_dw, sd_idw)}
+    if report.det_abs is not None:
+        uncertainties["det_abs"] = _det_error(c, resamples, seed, fair_sampling)
+    return report.with_errors(uncertainties)
 
-    cells = [(i, j) for i in range(c.n_prep) for j in range(c.n_meas)]
-    streams = np.random.SeedSequence(seed, spawn_key=(_BOOTSTRAP_KEY,)).spawn(len(cells))
-    rngs = map(np.random.default_rng, streams)
-    counts = [(int(c.n_e[ij]), int(c.n_d[ij]), int(c.n_none[ij])) for ij in cells]
-    jobs = list(enumerate(zip(cells, rngs, counts)))
+
+def _det_error(c: CountTable, resamples: int, seed: int, fair: bool) -> float:
+    """Standard deviation of |det W| over `resamples` resamples of W's cells (`_resample_cell`).
+
+    Cell (i, j) draws from child i * n_meas + j of `seed`'s stream (with fair
+    sampling its second stage from that child's own first child), so cells
+    outside W keep their slots.  A resample that empties a postselected cell
+    raises once every cell is drawn: the first such cell in row-major order.
+    """
+    streams = np.random.SeedSequence(seed, spawn_key=(_BOOTSTRAP_KEY,)).spawn(c.n_prep * c.n_meas)
+    jobs = []
+    for k, (i, j) in enumerate(_W_CELLS):
+        stream = streams[i * c.n_meas + j]
+        rngs = (np.random.default_rng(stream), np.random.default_rng(stream.spawn(1)[0]))
+        counts = (int(c.n_e[i, j]), int(c.n_d[i, j]), int(c.n_none[i, j]))
+        jobs.append((k, ((i, j), rngs, counts)))
     try:
-        idw_samples = np.empty(resamples)
-        det_samples = np.empty(resamples) if report.det_abs is not None else None
+        samples = np.empty(resamples)
         errors = {}
-        with _drawing(jobs, resamples, fair_sampling) as queues:
+        with _drawing(jobs, resamples, fair) as queues:
             for lo in range(0, resamples, _CHUNK):
                 chunk = {k: v for out in queues for k, v in out.get().items()}
                 errors.update((k, v) for k, v in chunk.items() if isinstance(v, BaseException))
                 if errors:
                     continue  # an earlier cell may still fail in a later chunk
-                d, p_d = ({cells[k]: v[n] for k, v in chunk.items()} for n in (0, 1))
-                idw_samples[lo : lo + _CHUNK] = idw_sum(d)
-                if det_samples is not None:
-                    det_samples[lo : lo + _CHUNK] = abs_det(witness_entries(p_d))
+                p_d = {_W_CELLS[k]: v for k, v in chunk.items()}
+                samples[lo : lo + _CHUNK] = abs_det(witness_entries(p_d))
         if errors:
             raise errors[min(errors)]
-
-        uncertainties = {
-            "i_dw": float(np.std(idw_samples, ddof=1)),
-            "r": float(np.std(retrocausality(idw_samples), ddof=1)),
-        }
-        if det_samples is not None:
-            uncertainties["det_abs"] = float(np.std(det_samples, ddof=1))
+        return float(np.std(samples, ddof=1))
     except MemoryError as exc:
         raise ValueError(f"resamples {resamples} is too large: {exc}") from exc
-
-    return report.with_errors(uncertainties)

@@ -2,7 +2,7 @@
 
 Index convention (0-based): preparations i, measurements j.  Each
 witness is defined once, as a +-1 matrix that every other path (the
-bootstrap, the CLI term dump, the classical bounds) derives from:
+standard errors, the CLI term dump, the classical bounds) derives from:
 
     W[k, l] = sum_i DET_CONTRAST[k, i] p_d(i, l) = p_d(2k, l) - p_d(2k+1, l)
     I_DW = sum_ij IDW_COEF[i, j] <D_ij> = <D_00> + <D_01> + <D_10> - <D_11> - <D_20>
@@ -85,10 +85,28 @@ def idw_sum(d):
     return sum(c * d[ij] for ij, c in np.ndenumerate(IDW_COEF) if c)
 
 
-def retrocausality(i_dw: float | np.ndarray) -> float | np.ndarray:
-    """R = max((I_DW - 3)/4, 0); elementwise for an array of I_DW values."""
-    excess = (i_dw - I_DW_CLASSICAL_BOUND) / 4.0
-    return np.maximum(excess, 0.0) if np.ndim(excess) else max(excess, 0.0)
+def retrocausality(i_dw: float) -> float:
+    """R = max((I_DW - 3)/4, 0)."""
+    return max((i_dw - I_DW_CLASSICAL_BOUND) / 4.0, 0.0)
+
+
+def retrocausality_error(i_dw: float, std_err: float) -> float:
+    """Standard deviation of R = max(Z, 0) for Z ~ N((i_dw - 3)/4, (std_err/4)^2).
+
+    With s = std_err/4, a = E[Z]/s, P = Phi(a), Q = 1 - P and phi = phi(a),
+    Var R = s^2 (P + a^2 P Q + a phi (Q - P) - phi^2), the moments of a normal
+    clipped at 0.  The bracket after P is never positive, so summing it first
+    keeps Var R <= s^2 in floats too, as max(Z, 0) being 1-Lipschitz demands.
+    0 when std_err is 0.
+    """
+    if std_err == 0.0:
+        return 0.0
+    s = std_err / 4.0
+    a = (i_dw - I_DW_CLASSICAL_BOUND) / 4.0 / s
+    p, q = math.erfc(-a / math.sqrt(2.0)) / 2.0, math.erfc(a / math.sqrt(2.0)) / 2.0
+    phi = math.exp(-a * a / 2.0) / math.sqrt(2.0 * math.pi)
+    var = p + (a * a * p * q + a * phi * (q - p) - phi * phi)
+    return s * math.sqrt(max(var, 0.0))
 
 
 def sigma_violation(value: float, std_err: float, bound: float) -> float:
@@ -100,7 +118,7 @@ def sigma_violation(value: float, std_err: float, bound: float) -> float:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Witness values with optional bootstrap uncertainties.
+    """Witness values with optional standard errors.
 
     `det_abs` and its sigma are None for tables with fewer than four
     preparations.  `r` is derived from the report's own `i_dw`.

@@ -3,9 +3,13 @@
 Each case runs one deterministic CLI command in a fresh working directory,
 writing into `out/` there, and records what the command wrote: the files in
 `out/` (kept under `files/`, since `out/` is git-ignored), its stdout and
-stderr, and its exit code.  Seeded climbs, `simulate`
-and `report` are left out, because numpy does not promise its `Generator`
-streams across versions.
+stderr, and its exit code.  Seeded climbs, `simulate` and `report` on a
+table with W's four preparations are left out, because numpy does not
+promise its `Generator` streams across versions.  `report` on the
+three-preparation fixture `dimension_witness_counts.csv` draws nothing: its
+errors are closed forms.  The fixture holds the counts that `pamsim.trials.sample`
+drew for `dimension_witness_ideal` at visibility 0.9 and efficiency 0.6
+without fair sampling, 100000 trials per setting, seed 20260810.
 
 Run from the repository root after an intended output change:
 
@@ -25,6 +29,7 @@ from pamsim.cli import main
 
 GOLDEN = Path(__file__).resolve().parent
 CONFIGS = GOLDEN.parent.parent / "configs"
+COUNTS = GOLDEN / "dimension_witness_counts.csv"
 
 
 def _bounds(witness: str, d: int, *extra: str) -> list[str]:
@@ -39,6 +44,12 @@ CASES = {
     **{f"bounds_idw_d{d}": _bounds("idw", d) for d in (*range(1, 9), 8000)},
     **{f"bounds_det_d{d}": _bounds("det", d, "--restarts", "0") for d in range(2, 7)},
     "spacetime": ["spacetime", str(CONFIGS / "reference_geometry_schedule.json"), "--out", "out"],
+    **{
+        f"report_dimension_witness_fair_{fair}": [
+            "report", "--counts", str(COUNTS), "--fair-sampling", fair, "--out", "out"
+        ]
+        for fair in ("true", "false")
+    },
 }
 
 

@@ -10,6 +10,12 @@ determinant climb's line search on a materialised (2, 2, R, K) candidate
 stack, whose first maxima the product-grid line search of `classical` must
 reproduce.  `vertex_max_det` enumerates the vertex pairs of the determinant
 witness, the reference for the closed form of `classical_max_det`.
+
+`sequential_bootstrap_report` is the full parametric bootstrap, every cell
+redrawn from its multinomial, the reference for the closed-form errors of
+`bootstrap_report`.  `det_bootstrap_error` draws the |det W| bootstrap of
+`bootstrap_report` cell by cell, each resample vector at once, the reference
+that its chunked, threaded draws must reproduce bit for bit.
 """
 
 import itertools
@@ -25,7 +31,17 @@ from pamsim.classical import (
     strategy_table,
 )
 from pamsim.scenario import ProbabilityTable
-from pamsim.witness import DET_CONTRAST, abs_det, det
+from pamsim.trials import InsufficientStatisticsError, estimate
+from pamsim.witness import (
+    DET_CLASSICAL_BOUND,
+    DET_CONTRAST,
+    I_DW_CLASSICAL_BOUND,
+    WitnessReport,
+    abs_det,
+    det,
+    det_witness,
+    dimension_witness,
+)
 
 
 def enumerate_deterministic(d, n_prep, n_meas):
@@ -125,3 +141,79 @@ def materialised_move(w, candidates):
         np.where(use_star, best_at_star, best_at_one),
         np.where(use_star, t_star[rows, best_at_star], 1.0),
     )
+
+
+def sequential_bootstrap_report(c, resamples, seed, fair_sampling):
+    """Reference: every cell drawn in row-major order into (B, n_prep, n_meas) arrays."""
+    observed = estimate(c, fair_sampling)
+    point_det = det_witness(observed) if observed.n_prep >= 4 else None
+    point_idw = dimension_witness(observed)
+    trials_ = c.n_trials
+    root = np.random.SeedSequence(seed, spawn_key=(1,))
+    streams = root.spawn(c.n_prep * c.n_meas)
+    shape = (resamples, c.n_prep, c.n_meas)
+    n_e, n_d, n_none = np.empty(shape), np.empty(shape), np.empty(shape)
+    for i in range(c.n_prep):
+        for j in range(c.n_meas):
+            rng = np.random.default_rng(streams[i * c.n_meas + j])
+            freqs = np.array([c.n_e[i, j], c.n_d[i, j], c.n_none[i, j]], dtype=float)
+            draws = rng.multinomial(int(trials_[i, j]), freqs / freqs.sum(), size=resamples)
+            n_e[:, i, j], n_d[:, i, j], n_none[:, i, j] = draws[:, 0], draws[:, 1], draws[:, 2]
+    if fair_sampling:
+        denom = n_e + n_d
+        if denom.min() <= 0:
+            raise InsufficientStatisticsError("a bootstrap resample emptied a postselected cell")
+    else:
+        denom = n_e + n_d + n_none
+    p_e, p_d = n_e / denom, n_d / denom
+    dv = p_e - p_d
+    idw = dv[:, 0, 0] + dv[:, 0, 1] + dv[:, 1, 0] - dv[:, 1, 1] - dv[:, 2, 0]
+    r = np.maximum((idw - I_DW_CLASSICAL_BOUND) / 4.0, 0.0)
+    unc = {"i_dw": float(np.std(idw, ddof=1)), "r": float(np.std(r, ddof=1))}
+    sigma_idw = sigma_det = None
+    if unc["i_dw"] > 0.0:
+        sigma_idw = max((point_idw - I_DW_CLASSICAL_BOUND) / unc["i_dw"], 0.0)
+    if point_det is not None:
+        w00 = p_d[:, 0, 0] - p_d[:, 1, 0]
+        w01 = p_d[:, 0, 1] - p_d[:, 1, 1]
+        w10 = p_d[:, 2, 0] - p_d[:, 3, 0]
+        w11 = p_d[:, 2, 1] - p_d[:, 3, 1]
+        unc["det_abs"] = float(np.std(np.abs(w00 * w11 - w01 * w10), ddof=1))
+        if unc["det_abs"] > 0.0:
+            sigma_det = max((point_det - DET_CLASSICAL_BOUND) / unc["det_abs"], 0.0)
+    return WitnessReport(
+        i_dw=point_idw,
+        det_abs=point_det,
+        sigma_det=sigma_det,
+        sigma_idw=sigma_idw,
+        uncertainties=unc,
+    )
+
+
+def det_bootstrap_error(c, resamples, seed, fair_sampling):
+    """Reference: the |det W| bootstrap error, W's eight cells drawn in row-major order, each
+    from its row-major stream slot of spawn key (1,), all `resamples` rows at once.  Without
+    fair sampling p_d* = Binomial(N, n_d/N)/N; with it n_det* ~ Binomial(N, n_det/N), then
+    n_d* ~ Binomial(n_det*, n_d/n_det) from the slot's first child, p_d* = n_d*/n_det*."""
+    streams = np.random.SeedSequence(seed, spawn_key=(1,)).spawn(c.n_prep * c.n_meas)
+    p_d = np.empty((resamples, 4, 2))
+    for i in range(4):
+        for j in range(2):
+            stream = streams[i * c.n_meas + j]
+            n_e, n_d, n = int(c.n_e[i, j]), int(c.n_d[i, j]), int(c.n_trials[i, j])
+            rng = np.random.default_rng(stream)
+            if not fair_sampling:
+                p_d[:, i, j] = rng.binomial(n, n_d / n, resamples) / n
+                continue
+            detected = rng.binomial(n, (n_e + n_d) / n, resamples)
+            if detected.min() <= 0:
+                raise InsufficientStatisticsError(
+                    f"a bootstrap resample emptied a postselected cell (i={i}, j={j})"
+                )
+            second = np.random.default_rng(stream.spawn(1)[0])
+            p_d[:, i, j] = second.binomial(detected, n_d / (n_e + n_d)) / detected
+    w00 = p_d[:, 0, 0] - p_d[:, 1, 0]
+    w01 = p_d[:, 0, 1] - p_d[:, 1, 1]
+    w10 = p_d[:, 2, 0] - p_d[:, 3, 0]
+    w11 = p_d[:, 2, 1] - p_d[:, 3, 1]
+    return float(np.std(np.abs(w00 * w11 - w01 * w10), ddof=1))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from bundled import DET, IDW, bundled_scenario
+from oracles import det_bootstrap_error, sequential_bootstrap_report
 
 import pamsim
 from pamsim import trials
@@ -29,14 +30,7 @@ from pamsim.trials import (
     estimate,
     sample,
 )
-from pamsim.witness import (
-    DET_CLASSICAL_BOUND,
-    I_DW_CLASSICAL_BOUND,
-    WitnessReport,
-    det_witness,
-    dimension_witness,
-    report_from_table,
-)
+from pamsim.witness import I_DW_CLASSICAL_BOUND, det_witness, report_from_table
 
 
 def single_cell_table(p_e, p_d):
@@ -172,107 +166,166 @@ class TestBootstrap:
             bootstrap_report(counts, resamples=50, seed=0, fair_sampling=True)
 
 
-def sequential_bootstrap_report(c, resamples, seed, fair_sampling):
-    """Reference: every cell drawn in row-major order into (B, n_prep, n_meas) arrays."""
-    observed = estimate(c, fair_sampling)
-    point_det = det_witness(observed) if observed.n_prep >= 4 else None
-    point_idw = dimension_witness(observed)
-    trials_ = c.n_trials
-    root = np.random.SeedSequence(seed, spawn_key=(1,))
-    streams = root.spawn(c.n_prep * c.n_meas)
-    shape = (resamples, c.n_prep, c.n_meas)
-    n_e, n_d, n_none = np.empty(shape), np.empty(shape), np.empty(shape)
-    for i in range(c.n_prep):
-        for j in range(c.n_meas):
-            rng = np.random.default_rng(streams[i * c.n_meas + j])
-            freqs = np.array([c.n_e[i, j], c.n_d[i, j], c.n_none[i, j]], dtype=float)
-            draws = rng.multinomial(int(trials_[i, j]), freqs / freqs.sum(), size=resamples)
-            n_e[:, i, j], n_d[:, i, j], n_none[:, i, j] = draws[:, 0], draws[:, 1], draws[:, 2]
-    if fair_sampling:
-        denom = n_e + n_d
-        if denom.min() <= 0:
-            raise InsufficientStatisticsError("a bootstrap resample emptied a postselected cell")
-    else:
-        denom = n_e + n_d + n_none
-    p_e, p_d = n_e / denom, n_d / denom
-    dv = p_e - p_d
-    idw = dv[:, 0, 0] + dv[:, 0, 1] + dv[:, 1, 0] - dv[:, 1, 1] - dv[:, 2, 0]
-    r = np.maximum((idw - I_DW_CLASSICAL_BOUND) / 4.0, 0.0)
-    unc = {"i_dw": float(np.std(idw, ddof=1)), "r": float(np.std(r, ddof=1))}
-    sigma_idw = sigma_det = None
-    if unc["i_dw"] > 0.0:
-        sigma_idw = max((point_idw - I_DW_CLASSICAL_BOUND) / unc["i_dw"], 0.0)
-    if point_det is not None:
-        w00 = p_d[:, 0, 0] - p_d[:, 1, 0]
-        w01 = p_d[:, 0, 1] - p_d[:, 1, 1]
-        w10 = p_d[:, 2, 0] - p_d[:, 3, 0]
-        w11 = p_d[:, 2, 1] - p_d[:, 3, 1]
-        unc["det_abs"] = float(np.std(np.abs(w00 * w11 - w01 * w10), ddof=1))
-        if unc["det_abs"] > 0.0:
-            sigma_det = max((point_det - DET_CLASSICAL_BOUND) / unc["det_abs"], 0.0)
-    return WitnessReport(
-        i_dw=point_idw,
-        det_abs=point_det,
-        sigma_det=sigma_det,
-        sigma_idw=sigma_idw,
-        uncertainties=unc,
-    )
-
-
 def workers(monkeypatch, n):
     monkeypatch.setattr(trials, "_usable_cpus", lambda: n)
 
 
-def counts_for(config, fair, seed, trials_per_setting=5000):
-    s = bundled_scenario(config, visibility=0.9, efficiency=0.4, fair_sampling=fair)
-    return sample(probability_table(s), RunPlan(trials_per_setting, seed=seed))
+def random_counts(n_prep, n_meas, seed=0):
+    n_e, n_d, n_none = np.random.default_rng(seed).integers(50, 500, size=(3, n_prep, n_meas))
+    return CountTable(n_e, n_d, n_none)
 
 
-class TestConcurrentBootstrap:
-    @pytest.mark.parametrize("config", (IDW, DET), ids=("dimension_witness_settings", "det_witness_settings"))
+ORACLE_RESAMPLES = 20_000
+# relative Monte Carlo error of a bootstrap standard deviation is about 1/sqrt(2B)
+ORACLE_TOLERANCE = 5 / np.sqrt(2 * ORACLE_RESAMPLES)
+CLIP = "dimension_witness_at_the_clip"  # I_DW within a standard error of 3
+
+
+def oracle_counts(config, fair):
+    if config == CLIP:
+        s = bundled_scenario(IDW, visibility=0.7835, efficiency=0.6, fair_sampling=fair)
+    else:
+        s = bundled_scenario(config, fair_sampling=fair)
+    return sample(probability_table(s), RunPlan(100_000, seed=1))
+
+
+class TestClosedFormErrors:
+    @pytest.mark.parametrize(
+        "config, fair",
+        [(c, f) for c in (DET, IDW, "fitted_no_fsa") for f in (True, False)] + [(CLIP, True)],
+    )
+    def test_matches_multinomial_bootstrap(self, config, fair):
+        counts = oracle_counts(config, fair)
+        report = bootstrap_report(counts, ORACLE_RESAMPLES, 3, fair)
+        oracle = sequential_bootstrap_report(counts, ORACLE_RESAMPLES, 3, fair)
+        # det_abs too: the det-only bootstrap draws other streams, to the same spread
+        for name, error in oracle.uncertainties.items():
+            assert report.uncertainties[name] == pytest.approx(error, rel=ORACLE_TOLERANCE), name
+        if config == CLIP:
+            assert abs(report.i_dw - I_DW_CLASSICAL_BOUND) < report.uncertainties["i_dw"]
+            assert 0.0 < report.uncertainties["r"] < report.uncertainties["i_dw"] / 4
+
+    @pytest.mark.parametrize("fair", [True, False])
+    def test_without_w_nothing_is_drawn(self, monkeypatch, fair):
+        # the I_DW and R errors read the counts only: seed and resample count are unused
+        def no_drawing(*args):
+            raise AssertionError("a table without W drew resamples")
+
+        monkeypatch.setattr(trials, "_drawing", no_drawing)
+        counts = random_counts(3, 2)
+        reports = {
+            json.dumps(bootstrap_report(counts, b, seed, fair).to_json_dict())
+            for b, seed in ((MIN_RESAMPLES, 0), (10**6, 7))
+        }
+        assert len(reports) == 1
+
+    @pytest.mark.parametrize("fair", [True, False])
+    def test_idw_and_r_errors_ignore_the_seed(self, fair):
+        counts = random_counts(4, 2)
+        first, second = (bootstrap_report(counts, 200, seed, fair) for seed in (0, 1))
+        assert first.uncertainties["det_abs"] != second.uncertainties["det_abs"]
+        for name in ("i_dw", "r"):
+            assert first.uncertainties[name] == second.uncertainties[name]
+
+    def test_deterministic_cells_have_no_error(self):
+        # every cell all e or all d: D is +-1 in every resample
+        counts = CountTable(
+            np.array([[10, 0], [10, 0], [0, 10]]), np.array([[0, 10], [0, 10], [10, 0]]),
+            np.zeros((3, 2), dtype=int),
+        )
+        report = bootstrap_report(counts, MIN_RESAMPLES, 0, True)
+        assert report.uncertainties == {"i_dw": 0.0, "r": 0.0}
+        assert report.sigma_idw is None
+
+
+def first_emptied(c, cell, resamples, seed):
+    """Index of the first resample that empties `cell`'s detections, or None: the
+    first stage of its fair-sampling draw, from the cell's row-major stream slot."""
+    streams = np.random.SeedSequence(seed, spawn_key=(1,)).spawn(c.n_prep * c.n_meas)
+    n, detected = int(c.n_trials[cell]), int(c.n_e[cell] + c.n_d[cell])
+    rng = np.random.default_rng(streams[cell[0] * c.n_meas + cell[1]])
+    empty = np.flatnonzero(rng.binomial(n, detected / n, resamples) == 0)
+    return int(empty[0]) if len(empty) else None
+
+
+def postselection_risk(risky, shape=(4, 2)):
+    """Cells with 500 detections each, except the `risky` ones ({(i, j): detections})
+    that sit among 3000 undetected trials and so empty in some resamples."""
+    n_e, n_d, n_none = np.full(shape, 250), np.full(shape, 250), np.zeros(shape, dtype=int)
+    for cell, detected in risky.items():
+        n_e[cell], n_d[cell], n_none[cell] = detected, 0, 3000
+    return CountTable(n_e, n_d, n_none)
+
+
+def outcome_in_time(fn, seconds=60):
+    """fn()'s result or error, run on a daemon thread. Threads it starts are
+    daemons too, so a hang fails the test instead of blocking the run."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(fn())
+        except BaseException as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert outcome, f"no outcome within {seconds} s"
+    return outcome[0]
+
+
+class TestDetBootstrap:
+    @pytest.mark.parametrize("shape", [(4, 2), (5, 3)])
+    @pytest.mark.parametrize("fair", [True, False])
+    def test_independent_of_chunk_size_and_workers(self, monkeypatch, shape, fair):
+        # a 5 x 3 table: cells outside W keep their stream slots and draw nothing
+        counts = random_counts(*shape, seed=shape[0])
+        resamples = 20_000
+        expected = det_bootstrap_error(counts, resamples, 4, fair)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for chunk in (1000, 8192, 10**6):
+                monkeypatch.setattr(trials, "_CHUNK", chunk)
+                for n in (1, 2, counts.n_prep * counts.n_meas):
+                    workers(monkeypatch, n)
+                    got = bootstrap_report(counts, resamples, 4, fair).uncertainties["det_abs"]
+                    assert got == expected, (chunk, n)
+        finally:
+            sys.setswitchinterval(switch)
+
     @pytest.mark.parametrize("fair", [True, False])
     @pytest.mark.parametrize("resamples", [101, 333])
-    def test_matches_sequential_oracle(self, config, fair, resamples):
-        counts = counts_for(config, fair, seed=resamples)
-        expected = sequential_bootstrap_report(counts, resamples, 17, fair).to_json_dict()
-        assert bootstrap_report(counts, resamples, 17, fair).to_json_dict() == expected
-
-    @pytest.mark.parametrize("config", (IDW, DET), ids=("dimension_witness_settings", "det_witness_settings"))
-    @pytest.mark.parametrize("fair", [True, False])
-    def test_independent_of_worker_count(self, monkeypatch, config, fair):
-        counts = counts_for(config, fair, seed=3)
-        n_cells = counts.n_prep * counts.n_meas
-        reports = []
-        for n in (1, n_cells):
-            workers(monkeypatch, n)
-            reports.append(bootstrap_report(counts, 257, 5, fair).to_json_dict())
-        assert reports[0] == reports[1]
-        assert reports[0] == sequential_bootstrap_report(counts, 257, 5, fair).to_json_dict()
-
-    def test_extra_cells_keep_their_streams(self):
-        # a 5 x 3 table: cells outside the witnesses still take their stream slots
-        rng = np.random.default_rng(0)
-        n_e, n_d, n_none = rng.integers(50, 500, size=(3, 5, 3))
-        counts = CountTable(n_e, n_d, n_none)
-        for fair in (True, False):
-            expected = sequential_bootstrap_report(counts, 199, 9, fair).to_json_dict()
-            assert bootstrap_report(counts, 199, 9, fair).to_json_dict() == expected
+    def test_matches_sequential_reference(self, fair, resamples):
+        s = bundled_scenario(DET, visibility=0.9, efficiency=0.4, fair_sampling=fair)
+        counts = sample(probability_table(s), RunPlan(5000, seed=resamples))
+        report = bootstrap_report(counts, resamples, 17, fair)
+        assert report.uncertainties["det_abs"] == det_bootstrap_error(counts, resamples, 17, fair)
+        assert report.det_abs == det_witness(estimate(counts, fair))
 
     @pytest.mark.parametrize("n_workers", [1, 6])
     def test_emptied_postselected_cell_raises(self, monkeypatch, n_workers):
-        # cell (2, 1) has one detection in 10001 trials: some resample empties it
+        # cell (2, 1) of W has one detection in 10001 trials: some resample empties it
         workers(monkeypatch, n_workers)
-        n_e, n_d = np.full((3, 2), 500), np.full((3, 2), 500)
-        n_none = np.zeros((3, 2), dtype=int)
-        n_e[2, 1], n_d[2, 1], n_none[2, 1] = 1, 0, 10_000
-        counts = CountTable(n_e, n_d, n_none)
+        counts = postselection_risk({(2, 1): 1})
         with pytest.raises(InsufficientStatisticsError):
             sequential_bootstrap_report(counts, 100, 0, True)
-        with pytest.raises(
-            InsufficientStatisticsError, match=r"emptied a postselected cell \(i=2, j=1\)"
-        ):
+        message = r"emptied a postselected cell \(i=2, j=1\)"
+        with pytest.raises(InsufficientStatisticsError, match=message):
+            det_bootstrap_error(counts, 100, 0, True)
+        with pytest.raises(InsufficientStatisticsError, match=message):
             bootstrap_report(counts, 100, 0, True)
         bootstrap_report(counts, 100, 0, False)  # no postselection, nothing to empty
+
+    def test_cell_outside_w_cannot_empty(self):
+        # the full bootstrap empties cell (2, 1) of a 3 x 2 table, which no error reads
+        counts = postselection_risk({(2, 1): 1}, shape=(3, 2))
+        with pytest.raises(InsufficientStatisticsError):
+            sequential_bootstrap_report(counts, 100, 0, True)
+        report = bootstrap_report(counts, 100, 0, True)
+        assert all(np.isfinite(error) for error in report.uncertainties.values())
+        assert report.uncertainties["i_dw"] > 0.0
 
     def test_usable_cpus_without_affinity(self, monkeypatch):
         monkeypatch.delattr(trials.os, "sched_getaffinity", raising=False)
@@ -305,68 +358,6 @@ class TestConcurrentBootstrap:
 
         assert outcome() == outcome()
 
-
-def random_counts(n_prep, n_meas, seed=0):
-    n_e, n_d, n_none = np.random.default_rng(seed).integers(50, 500, size=(3, n_prep, n_meas))
-    return CountTable(n_e, n_d, n_none)
-
-
-def postselection_risk(risky, shape=(3, 2)):
-    """Cells with 500 detections each, except the `risky` ones ({(i, j): detections})
-    that sit among 3000 undetected trials and so empty in some resamples."""
-    n_e, n_d, n_none = np.full(shape, 250), np.full(shape, 250), np.zeros(shape, dtype=int)
-    for cell, detected in risky.items():
-        n_e[cell], n_d[cell], n_none[cell] = detected, 0, 3000
-    return CountTable(n_e, n_d, n_none)
-
-
-def first_emptied(c, cell, resamples, seed):
-    """Index of the first resample that empties `cell`'s detections, or None."""
-    streams = np.random.SeedSequence(seed, spawn_key=(1,)).spawn(c.n_prep * c.n_meas)
-    counts = np.array([c.n_e[cell], c.n_d[cell], c.n_none[cell]])
-    rng = np.random.default_rng(streams[cell[0] * c.n_meas + cell[1]])
-    draws = rng.multinomial(counts.sum(), counts / counts.sum(), size=resamples)
-    empty = np.flatnonzero(draws[:, 0] + draws[:, 1] == 0)
-    return int(empty[0]) if len(empty) else None
-
-
-def outcome_in_time(fn, seconds=60):
-    """fn()'s result or error, run on a daemon thread. Threads it starts are
-    daemons too, so a hang fails the test instead of blocking the run."""
-    outcome = []
-
-    def run():
-        try:
-            outcome.append(fn())
-        except BaseException as exc:
-            outcome.append(exc)
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(seconds)
-    assert outcome, f"no outcome within {seconds} s"
-    return outcome[0]
-
-
-class TestStreamedBootstrap:
-    @pytest.mark.parametrize("shape", [(3, 2), (4, 2), (5, 3)])
-    @pytest.mark.parametrize("fair", [True, False])
-    def test_independent_of_chunk_size_and_workers(self, monkeypatch, shape, fair):
-        counts = random_counts(*shape, seed=shape[0])
-        resamples = 203
-        expected = json.dumps(sequential_bootstrap_report(counts, resamples, 4, fair).to_json_dict())
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
-        try:
-            for chunk in (1, 7, 100, resamples, 10**6):
-                monkeypatch.setattr(trials, "_CHUNK", chunk)
-                for n in (1, 2, counts.n_prep * counts.n_meas):
-                    workers(monkeypatch, n)
-                    got = json.dumps(bootstrap_report(counts, resamples, 4, fair).to_json_dict())
-                    assert got == expected, (chunk, n)
-        finally:
-            sys.setswitchinterval(switch)
-
     @pytest.mark.parametrize("n_workers", [1, 2, 6])
     def test_first_emptied_cell_in_cell_order_wins(self, monkeypatch, n_workers):
         # (0, 0) empties in a later chunk than (2, 1): the error still names (0, 0)
@@ -398,7 +389,7 @@ class TestStreamedBootstrap:
 
         monkeypatch.setattr(trials, "_resample_cell", third_chunk_fails)
         baseline = threading.active_count()
-        error = outcome_in_time(lambda: bootstrap_report(random_counts(3, 2), 1000, 0, True))
+        error = outcome_in_time(lambda: bootstrap_report(random_counts(4, 2), 1000, 0, True))
         assert isinstance(error, RuntimeError) and "third chunk" in str(error)
         assert threading.active_count() == baseline
 
@@ -407,16 +398,16 @@ class TestStreamedBootstrap:
         # stay blocked on their full queues
         monkeypatch.setattr(trials, "_CHUNK", 10)
         workers(monkeypatch, 2)
-        real, calls = trials.idw_sum, []
+        real, calls = trials.abs_det, []
 
-        def second_chunk_fails(d):
+        def second_chunk_fails(w):
             calls.append(1)
             if len(calls) == 2:
                 time.sleep(0.5)  # ample time for the workers to fill their queues
                 raise RuntimeError("combining failed")
-            return real(d)
+            return real(w)
 
-        monkeypatch.setattr(trials, "idw_sum", second_chunk_fails)
+        monkeypatch.setattr(trials, "abs_det", second_chunk_fails)
         baseline = threading.active_count()
         error = outcome_in_time(lambda: bootstrap_report(random_counts(4, 2), 10_000, 0, False))
         assert isinstance(error, RuntimeError) and "combining failed" in str(error)

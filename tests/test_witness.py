@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from bundled import DET, IDW, bundled_scenario
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pamsim.scenario import (
     ProbabilityTable,
@@ -20,6 +22,7 @@ from pamsim.witness import (
     dimension_witness,
     report_from_table,
     retrocausality,
+    retrocausality_error,
     sigma_violation,
     witness_entries,
 )
@@ -117,9 +120,7 @@ class TestRetrocausality:
         # Eq-faithful: (3.445 - 3) / 4
         assert retrocausality(3.445) == pytest.approx(0.11125, abs=1e-12)
 
-    def test_vector_matches_scalar(self):
-        grid = np.linspace(0.0, 5.0, 101)
-        assert retrocausality(grid).tolist() == [retrocausality(float(x)) for x in grid]
+    def test_python_float(self):
         # a Python float keeps witness.csv's repr free of numpy's type name
         assert type(retrocausality(3.445)) is float
 
@@ -129,6 +130,24 @@ class TestRetrocausality:
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
         for x, y in zip(grid, grid[2::3]):
             assert abs(retrocausality(x) - retrocausality(y)) <= abs(x - y) / 4 + 1e-15
+
+
+class TestRetrocausalityError:
+    @given(
+        i_dw=st.floats(-5.0, 9.0),
+        std_err=st.one_of(st.just(0.0), st.floats(1e-12, 10.0)),
+    )
+    def test_between_zero_and_a_quarter_of_the_idw_error(self, i_dw, std_err):
+        # R = max((I_DW - 3)/4, 0) is 1-Lipschitz in (I_DW - 3)/4
+        assert 0.0 <= retrocausality_error(i_dw, std_err) <= std_err / 4
+
+    def test_clipped_normal_moments(self):
+        # at the bound R is the positive part of a centred normal: Var = s^2 (1/2 - 1/(2 pi))
+        assert retrocausality_error(3.0, 4.0) == pytest.approx(math.sqrt(0.5 - 0.5 / math.pi))
+        # far above the bound R is the normal itself, far below it is 0
+        assert retrocausality_error(3.0 + 100.0, 4.0) == 1.0
+        assert retrocausality_error(3.0 - 200.0, 4.0) == 0.0
+        assert retrocausality_error(3.5, 0.0) == 0.0
 
 
 class TestSigmaViolation:
