@@ -8,11 +8,13 @@ one child stream per cell, of which only the cells of W draw.
 
 I_DW and R get closed-form errors and draw nothing.  |det W| gets a
 parametric bootstrap that streams its resamples: each cell of W draws
-chunks of `_CHUNK` rows from its own generators (exactly the rows of one
-draw of them all), one thread per usable CPU drawing every n-th cell,
-and the calling thread folds each chunk into one |det W| vector, so
-memory grows with the resample count only, not with the cells.  The
-output depends on neither the thread count nor the chunk size.
+its p_d as one binomial per resample, given the cell's trial count (its
+detected count with fair sampling), in chunks of `_CHUNK` rows from its
+own generator (exactly the rows of one draw of them all), one thread per
+usable CPU drawing every n-th cell, and the calling thread folds each
+chunk into one |det W| vector, so memory grows with the resample count
+only, not with the cells.  The output depends on neither the thread
+count nor the chunk size.
 """
 
 from __future__ import annotations
@@ -236,49 +238,29 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _resample_cell(
-    cell: tuple[int, int],
-    rngs: tuple[np.random.Generator, np.random.Generator],
-    counts: tuple[int, int, int],
-    size: int,
-    fair: bool,
-) -> np.ndarray:
-    """p_d of the next `size` resamples of `cell`, whose raw counts are `counts`.
-
-    Without fair sampling n_d* ~ Binomial(N, n_d/N), over N.  With it, n_det* ~
-    Binomial(N, n_det/N) from rngs[0], then n_d* ~ Binomial(n_det*, n_d/n_det) from
-    rngs[1], over n_det*: the multinomial resample's p_d, each stage on its own
-    stream so that chunks of draws concatenate to one draw of them all.
-    """
-    n_e, n_d, n_none = counts
-    n = n_e + n_d + n_none
-    if not fair:
-        return rngs[0].binomial(n, n_d / n, size) / n
-    detected = rngs[0].binomial(n, (n_e + n_d) / n, size)
-    if detected.min() <= 0:
-        raise InsufficientStatisticsError(
-            f"a bootstrap resample emptied a postselected cell (i={cell[0]}, j={cell[1]})"
-        )
-    return rngs[1].binomial(detected, n_d / (n_e + n_d)) / detected
+def _resample_cell(rng: np.random.Generator, n: int, n_d: int, size: int) -> np.ndarray:
+    """p_d of the next `size` resamples of a cell with `n_d` d events per `n`
+    (`_per_trial`): Binomial(n, n_d/n)/n.  With fair sampling n = n_det is held
+    fixed, since detection independent of the outcome leaves n_det no
+    information about q = n_d/n_det; this is the model of `_idw_error` too."""
+    return rng.binomial(n, n_d / n, size) / n
 
 
-def _draw_cells(jobs, resamples: int, fair: bool, out, stop: threading.Event) -> None:
-    """Put on `out`, chunk by chunk, {k: p_d vector or the error raised} for the
-    jobs (k, (cell, rngs, counts)), until done or `stop` is set."""
-    for lo in range(0, resamples, _CHUNK):
-        chunk = {}
-        for k, job in jobs:
-            try:
-                chunk[k] = _resample_cell(*job, min(_CHUNK, resamples - lo), fair)
-            except BaseException as exc:  # raised by the thread that combines
-                chunk[k] = exc
-        if stop.is_set():
-            return
-        out.put(chunk)
+def _draw_cells(jobs, resamples: int, out, stop: threading.Event) -> None:
+    """Put on `out`, chunk by chunk, {cell: p_d vector} for the jobs (cell, (rng, n, n_d)),
+    until done or `stop` is set; an error raised instead ends the thread on `out`."""
+    try:
+        for lo in range(0, resamples, _CHUNK):
+            chunk = {cell: _resample_cell(*job, min(_CHUNK, resamples - lo)) for cell, job in jobs}
+            if stop.is_set():
+                return
+            out.put(chunk)
+    except BaseException as exc:  # raised by the thread that combines
+        out.put(exc)
 
 
 @contextmanager
-def _drawing(jobs: list, resamples: int, fair: bool):
+def _drawing(jobs: list, resamples: int):
     """Yield the chunk queues of n = min(jobs, usable CPUs) threads, thread w
     drawing jobs w, w + n, ...; on exit, stop the threads and wait for them."""
     import queue
@@ -286,7 +268,7 @@ def _drawing(jobs: list, resamples: int, fair: bool):
     n = min(len(jobs), _usable_cpus())
     queues = [queue.Queue(maxsize=2) for _ in range(n)]
     stop = threading.Event()
-    args = [(jobs[w::n], resamples, fair, out, stop) for w, out in enumerate(queues)]
+    args = [(jobs[w::n], resamples, out, stop) for w, out in enumerate(queues)]
     threads = [threading.Thread(target=_draw_cells, args=a) for a in args]
     try:
         for thread in threads:
@@ -311,8 +293,11 @@ def bootstrap_report(
     the plug-in multinomial model (`_idw_error`), and that of R for a normal
     I_DW clipped at the bound (`witness.retrocausality_error`).  The error of
     |det W| is the standard deviation of a parametric bootstrap of `resamples`
-    resamples, which redraws only the p_d of W's cells at the observed raw
-    frequencies (`_det_error`); a table without W draws nothing.
+    resamples, which redraws only the p_d of W's cells, each from one binomial
+    over the counts its frequencies are taken per (`_det_error`): all trials,
+    or with fair sampling the detected ones, held fixed as the I_DW error
+    holds them.  So the two `fair_sampling` values give the same report on
+    counts without undetected trials.  A table without W draws nothing.
     """
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
@@ -320,41 +305,36 @@ def bootstrap_report(
         raise ValueError(f"resamples {resamples} is too large: at most {MAX_RESAMPLES} are taken")
     table = estimate(c, fair_sampling)
     report = report_from_table(table)
-    sd_idw = _idw_error(table, _per_trial(c, fair_sampling))
+    per_trial = _per_trial(c, fair_sampling)
+    sd_idw = _idw_error(table, per_trial)
     uncertainties = {"i_dw": sd_idw, "r": retrocausality_error(report.i_dw, sd_idw)}
     if report.det_abs is not None:
-        uncertainties["det_abs"] = _det_error(c, resamples, seed, fair_sampling)
+        uncertainties["det_abs"] = _det_error(c.n_d, per_trial, resamples, seed)
     return report.with_errors(uncertainties)
 
 
-def _det_error(c: CountTable, resamples: int, seed: int, fair: bool) -> float:
-    """Standard deviation of |det W| over `resamples` resamples of W's cells (`_resample_cell`).
+def _det_error(n_d: np.ndarray, n: np.ndarray, resamples: int, seed: int) -> float:
+    """Standard deviation of |det W| over `resamples` resamples of W's cells, each
+    cell's p_d redrawn as Binomial(n, n_d/n)/n (`_resample_cell`) for its counts
+    `n_d` per `n` (`_per_trial`), which is at least 1: no resample can empty a cell.
 
-    Cell (i, j) draws from child i * n_meas + j of `seed`'s stream (with fair
-    sampling its second stage from that child's own first child), so cells
-    outside W keep their slots.  A resample that empties a postselected cell
-    raises once every cell is drawn: the first such cell in row-major order.
+    Cell (i, j) draws from child i * n_meas + j of `seed`'s stream, so cells
+    outside W keep their slots.
     """
-    streams = np.random.SeedSequence(seed, spawn_key=(_BOOTSTRAP_KEY,)).spawn(c.n_prep * c.n_meas)
-    jobs = []
-    for k, (i, j) in enumerate(_W_CELLS):
-        stream = streams[i * c.n_meas + j]
-        rngs = (np.random.default_rng(stream), np.random.default_rng(stream.spawn(1)[0]))
-        counts = (int(c.n_e[i, j]), int(c.n_d[i, j]), int(c.n_none[i, j]))
-        jobs.append((k, ((i, j), rngs, counts)))
+    streams = np.random.SeedSequence(seed, spawn_key=(_BOOTSTRAP_KEY,)).spawn(n_d.size)
+    rngs = [np.random.default_rng(streams[i * n_d.shape[1] + j]) for i, j in _W_CELLS]
+    jobs = [(cell, (rng, int(n[cell]), int(n_d[cell]))) for cell, rng in zip(_W_CELLS, rngs)]
     try:
         samples = np.empty(resamples)
-        errors = {}
-        with _drawing(jobs, resamples, fair) as queues:
+        with _drawing(jobs, resamples) as queues:
             for lo in range(0, resamples, _CHUNK):
-                chunk = {k: v for out in queues for k, v in out.get().items()}
-                errors.update((k, v) for k, v in chunk.items() if isinstance(v, BaseException))
-                if errors:
-                    continue  # an earlier cell may still fail in a later chunk
-                p_d = {_W_CELLS[k]: v for k, v in chunk.items()}
+                p_d = {}
+                for out in queues:
+                    chunk = out.get()
+                    if isinstance(chunk, BaseException):
+                        raise chunk
+                    p_d.update(chunk)
                 samples[lo : lo + _CHUNK] = abs_det(witness_entries(p_d))
-        if errors:
-            raise errors[min(errors)]
         return float(np.std(samples, ddof=1))
     except MemoryError as exc:
         raise ValueError(f"resamples {resamples} is too large: {exc}") from exc

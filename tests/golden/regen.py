@@ -9,7 +9,9 @@ promise its `Generator` streams across versions.  `report` on the
 three-preparation fixture `dimension_witness_counts.csv` draws nothing: its
 errors are closed forms.  The fixture holds the counts that `pamsim.trials.sample`
 drew for `dimension_witness_ideal` at visibility 0.9 and efficiency 0.6
-without fair sampling, 100000 trials per setting, seed 20260810.
+without fair sampling, 100000 trials per setting, seed 20260810.  The
+`error_*` cases are the README's usage errors; they record an exit code,
+an empty stdout and the message on stderr, and write nothing.
 
 Run from the repository root after an intended output change:
 
@@ -24,6 +26,7 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from pamsim.cli import main
 
@@ -50,6 +53,12 @@ CASES = {
         ]
         for fair in ("true", "false")
     },
+    # the README's error cases: each exits 1 and writes nothing
+    "error_negative_seed": ["report", "--counts", str(COUNTS), "--seed", "-1", "--out", "out"],
+    "error_bounds_idw_d0": _bounds("idw", 0),
+    "error_bounds_det_d1": _bounds("det", 1),
+    "error_config_is_a_directory": ["predict", "--config", ".", "--out", "out"],
+    "error_resamples_99": ["report", "--counts", str(COUNTS), "--resamples", "99", "--out", "out"],
 }
 
 
@@ -60,7 +69,9 @@ def run_case(argv: list[str], workdir: Path) -> dict[str, bytes]:
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        # argparse wraps its usage lines to the terminal width, which COLUMNS fixes
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                mock.patch.dict(os.environ, COLUMNS="80"):
             code = main(argv)
     finally:
         os.chdir(cwd)

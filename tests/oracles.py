@@ -192,26 +192,17 @@ def sequential_bootstrap_report(c, resamples, seed, fair_sampling):
 
 def det_bootstrap_error(c, resamples, seed, fair_sampling):
     """Reference: the |det W| bootstrap error, W's eight cells drawn in row-major order, each
-    from its row-major stream slot of spawn key (1,), all `resamples` rows at once.  Without
-    fair sampling p_d* = Binomial(N, n_d/N)/N; with it n_det* ~ Binomial(N, n_det/N), then
-    n_d* ~ Binomial(n_det*, n_d/n_det) from the slot's first child, p_d* = n_d*/n_det*."""
+    from its row-major stream slot of spawn key (1,), all `resamples` rows at once:
+    p_d* = Binomial(n, n_d/n)/n, with n the cell's trials, or its detected trials
+    n_e + n_d with fair sampling."""
     streams = np.random.SeedSequence(seed, spawn_key=(1,)).spawn(c.n_prep * c.n_meas)
     p_d = np.empty((resamples, 4, 2))
     for i in range(4):
         for j in range(2):
-            stream = streams[i * c.n_meas + j]
-            n_e, n_d, n = int(c.n_e[i, j]), int(c.n_d[i, j]), int(c.n_trials[i, j])
-            rng = np.random.default_rng(stream)
-            if not fair_sampling:
-                p_d[:, i, j] = rng.binomial(n, n_d / n, resamples) / n
-                continue
-            detected = rng.binomial(n, (n_e + n_d) / n, resamples)
-            if detected.min() <= 0:
-                raise InsufficientStatisticsError(
-                    f"a bootstrap resample emptied a postselected cell (i={i}, j={j})"
-                )
-            second = np.random.default_rng(stream.spawn(1)[0])
-            p_d[:, i, j] = second.binomial(detected, n_d / (n_e + n_d)) / detected
+            n_d = int(c.n_d[i, j])
+            n = n_d + int(c.n_e[i, j]) + (0 if fair_sampling else int(c.n_none[i, j]))
+            rng = np.random.default_rng(streams[i * c.n_meas + j])
+            p_d[:, i, j] = rng.binomial(n, n_d / n, resamples) / n
     w00 = p_d[:, 0, 0] - p_d[:, 1, 0]
     w01 = p_d[:, 0, 1] - p_d[:, 1, 1]
     w10 = p_d[:, 2, 0] - p_d[:, 3, 0]

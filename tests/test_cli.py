@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from pamsim import cli
+from pamsim import cli, trials
 from pamsim.cli import ConfigError, _write_outputs, build_parser, main
 from pamsim.spacetime import Event, Schedule, reference_schedule
 from pamsim.witness import DET_CLASSICAL_BOUND, I_DW_CLASSICAL_BOUND, I_DW_QUANTUM, R_QUANTUM
@@ -263,16 +263,34 @@ class TestSimulateAndReport:
         assert capsys.readouterr().err.startswith(f"error: resamples {resamples} is too large")
         assert not out.exists()
 
-    def test_report_names_the_emptied_cell(self, tmp_path, capsys):
-        # 2 detections in 302 trials per cell: some resample empties cell (0, 0)
-        counts = tmp_path / "counts.csv"
-        rows = [f"{i},{j},1,1,300" for i in range(4) for j in range(2)]
-        counts.write_text("i,j,n_e,n_d,n_none\n" + "\n".join(rows) + "\n")
-        argv = ["report", "--counts", str(counts), "--resamples", "100", "--out", str(tmp_path)]
-        assert main(argv + ["--fair-sampling", "true"]) == 2
-        err = capsys.readouterr().err
-        assert "emptied a postselected cell (i=0, j=0)" in err
-        assert main(argv + ["--fair-sampling", "false"]) == 0
+    @staticmethod
+    def sparse_counts(path, detected):
+        """Counts with 500 detections in every cell of W but (2, 1), which has
+        `detected` e events among 10001 trials."""
+        cells = {(i, j): "250,250,0" for i in range(4) for j in range(2)}
+        cells[2, 1] = f"{detected},0,{10_001 - detected}"
+        rows = [f"{i},{j},{counts}" for (i, j), counts in cells.items()]
+        path.write_text("i,j,n_e,n_d,n_none\n" + "\n".join(rows) + "\n")
+        return ["report", "--counts", str(path), "--resamples", "100", "--fair-sampling", "true"]
+
+    def test_sparse_postselected_cell_has_a_finite_error(self, tmp_path):
+        # one detection in 10001 trials: the fair-sampling bootstrap holds it fixed
+        argv = self.sparse_counts(tmp_path / "counts.csv", 1)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        report = read_json(tmp_path / "out" / "witness.json")
+        assert math.isfinite(report["uncertainties"]["det_abs"])
+        assert report["uncertainties"]["det_abs"] > 0.0
+
+    def test_undetected_postselected_cell_exits_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        def no_drawing(*args):
+            raise AssertionError("a table with an undetected cell drew resamples")
+
+        monkeypatch.setattr(trials, "_drawing", no_drawing)
+        argv = self.sparse_counts(tmp_path / "counts.csv", 0)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "cell (i=2, j=1) has no detected events to postselect on" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_plan_without_trials_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

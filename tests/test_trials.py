@@ -238,22 +238,13 @@ class TestClosedFormErrors:
         assert report.sigma_idw is None
 
 
-def first_emptied(c, cell, resamples, seed):
-    """Index of the first resample that empties `cell`'s detections, or None: the
-    first stage of its fair-sampling draw, from the cell's row-major stream slot."""
-    streams = np.random.SeedSequence(seed, spawn_key=(1,)).spawn(c.n_prep * c.n_meas)
-    n, detected = int(c.n_trials[cell]), int(c.n_e[cell] + c.n_d[cell])
-    rng = np.random.default_rng(streams[cell[0] * c.n_meas + cell[1]])
-    empty = np.flatnonzero(rng.binomial(n, detected / n, resamples) == 0)
-    return int(empty[0]) if len(empty) else None
-
-
 def postselection_risk(risky, shape=(4, 2)):
     """Cells with 500 detections each, except the `risky` ones ({(i, j): detections})
-    that sit among 3000 undetected trials and so empty in some resamples."""
+    that sit among 10000 undetected trials, so that a multinomial resample of all
+    of a cell's trials empties them in some resamples."""
     n_e, n_d, n_none = np.full(shape, 250), np.full(shape, 250), np.zeros(shape, dtype=int)
     for cell, detected in risky.items():
-        n_e[cell], n_d[cell], n_none[cell] = detected, 0, 3000
+        n_e[cell], n_d[cell], n_none[cell] = detected, 0, 10_000
     return CountTable(n_e, n_d, n_none)
 
 
@@ -305,18 +296,16 @@ class TestDetBootstrap:
         assert report.det_abs == det_witness(estimate(counts, fair))
 
     @pytest.mark.parametrize("n_workers", [1, 6])
-    def test_emptied_postselected_cell_raises(self, monkeypatch, n_workers):
-        # cell (2, 1) of W has one detection in 10001 trials: some resample empties it
+    def test_sparse_postselected_cell_has_a_finite_error(self, monkeypatch, n_workers):
+        # cell (2, 1) of W has one detection in 10001 trials; the full multinomial
+        # bootstrap empties it, but the fair-sampling draw holds its one detection
         workers(monkeypatch, n_workers)
         counts = postselection_risk({(2, 1): 1})
         with pytest.raises(InsufficientStatisticsError):
             sequential_bootstrap_report(counts, 100, 0, True)
-        message = r"emptied a postselected cell \(i=2, j=1\)"
-        with pytest.raises(InsufficientStatisticsError, match=message):
-            det_bootstrap_error(counts, 100, 0, True)
-        with pytest.raises(InsufficientStatisticsError, match=message):
-            bootstrap_report(counts, 100, 0, True)
-        bootstrap_report(counts, 100, 0, False)  # no postselection, nothing to empty
+        error = bootstrap_report(counts, 100, 0, True).uncertainties["det_abs"]
+        assert np.isfinite(error) and error > 0.0
+        assert error == det_bootstrap_error(counts, 100, 0, True)
 
     def test_cell_outside_w_cannot_empty(self):
         # the full bootstrap empties cell (2, 1) of a 3 x 2 table, which no error reads
@@ -344,54 +333,65 @@ class TestDetBootstrap:
     )
     @example(cells=[(1, 1, 300)] * 8, n_prep=4, seed=0, fair=True)
     def test_same_seed_same_report(self, cells, n_prep, seed, fair):
-        # a postselected cell such as (1, 1, 300) can be emptied by a resample:
-        # then the same seed must give the same error
+        # (1, 1, 300) is a postselected cell that a multinomial resample could empty
         n_e, n_d, n_none = (np.array(col[: n_prep * 2]).reshape(n_prep, 2) for col in zip(*cells))
         counts = CountTable(n_e, n_d, n_none)
+        first, second = (bootstrap_report(counts, 100, seed, fair) for _ in range(2))
+        assert first == second
+        assert first.to_json_dict() == second.to_json_dict()
 
-        def outcome():
-            try:
-                report = bootstrap_report(counts, 100, seed, fair)
-            except InsufficientStatisticsError as exc:
-                return "error", str(exc)
-            return report, report.to_json_dict()
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from([(4, 2), (5, 3)]),
+        data=st.data(),
+        resamples=st.integers(MIN_RESAMPLES, 1000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fair_sampling_is_moot_without_undetected_trials(self, shape, data, resamples, seed):
+        # with n_none = 0 the detected trials are all trials: both models are one model
+        cells = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, 10**9), st.integers(0, 10**9)).filter(any),
+                min_size=shape[0] * shape[1],
+                max_size=shape[0] * shape[1],
+            )
+        )
+        n_e, n_d = (np.reshape(col, shape) for col in zip(*cells))
+        counts = CountTable(n_e, n_d, np.zeros(shape, dtype=int))
+        fair, plain = (bootstrap_report(counts, resamples, seed, f) for f in (True, False))
+        assert fair.to_json_dict() == plain.to_json_dict()
 
-        assert outcome() == outcome()
-
-    @pytest.mark.parametrize("n_workers", [1, 2, 6])
-    def test_first_emptied_cell_in_cell_order_wins(self, monkeypatch, n_workers):
-        # (0, 0) empties in a later chunk than (2, 1): the error still names (0, 0)
-        workers(monkeypatch, n_workers)
-        counts = postselection_risk({(0, 0): 7, (2, 1): 5})
-        for seed in range(100):
-            early = first_emptied(counts, (0, 0), 20_000, seed)
-            late = first_emptied(counts, (2, 1), 20_000, seed)
-            if None not in (early, late) and early > late >= MIN_RESAMPLES:
-                break
-        else:
-            pytest.fail("no seed below 100 empties (0, 0) in a later resample than (2, 1)")
-        monkeypatch.setattr(trials, "_CHUNK", late + 1)
-        with pytest.raises(InsufficientStatisticsError, match=r"cell \(i=0, j=0\)"):
-            bootstrap_report(counts, early + 1, seed, True)
-        with pytest.raises(InsufficientStatisticsError, match=r"cell \(i=2, j=1\)"):
-            bootstrap_report(counts, late + 1, seed, True)  # (0, 0) not yet emptied
-
-    def test_worker_error_propagates_and_threads_end(self, monkeypatch):
+    @staticmethod
+    def third_chunk_fails(monkeypatch, raised):
+        """bootstrap_report's error when the third chunk of cell (1, 0) raises
+        `raised`, drawn by 2 workers, once all threads it started have ended."""
         monkeypatch.setattr(trials, "_CHUNK", 50)
         workers(monkeypatch, 2)
-        real, calls = trials._resample_cell, {}
+        counts = random_counts(4, 2)
+        failing = int(counts.n_d[1, 0])  # the n_d of cell (1, 0) only
+        assert np.count_nonzero(counts.n_d == failing) == 1
+        real, calls = trials._resample_cell, []
 
-        def third_chunk_fails(cell, *args):
-            calls[cell] = calls.get(cell, 0) + 1
-            if cell == (1, 0) and calls[cell] == 3:
-                raise RuntimeError("third chunk of cell (1, 0)")
-            return real(cell, *args)
+        def resample_cell(rng, n, n_d, size):
+            if n_d == failing:
+                calls.append(size)
+                if len(calls) == 3:
+                    raise raised("third chunk of cell (1, 0)")
+            return real(rng, n, n_d, size)
 
-        monkeypatch.setattr(trials, "_resample_cell", third_chunk_fails)
+        monkeypatch.setattr(trials, "_resample_cell", resample_cell)
         baseline = threading.active_count()
-        error = outcome_in_time(lambda: bootstrap_report(random_counts(4, 2), 1000, 0, True))
-        assert isinstance(error, RuntimeError) and "third chunk" in str(error)
+        error = outcome_in_time(lambda: bootstrap_report(counts, 1000, 0, True))
         assert threading.active_count() == baseline
+        return error
+
+    def test_worker_error_propagates_and_threads_end(self, monkeypatch):
+        error = self.third_chunk_fails(monkeypatch, RuntimeError)
+        assert isinstance(error, RuntimeError) and "third chunk" in str(error)
+
+    def test_worker_memory_error_is_a_domain_error(self, monkeypatch):
+        error = self.third_chunk_fails(monkeypatch, MemoryError)
+        assert isinstance(error, ValueError) and "resamples 1000 is too large" in str(error)
 
     def test_combining_error_stops_the_workers(self, monkeypatch):
         # the workers run ahead; when the combining thread fails they must not
