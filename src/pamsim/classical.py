@@ -236,14 +236,13 @@ class DetBoundResult:
     """Outcome of the determinant-witness bound.
 
     `value` is the closed-form bound, attained by the deterministic
-    `strategy`; `deterministic_max` repeats it, as |det W| peaks at a
-    vertex (deterministic) pair.  `mixture_max` is the best value reached by
-    hill climbs over independent randomization from one seeded start stream.
+    `strategy`, as |det W| peaks at a vertex (deterministic) pair.
+    `mixture_max` is the best value reached by hill climbs over independent
+    randomization from one seeded start stream.
     """
 
     value: float
     strategy: DeterministicStrategy
-    deterministic_max: float
     mixture_max: float
     n_strategies: int
     restarts: int
@@ -512,7 +511,6 @@ def classical_max_det(d: int, restarts: int = 10_000, seed: int = 0) -> DetBound
     return DetBoundResult(
         value=value,
         strategy=DeterministicStrategy(encode=tuple(encode.tolist()), decode=decode),
-        deterministic_max=value,
         mixture_max=_mixture_max(d, restarts, seed),
         n_strategies=strategy_count(d, n_prep, n_meas),
         restarts=restarts,

@@ -241,9 +241,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         result = classical_max_det(args.dimension, **search)
         payload = {"witness": "det", "dimension": args.dimension, **result.to_json_dict()}
         line = (
-            f"classical |det W| bound (d={args.dimension}): deterministic max "
-            f"{result.deterministic_max:.3g}, mixture search max {result.mixture_max:.3g} "
-            f"over {result.restarts} restarts"
+            f"classical |det W| bound (d={args.dimension}): {result.value:.3g}, "
+            f"mixture search max {result.mixture_max:.3g} over {result.restarts} restarts"
         )
     _write_outputs(args.out, {"bounds.json": partial(write_json, payload=payload)}, [line])
     return 0

@@ -10,11 +10,12 @@ I_DW and R get closed-form errors and draw nothing.  |det W| gets a
 parametric bootstrap that streams its resamples: each cell of W draws
 its p_d as one binomial per resample, given the cell's trial count (its
 detected count with fair sampling), in chunks of `_CHUNK` rows from its
-own generator (exactly the rows of one draw of them all), one thread per
-usable CPU drawing every n-th cell, and the calling thread folds each
-chunk into one |det W| vector, so memory grows with the resample count
-only, not with the cells.  The output depends on neither the thread
-count nor the chunk size.
+own generator (exactly the rows of one draw of them all).  One
+single-thread executor per usable CPU draws every n-th cell, one chunk
+ahead of the calling thread, which folds each chunk into one |det W|
+vector, so memory grows with the resample count only, not with the
+cells.  The output depends on neither the executor count nor the chunk
+size.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-import threading
-from contextlib import contextmanager
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -246,41 +246,9 @@ def _resample_cell(rng: np.random.Generator, n: int, n_d: int, size: int) -> np.
     return rng.binomial(n, n_d / n, size) / n
 
 
-def _draw_cells(jobs, resamples: int, out, stop: threading.Event) -> None:
-    """Put on `out`, chunk by chunk, {cell: p_d vector} for the jobs (cell, (rng, n, n_d)),
-    until done or `stop` is set; an error raised instead ends the thread on `out`."""
-    try:
-        for lo in range(0, resamples, _CHUNK):
-            chunk = {cell: _resample_cell(*job, min(_CHUNK, resamples - lo)) for cell, job in jobs}
-            if stop.is_set():
-                return
-            out.put(chunk)
-    except BaseException as exc:  # raised by the thread that combines
-        out.put(exc)
-
-
-@contextmanager
-def _drawing(jobs: list, resamples: int):
-    """Yield the chunk queues of n = min(jobs, usable CPUs) threads, thread w
-    drawing jobs w, w + n, ...; on exit, stop the threads and wait for them."""
-    import queue
-
-    n = min(len(jobs), _usable_cpus())
-    queues = [queue.Queue(maxsize=2) for _ in range(n)]
-    stop = threading.Event()
-    args = [(jobs[w::n], resamples, out, stop) for w, out in enumerate(queues)]
-    threads = [threading.Thread(target=_draw_cells, args=a) for a in args]
-    try:
-        for thread in threads:
-            thread.start()
-        yield queues
-    finally:
-        stop.set()
-        for out, thread in zip(queues, threads):
-            while not out.empty():  # free a worker blocked in `put`, so that it sees `stop`
-                out.get_nowait()
-            if thread.is_alive():
-                thread.join()
+def _draw(jobs, size: int) -> dict:
+    """{cell: p_d of its next `size` resamples} for the jobs (cell, (rng, n, n_d))."""
+    return {cell: _resample_cell(*job, size) for cell, job in jobs}
 
 
 def bootstrap_report(
@@ -319,21 +287,30 @@ def _det_error(n_d: np.ndarray, n: np.ndarray, resamples: int, seed: int) -> flo
     `n_d` per `n` (`_per_trial`), which is at least 1: no resample can empty a cell.
 
     Cell (i, j) draws from child i * n_meas + j of `seed`'s stream, so cells
-    outside W keep their slots.
+    outside W keep their slots.  With w = min(cells, usable CPUs), group g of
+    the cells is cells g, g + w, ... and draws on its own one-thread executor,
+    which runs its chunks in order.  Each group's next chunk is queued before
+    this thread waits for the current one, so no group idles while this thread
+    folds, and none draws more than one chunk ahead of the fold.
     """
+    from concurrent.futures import ThreadPoolExecutor  # imports logging: not at `import pamsim`
+
     streams = np.random.SeedSequence(seed, spawn_key=(_BOOTSTRAP_KEY,)).spawn(n_d.size)
     rngs = [np.random.default_rng(streams[i * n_d.shape[1] + j]) for i, j in _W_CELLS]
     jobs = [(cell, (rng, int(n[cell]), int(n_d[cell]))) for cell, rng in zip(_W_CELLS, rngs)]
+    w = min(len(jobs), _usable_cpus())
+    groups = [jobs[g::w] for g in range(w)]
     try:
         samples = np.empty(resamples)
-        with _drawing(jobs, resamples) as queues:
+        with ExitStack() as stack:
+            pools = [stack.enter_context(ThreadPoolExecutor(1)) for _ in groups]
+            size = min(_CHUNK, resamples)
+            ahead = [pool.submit(_draw, group, size) for pool, group in zip(pools, groups)]
             for lo in range(0, resamples, _CHUNK):
-                p_d = {}
-                for out in queues:
-                    chunk = out.get()
-                    if isinstance(chunk, BaseException):
-                        raise chunk
-                    p_d.update(chunk)
+                drawing, size = ahead, min(_CHUNK, resamples - lo - _CHUNK)
+                if size > 0:
+                    ahead = [pool.submit(_draw, group, size) for pool, group in zip(pools, groups)]
+                p_d = {cell: p for future in drawing for cell, p in future.result().items()}
                 samples[lo : lo + _CHUNK] = abs_det(witness_entries(p_d))
         return float(np.std(samples, ddof=1))
     except MemoryError as exc:

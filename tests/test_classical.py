@@ -437,7 +437,7 @@ class TestDeterminantBound:
 
     def test_search_d2(self):
         result = classical_max_det(2, restarts=500, seed=5)
-        assert result.deterministic_max == 0.0
+        assert result.value == 0.0
         assert result.mixture_max <= 1e-9
         assert result.n_strategies == 256
 
@@ -445,13 +445,12 @@ class TestDeterminantBound:
         # the climbs' rounding residue (1.7e-18 here) is not the bound
         result = classical_max_det(2, restarts=300, seed=0)
         assert result.mixture_max > 0.0
-        assert result.value == result.deterministic_max == 0.0
+        assert result.value == 0.0
 
     def test_search_d4_reaches_two(self):
         # injective encoding frees all eight table entries; the extremal
         # matrix [[1,-1],[1,1]] has |det| = 2
         result = classical_max_det(4, restarts=50, seed=5)
-        assert result.deterministic_max == 2.0
         assert result.value == 2.0
 
     def test_d4_can_reproduce_ideal_witness(self):
@@ -566,7 +565,7 @@ class TestDeterminantBound:
     def test_d6_certificate_is_pinned(self):
         # as computed before the pass scored only canonical encoders (1.3 s then)
         result = classical_max_det(6, restarts=0)
-        assert (result.value, result.deterministic_max, result.mixture_max) == (2.0, 2.0, 0.0)
+        assert (result.value, result.mixture_max) == (2.0, 0.0)
         assert result.strategy.to_json_dict() == {
             "encode": [0, 1, 2, 3],
             "decode": [list(row) for row in ("dd", "ee", "de", "ed", "dd", "dd")],

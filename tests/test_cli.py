@@ -282,10 +282,10 @@ class TestSimulateAndReport:
         assert report["uncertainties"]["det_abs"] > 0.0
 
     def test_undetected_postselected_cell_exits_before_any_draw(self, tmp_path, capsys, monkeypatch):
-        def no_drawing(*args):
+        def no_draw(*args):
             raise AssertionError("a table with an undetected cell drew resamples")
 
-        monkeypatch.setattr(trials, "_drawing", no_drawing)
+        monkeypatch.setattr(trials, "_resample_cell", no_draw)
         argv = self.sparse_counts(tmp_path / "counts.csv", 0)
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
@@ -367,7 +367,7 @@ class TestBounds:
         )
         assert rc == 0
         payload = read_json(tmp_path / "bounds.json")
-        assert payload["deterministic_max"] == 0.0
+        assert payload["value"] == 0.0
         assert payload["mixture_max"] <= 1e-9
         assert payload["n_strategies"] == 256
 
@@ -382,7 +382,7 @@ class TestBounds:
         payload = read_json(tmp_path / "bounds.json")
         assert payload["restarts"] == 0
         assert payload["mixture_max"] == 0.0
-        assert payload["value"] == payload["deterministic_max"] == 1.0
+        assert payload["value"] == 1.0
 
     @pytest.mark.parametrize(
         "witness, dimension, message",

@@ -208,10 +208,10 @@ class TestClosedFormErrors:
     @pytest.mark.parametrize("fair", [True, False])
     def test_without_w_nothing_is_drawn(self, monkeypatch, fair):
         # the I_DW and R errors read the counts only: seed and resample count are unused
-        def no_drawing(*args):
+        def no_draw(*args):
             raise AssertionError("a table without W drew resamples")
 
-        monkeypatch.setattr(trials, "_drawing", no_drawing)
+        monkeypatch.setattr(trials, "_resample_cell", no_draw)
         counts = random_counts(3, 2)
         reports = {
             json.dumps(bootstrap_report(counts, b, seed, fair).to_json_dict())
@@ -429,13 +429,19 @@ class TestDetBootstrap:
 
 
 def test_import_does_not_load_thread_pool():
-    # the bootstrap runs its own threads, so no executor module is loaded
-    code = "import sys, pamsim; print('concurrent.futures' in sys.modules)"
+    # the bootstrap imports its executor module lazily, when it first draws; a
+    # three-preparation table has no W, so its bootstrap draws nothing
+    loaded = "print('concurrent.futures' in sys.modules)"
+    code = (
+        f"import sys, pamsim; {loaded}; import numpy as np; from pamsim import trials; "
+        f"trials.bootstrap_report(trials.CountTable(*np.full((3, 3, 2), 50)), 100, 0, True); "
+        f"{loaded}"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(pamsim.__file__).resolve().parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "False"]
 
 
 class TestCountTableCsv:
