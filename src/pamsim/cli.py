@@ -18,10 +18,9 @@ returns a new parser on every call.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from .classical import (
     classical_max_linear,
     strategy_count,
 )
-from .scenario import Scenario, load_json, probability_table, read_section, write_csv, write_json
+from .scenario import Scenario, csv_text, json_text, load_json, probability_table, read_section
 from .spacetime import Schedule, validate
 from .trials import (
     MIN_RESAMPLES,
@@ -102,18 +101,12 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **top)
 
 
-# creates a file only where no file or symlink, not even a dangling one, exists
-_CREATE_NEW = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW
-
-
-def _write_outputs(outputs: str | None, files: dict, lines=()) -> None:
-    """Create the output directory, write each `name -> write(path)` of `files` into it all or
-    nothing, then print the caller's result `lines` and the "wrote" line; an OSError is a
-    ConfigError, and on one nothing is printed.  Call it once computed.
-    A target or temporary path that is not a regular file is refused before anything is
-    written, and a failed write removes only the temporaries that this call wrote.  A stale
-    temporary (a regular file or a symlink, never followed) is removed and each temporary is
-    created anew, exclusively, so no write leaves the directory."""
+def _write_outputs(outputs: str | None, files: dict[str, str], lines=()) -> None:
+    """Write each `name -> text` of `files` into the output directory all or nothing, then
+    print the caller's result `lines` and the "wrote" line; call it once computed.  An OSError
+    is a ConfigError, and on one nothing is printed.  Each temporary is created exclusively,
+    which fails on any existing path, a dangling symlink included, and written through that
+    same handle, so no write lands outside the directory."""
     out = Path("out" if outputs is None else outputs)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -128,11 +121,11 @@ def _write_outputs(outputs: str | None, files: dict, lines=()) -> None:
             raise ConfigError(f"--out {out}: cannot write {name} ({why})")
     written = []  # the temporaries this call has created
     try:
-        for name, write in files.items():
+        for name, text in files.items():
             temps[name].unlink(missing_ok=True)  # a stale one; a symlink is not followed
-            os.close(os.open(temps[name], _CREATE_NEW, 0o666))
-            written.append(temps[name])
-            write(temps[name])
+            with open(temps[name], "x", encoding="utf-8", newline="") as fh:
+                written.append(temps[name])
+                fh.write(text)
         for name in files:
             temps[name].replace(out / name)
     except OSError as exc:
@@ -151,8 +144,8 @@ def _witness_files(report: WitnessReport) -> dict:
     row = {key: value for key, value in values.items() if key != "uncertainties"}
     row.update((f"{k}_err", values["uncertainties"].get(k)) for k in ("det_abs", "i_dw", "r"))
     return {
-        "witness.json": partial(write_json, payload=values),
-        "witness.csv": partial(write_csv, header=list(row), rows=[list(row.values())]),
+        "witness.json": json_text(values),
+        "witness.csv": csv_text(list(row), [list(row.values())]),
     }
 
 
@@ -186,9 +179,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     d = table.d_values()
     terms = [[f"D_{i}{j}", i, j, c, float(d[i, j])] for (i, j), c in np.ndenumerate(IDW_COEF) if c]
     files = {
-        "scenario.json": partial(write_json, payload=scenario.to_json_dict()),
-        "probabilities.csv": table.to_csv,
-        "dw_terms.csv": partial(write_csv, header=["term", "i", "j", "sign", "value"], rows=terms),
+        "scenario.json": json_text(scenario.to_json_dict()),
+        "probabilities.csv": table.to_csv(),
+        "dw_terms.csv": csv_text(["term", "i", "j", "sign", "value"], terms),
     }
     _write_outputs(cfg.outputs, {**files, **_witness_files(report)}, _report_lines(report))
     return 0
@@ -199,7 +192,7 @@ def _analyze(counts: CountTable, resamples: int, seed: int, fair: bool, outputs,
     write `files`, estimated.csv and the witness files and print the report."""
     estimated = estimate(counts, fair)
     report = bootstrap_report(counts, resamples, seed, fair)
-    files = {**files, "estimated.csv": estimated.to_csv, **_witness_files(report)}
+    files = {**files, "estimated.csv": estimated.to_csv(), **_witness_files(report)}
     _write_outputs(outputs, files, _report_lines(report))
     return 0
 
@@ -210,7 +203,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     plan = _require(cfg.plan, "plan")
     resamples = _check_resamples(cfg.resamples)
     counts = sample(probability_table(scenario), plan)
-    files = {"counts.csv": counts.to_csv}
+    files = {"counts.csv": counts.to_csv()}
     return _analyze(counts, resamples, plan.seed, scenario.fair_sampling, cfg.outputs, files)
 
 
@@ -244,7 +237,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             f"classical |det W| bound (d={args.dimension}): {result.value:.3g}, "
             f"mixture search max {result.mixture_max:.3g} over {result.restarts} restarts"
         )
-    _write_outputs(args.out, {"bounds.json": partial(write_json, payload=payload)}, [line])
+    _write_outputs(args.out, {"bounds.json": json_text(payload)}, [line])
     return 0
 
 
@@ -259,8 +252,7 @@ def _cmd_spacetime(args: argparse.Namespace) -> int:
         for line in lines:
             print(line)
     else:
-        files = {"spacetime.json": partial(write_json, payload=report.to_json_dict())}
-        _write_outputs(args.out, files, lines)
+        _write_outputs(args.out, {"spacetime.json": json_text(report.to_json_dict())}, lines)
     return 0 if report.all_passed else 3
 
 

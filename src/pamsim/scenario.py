@@ -24,16 +24,17 @@ cell is renormalized to p_e + p_d = 1 (which removes eta entirely).
 
 Config and schedule files are parsed here, by `load_json` and
 `read_section`: each value must have the JSON type that its key takes.
-Every output file is written here too, by `write_json` and `write_csv`.
+The text of every output file is formatted here too, by `json_text` and
+`csv_text`; `cli` writes it.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -136,17 +137,18 @@ def load_json(path) -> object:
         return json.load(fh, object_pairs_hook=_unique_keys)
 
 
-def write_json(path, payload: dict) -> None:
-    """Write `payload` as indented JSON with sorted keys and a final newline."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def json_text(payload: dict) -> str:
+    """`payload` as indented JSON with sorted keys and a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_csv(path, header: list, rows) -> None:
-    """Write CSV `header` then `rows`: a float as its repr, None as an empty field."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def csv_text(header: list, rows) -> str:
+    """CSV `header` then `rows`: a float as its repr, None as an empty field."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -199,8 +201,8 @@ class ProbabilityTable:
     def n_meas(self) -> int:
         return self.p_e.shape[1]
 
-    def to_csv(self, path) -> None:
-        write_grid_csv(path, {"p_e": self.p_e, "p_d": self.p_d, "p_none": self.p_none})
+    def to_csv(self) -> str:
+        return grid_csv_text({"p_e": self.p_e, "p_d": self.p_d, "p_none": self.p_none})
 
     def d_values(self) -> np.ndarray:
         """Per-cell expectation <D_ij> = p_e - p_d."""
@@ -224,12 +226,12 @@ def _in_unit_range(arr: np.ndarray) -> bool:
     return arr.min() >= -TABLE_TOL and arr.max() <= 1.0 + TABLE_TOL
 
 
-def write_grid_csv(path, columns: dict[str, np.ndarray]) -> None:
-    """Write CSV `i,j,<columns>` with one row per cell of the equal-shape
-    2-d arrays in `columns`, each value as a plain Python int or float."""
+def grid_csv_text(columns: dict[str, np.ndarray]) -> str:
+    """CSV `i,j,<columns>` with one row per cell of the equal-shape 2-d
+    arrays in `columns`, each value as a plain Python int or float."""
     cells = np.stack(list(columns.values()), axis=-1)
     rows = ([i, j, *cells[i, j].tolist()] for i, j in np.ndindex(cells.shape[:2]))
-    write_csv(path, ["i", "j", *columns], rows)
+    return csv_text(["i", "j", *columns], rows)
 
 
 def _check_noise_params(visibility: float, efficiency: float) -> None:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenario import ProbabilityTable, read_section, write_grid_csv
+from .scenario import ProbabilityTable, grid_csv_text, read_section
 # det_witness and dimension_witness are unused here, but perfbench/tracing.py wraps them
 from .witness import (
     DET_CONTRAST,
@@ -101,8 +101,8 @@ class CountTable:
     def n_trials(self) -> np.ndarray:
         return self.n_e + self.n_d + self.n_none
 
-    def to_csv(self, path: str | Path) -> None:
-        write_grid_csv(path, {"n_e": self.n_e, "n_d": self.n_d, "n_none": self.n_none})
+    def to_csv(self) -> str:
+        return grid_csv_text({"n_e": self.n_e, "n_d": self.n_d, "n_none": self.n_none})
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "CountTable":

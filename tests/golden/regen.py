@@ -10,8 +10,9 @@ three-preparation fixture `dimension_witness_counts.csv` draws nothing: its
 errors are closed forms.  The fixture holds the counts that `pamsim.trials.sample`
 drew for `dimension_witness_ideal` at visibility 0.9 and efficiency 0.6
 without fair sampling, 100000 trials per setting, seed 20260810.  The
-`error_*` cases are the README's usage errors; they record an exit code,
-an empty stdout and the message on stderr, and write nothing.
+`error_*` cases are the README's usage errors (exit 1) and domain errors
+(exit 2); they record the exit code, an empty stdout and the message on
+stderr, and write nothing.
 
 Run from the repository root after an intended output change:
 
@@ -39,6 +40,15 @@ def _bounds(witness: str, d: int, *extra: str) -> list[str]:
     return ["bounds", "--witness", witness, "-d", str(d), *extra, "--out", "out"]
 
 
+def _simulate(*flags: str) -> list[str]:
+    config = str(CONFIGS / "det_witness_ideal.json")
+    return ["simulate", "--config", config, *flags, "--out", "out"]
+
+
+def _report(*flags: str) -> list[str]:
+    return ["report", "--counts", str(COUNTS), *flags, "--out", "out"]
+
+
 CASES = {
     **{
         f"predict_{name}": ["predict", "--config", str(CONFIGS / f"{name}.json"), "--out", "out"]
@@ -53,12 +63,17 @@ CASES = {
         ]
         for fair in ("true", "false")
     },
-    # the README's error cases: each exits 1 and writes nothing
-    "error_negative_seed": ["report", "--counts", str(COUNTS), "--seed", "-1", "--out", "out"],
+    # the README's error cases: each writes nothing; the domain errors (beyond int64 or
+    # the resample limit) exit 2, the others 1
+    "error_negative_seed": _report("--seed", "-1"),
     "error_bounds_idw_d0": _bounds("idw", 0),
     "error_bounds_det_d1": _bounds("det", 1),
     "error_config_is_a_directory": ["predict", "--config", ".", "--out", "out"],
-    "error_resamples_99": ["report", "--counts", str(COUNTS), "--resamples", "99", "--out", "out"],
+    "error_resamples_99": _report("--resamples", "99"),
+    "error_trials_0": _simulate("--trials", "0"),
+    "error_trials_beyond_int64": _simulate("--trials", "9223372036854775808"),
+    "error_resamples_beyond_limit": _report("--resamples", "384307168202282326"),
+    "error_fair_sampling_maybe": _report("--fair-sampling", "maybe"),
 }
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import shlex
+import stat
 import time
 from pathlib import Path
 
@@ -800,13 +801,24 @@ def test_refused_output_file_leaves_the_directory_as_it_was(configs_dir, tmp_pat
     assert "cannot write witness.json (not a regular file)" in capsys.readouterr().err
 
 
-def test_failed_write_leaves_no_file_behind(tmp_path, capsys):
-    def fail(path):
-        Path(path).write_text("partial")
-        raise PermissionError(13, "Permission denied")
+def fail_writing(monkeypatch, name):
+    """Make `_write_outputs` fail with EACCES on closing the temporary of `name`,
+    once its text has gone in, as a close that cannot flush would."""
 
+    @contextlib.contextmanager
+    def failing_open(path, *args, **kwargs):
+        with open(path, *args, **kwargs) as fh:
+            yield fh
+            if Path(path).name == f".{name}.tmp":
+                raise PermissionError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+
+
+def test_failed_write_leaves_no_file_behind(tmp_path, capsys, monkeypatch):
+    fail_writing(monkeypatch, "b.txt")
     (tmp_path / "a.txt").write_text("kept\n")
-    files = {"a.txt": lambda path: Path(path).write_text("new\n"), "b.txt": fail}
+    files = {"a.txt": "new\n", "b.txt": "partial\n"}
     with pytest.raises(ConfigError, match="cannot write b.txt \\(Permission denied\\)"):
         _write_outputs(str(tmp_path), files)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
@@ -845,9 +857,57 @@ def test_symlinked_temporary_is_not_followed(tmp_path, capsys, target):
     assert sorted(p.name for p in out.iterdir()) == ["bounds.json"]
 
 
+def test_temporary_swapped_for_a_symlink_after_its_creation_gets_no_write(tmp_path, monkeypatch):
+    # a symlink put in place of the temporary right after its exclusive create, whether by
+    # `open(..., "x")` or by `os.open` with O_EXCL, must not receive the file's text: a
+    # reopen of the temporary by name would follow it out of --out
+    out = tmp_path / "o"
+    victim = tmp_path / "victim.txt"
+    victim.write_text("kept\n")
+    swaps = []
+    os_open = os.open
+
+    def swap(path):
+        if Path(path).name == ".bounds.json.tmp":
+            Path(path).unlink()
+            Path(path).symlink_to("../victim.txt")
+            swaps.append(path)
+
+    def swapping_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if "x" in mode:
+            swap(path)
+        return fh
+
+    def swapping_os_open(path, flags, *args, **kwargs):
+        fd = os_open(path, flags, *args, **kwargs)
+        if flags & os.O_EXCL:
+            swap(path)
+        return fd
+
+    monkeypatch.setattr(cli, "open", swapping_open, raising=False)
+    monkeypatch.setattr(os, "open", swapping_os_open)
+    main(["bounds", "--witness", "idw", "-d", "2", "--out", str(out)])
+    assert len(swaps) == 1
+    assert victim.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+def test_output_files_take_mode_0o666_less_the_umask(configs_dir, tmp_path, umask, mode):
+    argv = ["predict", "--config", str(configs_dir / "det_witness_ideal.json")]
+    old = os.umask(umask)
+    try:
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    names = ("scenario.json", "probabilities.csv", "dw_terms.csv", "witness.json", "witness.csv")
+    assert modes == dict.fromkeys(names, mode)
+
+
 def test_stale_temporary_file_is_replaced(tmp_path):
     (tmp_path / ".a.txt.tmp").write_text("stale and longer than the new text\n")
-    _write_outputs(str(tmp_path), {"a.txt": lambda path: Path(path).write_text("new\n")})
+    _write_outputs(str(tmp_path), {"a.txt": "new\n"})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
     assert (tmp_path / "a.txt").read_text() == "new\n"
 
@@ -881,13 +941,11 @@ def test_failed_write_prints_no_result(configs_dir, tmp_path, capsys, argv, take
     assert captured.err.startswith(f"error: --out {out}: cannot write {taken} (")
 
 
-def test_failed_write_keeps_temporaries_it_did_not_write(tmp_path):
-    def fail(path):
-        raise PermissionError(13, "Permission denied")
-
+def test_failed_write_keeps_temporaries_it_did_not_write(tmp_path, monkeypatch):
+    fail_writing(monkeypatch, "a.txt")
     stale = tmp_path / ".b.txt.tmp"
     stale.write_text("stale\n")
-    files = {"a.txt": fail, "b.txt": lambda path: Path(path).write_text("new\n")}
+    files = {"a.txt": "new\n", "b.txt": "new\n"}
     with pytest.raises(ConfigError, match="cannot write a.txt \\(Permission denied\\)"):
         _write_outputs(str(tmp_path), files)
     assert sorted(p.name for p in tmp_path.iterdir()) == [".b.txt.tmp"]

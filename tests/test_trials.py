@@ -449,7 +449,7 @@ class TestCountTableCsv:
         table = probability_table(bundled_scenario(DET, efficiency=0.5, fair_sampling=False))
         counts = sample(table, RunPlan(1000, seed=12))
         path = tmp_path / "counts.csv"
-        counts.to_csv(path)
+        path.write_text(counts.to_csv(), encoding="utf-8")
         again = CountTable.from_csv(path)
         np.testing.assert_array_equal(counts.n_e, again.n_e)
         np.testing.assert_array_equal(counts.n_d, again.n_d)
