@@ -18,6 +18,8 @@ returns a new parser on every call.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from dataclasses import dataclass, replace
 from functools import cache
@@ -106,7 +108,10 @@ def _write_outputs(outputs: str | None, files: dict[str, str], lines=()) -> None
     print the caller's result `lines` and the "wrote" line; call it once computed.  An OSError
     is a ConfigError, and on one nothing is printed.  Each temporary is created exclusively,
     which fails on any existing path, a dangling symlink included, and written through that
-    same handle, so no write lands outside the directory."""
+    same handle, so no write lands outside the directory.  The renames go by name, so before
+    them each temporary's path must still be the regular file its handle had open (os.fstat,
+    taken while open, against os.lstat): a symlink swapped in is refused, even where it
+    takes the inode number that the deleted temporary freed."""
     out = Path("out" if outputs is None else outputs)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -119,18 +124,25 @@ def _write_outputs(outputs: str | None, files: dict[str, str], lines=()) -> None
         if not temp.is_symlink() and temp.exists() and not temp.is_file():
             why = f"{temp.name} is not a regular file"
             raise ConfigError(f"--out {out}: cannot write {name} ({why})")
-    written = []  # the temporaries this call has created
+    created = {}  # the os.fstat of each temporary this call has created
     try:
         for name, text in files.items():
             temps[name].unlink(missing_ok=True)  # a stale one; a symlink is not followed
             with open(temps[name], "x", encoding="utf-8", newline="") as fh:
-                written.append(temps[name])
+                created[name] = os.fstat(fh.fileno())
                 fh.write(text)
+        for name, handle in created.items():
+            found = os.lstat(temps[name])
+            if not (stat.S_ISREG(found.st_mode) and os.path.samestat(handle, found)):
+                why = f"{temps[name].name} was replaced while it was written"
+                raise ConfigError(f"--out {out}: cannot write {name} ({why})")
         for name in files:
             temps[name].replace(out / name)
-    except OSError as exc:
-        for temp in written:  # the renamed ones are gone already
+    except (OSError, ConfigError) as exc:
+        for temp in map(temps.get, created):  # the renamed ones are gone already
             temp.unlink(missing_ok=True)
+        if isinstance(exc, ConfigError):
+            raise
         raise ConfigError(f"--out {out}: cannot write {name} ({exc.strerror})") from exc
     for line in lines:
         print(line)
@@ -263,6 +275,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+_IGNORED = "accepted and ignored; |det W|'s error is exact; removed with the benchmark revision"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pamsim",
@@ -272,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     flags = {
         "config": dict(required=True, help="run configuration JSON"),
         "seed": dict(type=_non_negative_int, help="RNG seed"),
-        "resamples": dict(type=_non_negative_int, help="|det W| bootstrap resample count"),
+        "resamples": dict(type=_non_negative_int, help=_IGNORED),
         "fair_sampling": dict(type=_parse_bool, metavar="BOOL", help="postselect (true/false)"),
         "out": dict(help="output directory"),
     }
@@ -292,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="analyze an existing counts CSV")
     p.add_argument("--counts", required=True, help="counts CSV (i,j,n_e,n_d,n_none)")
-    add(p, "seed", "resamples", "fair_sampling", "out")
+    p.add_argument("--seed", type=_non_negative_int, help=_IGNORED)
+    add(p, "resamples", "fair_sampling", "out")
     # with no config file to read, report takes the config fields' defaults
     p.set_defaults(
         func=_cmd_report,

@@ -1,29 +1,18 @@
 """Finite-run simulation: sampling, counting, and standard errors.
 
-Randomness is derived from numpy SeedSequence streams so results are
-independent of evaluation order: `sample` uses spawn key (0,) and one
-child stream per cell in row-major order (plus one leading stream for
-the random setting order), `bootstrap_report` uses spawn key (1,) and
-one child stream per cell, of which only the cells of W draw.
+Only `sample` draws random numbers.  Its randomness is derived from a
+numpy SeedSequence so results are independent of evaluation order:
+spawn key (0,) and one child stream per cell in row-major order (plus
+one leading stream for the random setting order).
 
-I_DW and R get closed-form errors and draw nothing.  |det W| gets a
-parametric bootstrap that streams its resamples: each cell of W draws
-its p_d as one binomial per resample, given the cell's trial count (its
-detected count with fair sampling), in chunks of `_CHUNK` rows from its
-own generator (exactly the rows of one draw of them all).  One
-single-thread executor per usable CPU draws every n-th cell, one chunk
-ahead of the calling thread, which folds each chunk into one |det W|
-vector, so memory grows with the resample count only, not with the
-cells.  The output depends on neither the executor count nor the chunk
-size.
+The standard errors of `bootstrap_report` are closed forms under the
+plug-in model of the counts, and draw nothing.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,27 +24,22 @@ from .witness import (
     DET_CONTRAST,
     IDW_COEF,
     WitnessReport,
-    abs_det,
     det_witness,
     dimension_witness,
     report_from_table,
     retrocausality_error,
-    witness_entries,
 )
 
 ROUND_ROBIN = "round-robin"
 RANDOM_PER_TRIAL = "random-per-trial"
-MIN_RESAMPLES = 100
 INT64_MAX = np.iinfo(np.int64).max  # the most trials a cell's counts can hold
-MAX_RESAMPLES = INT64_MAX // (3 * 8)  # the most resamples taken: more than any memory holds
-_CHUNK = 8192  # resample rows a cell draws at a time
-# the cells whose p_d `witness_entries` reads, in row-major order
-_W_CELLS = tuple(
-    (int(i), l) for i in np.flatnonzero(DET_CONTRAST.any(axis=0)) for l in range(len(DET_CONTRAST))
-)
+# the range a resample count is checked against: no error reads it, but `--resamples`
+# and the config key `resamples` are accepted, with the limits they always had, until
+# the benchmark stops passing them
+MIN_RESAMPLES = 100
+MAX_RESAMPLES = INT64_MAX // (3 * 8)
 
 _SAMPLE_KEY = 0
-_BOOTSTRAP_KEY = 1
 
 
 def non_negative_int(text: str) -> int:
@@ -232,23 +216,23 @@ def _idw_error(t: ProbabilityTable, n: np.ndarray) -> float:
     return math.sqrt(sum(coef * coef * var[ij] for ij, coef in np.ndenumerate(IDW_COEF) if coef))
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _det_error(t: ProbabilityTable, n: np.ndarray) -> float:
+    """Standard deviation of det W under the plug-in binomial model of the estimated
+    table `t`, in which each cell's p_d is Binomial(n, p_d)/n for the `n` trials its
+    frequencies are taken per (with fair sampling n = n_det is held fixed, as in
+    `_idw_error`).  W's entries are contrasts of p_d over disjoint cells
+    (`DET_CONTRAST`), so they are independent, with
 
+        Var W[k, l] = sum_i DET_CONTRAST[k, i]^2 p_d(i, l) (1 - p_d(i, l)) / n(i, l),
 
-def _resample_cell(rng: np.random.Generator, n: int, n_d: int, size: int) -> np.ndarray:
-    """p_d of the next `size` resamples of a cell with `n_d` d events per `n`
-    (`_per_trial`): Binomial(n, n_d/n)/n.  With fair sampling n = n_det is held
-    fixed, since detection independent of the outcome leaves n_det no
-    information about q = n_d/n_det; this is the model of `_idw_error` too."""
-    return rng.binomial(n, n_d / n, size) / n
-
-
-def _draw(jobs, size: int) -> dict:
-    """{cell: p_d of its next `size` resamples} for the jobs (cell, (rng, n, n_d))."""
-    return {cell: _resample_cell(*job, size) for cell, job in jobs}
+    and det W = w00 w11 - w01 w10 has Var = Var(w00 w11) + Var(w01 w10), where
+    Var(x y) = v_x v_y + v_x mu_y^2 + v_y mu_x^2 for independent x and y.
+    """
+    n_rows, n_prep = DET_CONTRAST.shape  # W is square: its columns are measurements
+    mu = DET_CONTRAST @ t.p_d[:n_prep, :n_rows]
+    v = DET_CONTRAST**2 @ (t.p_d * (1.0 - t.p_d) / n)[:n_prep, :n_rows]
+    pairs = (((0, 0), (1, 1)), ((0, 1), (1, 0)))
+    return math.sqrt(sum(v[x] * v[y] + v[x] * mu[y] ** 2 + v[y] * mu[x] ** 2 for x, y in pairs))
 
 
 def bootstrap_report(
@@ -256,16 +240,16 @@ def bootstrap_report(
 ) -> WitnessReport:
     """Witness report with standard errors, and sigma_* as violations of the classical bounds.
 
-    Reported values are the plug-in estimates.  The errors of I_DW and R are
-    closed forms that draw nothing: the exact standard deviation of I_DW under
-    the plug-in multinomial model (`_idw_error`), and that of R for a normal
-    I_DW clipped at the bound (`witness.retrocausality_error`).  The error of
-    |det W| is the standard deviation of a parametric bootstrap of `resamples`
-    resamples, which redraws only the p_d of W's cells, each from one binomial
-    over the counts its frequencies are taken per (`_det_error`): all trials,
-    or with fair sampling the detected ones, held fixed as the I_DW error
-    holds them.  So the two `fair_sampling` values give the same report on
-    counts without undetected trials.  A table without W draws nothing.
+    Reported values are the plug-in estimates.  Every error is a closed form that
+    draws nothing: the exact standard deviations of I_DW (`_idw_error`) and of
+    det W (`_det_error`) under the plug-in model of the counts, and that of R for
+    a normal I_DW clipped at the bound (`witness.retrocausality_error`).  Each
+    cell's frequencies are taken per all its trials, or with fair sampling per
+    its detected ones, held fixed; so the two `fair_sampling` values give the
+    same report on counts without undetected trials.
+
+    `resamples` is range-checked and otherwise unused, and `seed` is unused:
+    both stay in the signature until the benchmark that passes them drops them.
     """
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
@@ -277,41 +261,5 @@ def bootstrap_report(
     sd_idw = _idw_error(table, per_trial)
     uncertainties = {"i_dw": sd_idw, "r": retrocausality_error(report.i_dw, sd_idw)}
     if report.det_abs is not None:
-        uncertainties["det_abs"] = _det_error(c.n_d, per_trial, resamples, seed)
+        uncertainties["det_abs"] = _det_error(table, per_trial)
     return report.with_errors(uncertainties)
-
-
-def _det_error(n_d: np.ndarray, n: np.ndarray, resamples: int, seed: int) -> float:
-    """Standard deviation of |det W| over `resamples` resamples of W's cells, each
-    cell's p_d redrawn as Binomial(n, n_d/n)/n (`_resample_cell`) for its counts
-    `n_d` per `n` (`_per_trial`), which is at least 1: no resample can empty a cell.
-
-    Cell (i, j) draws from child i * n_meas + j of `seed`'s stream, so cells
-    outside W keep their slots.  With w = min(cells, usable CPUs), group g of
-    the cells is cells g, g + w, ... and draws on its own one-thread executor,
-    which runs its chunks in order.  Each group's next chunk is queued before
-    this thread waits for the current one, so no group idles while this thread
-    folds, and none draws more than one chunk ahead of the fold.
-    """
-    from concurrent.futures import ThreadPoolExecutor  # imports logging: not at `import pamsim`
-
-    streams = np.random.SeedSequence(seed, spawn_key=(_BOOTSTRAP_KEY,)).spawn(n_d.size)
-    rngs = [np.random.default_rng(streams[i * n_d.shape[1] + j]) for i, j in _W_CELLS]
-    jobs = [(cell, (rng, int(n[cell]), int(n_d[cell]))) for cell, rng in zip(_W_CELLS, rngs)]
-    w = min(len(jobs), _usable_cpus())
-    groups = [jobs[g::w] for g in range(w)]
-    try:
-        samples = np.empty(resamples)
-        with ExitStack() as stack:
-            pools = [stack.enter_context(ThreadPoolExecutor(1)) for _ in groups]
-            size = min(_CHUNK, resamples)
-            ahead = [pool.submit(_draw, group, size) for pool, group in zip(pools, groups)]
-            for lo in range(0, resamples, _CHUNK):
-                drawing, size = ahead, min(_CHUNK, resamples - lo - _CHUNK)
-                if size > 0:
-                    ahead = [pool.submit(_draw, group, size) for pool, group in zip(pools, groups)]
-                p_d = {cell: p for future in drawing for cell, p in future.result().items()}
-                samples[lo : lo + _CHUNK] = abs_det(witness_entries(p_d))
-        return float(np.std(samples, ddof=1))
-    except MemoryError as exc:
-        raise ValueError(f"resamples {resamples} is too large: {exc}") from exc

@@ -45,12 +45,8 @@ def check_shape(what: str, shape: tuple[int, int], needed: tuple[int, int]) -> N
 
 
 def witness_entries(p_d):
-    """W as nested rows, from p_d looked up as p_d[i, j].
-
-    The cells may be scalars (a table's array) or per-resample vectors
-    (a dict keyed by (i, j)); the arithmetic is the same either way:
-    an in-order sum over the nonzero contrast entries.
-    """
+    """W as nested rows, from p_d looked up as p_d[i, j]: each entry an in-order
+    sum over the nonzero contrast entries."""
     n_cols = len(DET_CONTRAST)  # W is square
     return tuple(
         tuple(sum(c * p_d[i, l] for i, c in enumerate(row) if c) for l in range(n_cols))

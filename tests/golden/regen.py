@@ -3,13 +3,14 @@
 Each case runs one deterministic CLI command in a fresh working directory,
 writing into `out/` there, and records what the command wrote: the files in
 `out/` (kept under `files/`, since `out/` is git-ignored), its stdout and
-stderr, and its exit code.  Seeded climbs, `simulate` and `report` on a
-table with W's four preparations are left out, because numpy does not
-promise its `Generator` streams across versions.  `report` on the
-three-preparation fixture `dimension_witness_counts.csv` draws nothing: its
-errors are closed forms.  The fixture holds the counts that `pamsim.trials.sample`
-drew for `dimension_witness_ideal` at visibility 0.9 and efficiency 0.6
-without fair sampling, 100000 trials per setting, seed 20260810.  The
+stderr, and its exit code.  Seeded climbs and `simulate` are left out,
+because numpy does not promise its `Generator` streams across versions.
+`report` draws nothing: its errors are closed forms.  It runs on two
+fixtures, the counts that `pamsim.trials.sample` drew without fair sampling
+at visibility 0.9 and efficiency 0.6, 100000 trials per setting, seed
+20260810: `dimension_witness_counts.csv` for the three preparations of
+`dimension_witness_ideal`, and `det_witness_counts.csv` for the four of
+`det_witness_ideal`, which have W.  The
 `error_*` cases are the README's usage errors (exit 1) and domain errors
 (exit 2); they record the exit code, an empty stdout and the message on
 stderr, and write nothing.
@@ -34,6 +35,7 @@ from pamsim.cli import main
 GOLDEN = Path(__file__).resolve().parent
 CONFIGS = GOLDEN.parent.parent / "configs"
 COUNTS = GOLDEN / "dimension_witness_counts.csv"
+DET_COUNTS = GOLDEN / "det_witness_counts.csv"
 
 
 def _bounds(witness: str, d: int, *extra: str) -> list[str]:
@@ -58,9 +60,10 @@ CASES = {
     **{f"bounds_det_d{d}": _bounds("det", d, "--restarts", "0") for d in range(2, 7)},
     "spacetime": ["spacetime", str(CONFIGS / "reference_geometry_schedule.json"), "--out", "out"],
     **{
-        f"report_dimension_witness_fair_{fair}": [
-            "report", "--counts", str(COUNTS), "--fair-sampling", fair, "--out", "out"
+        f"report_{name}_fair_{fair}": [
+            "report", "--counts", str(counts), "--fair-sampling", fair, "--out", "out"
         ]
+        for name, counts in (("dimension_witness", COUNTS), ("det_witness", DET_COUNTS))
         for fair in ("true", "false")
     },
     # the README's error cases: each writes nothing; the domain errors (beyond int64 or

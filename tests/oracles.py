@@ -13,9 +13,10 @@ witness, the reference for the closed form of `classical_max_det`.
 
 `sequential_bootstrap_report` is the full parametric bootstrap, every cell
 redrawn from its multinomial, the reference for the closed-form errors of
-`bootstrap_report`.  `det_bootstrap_error` draws the |det W| bootstrap of
-`bootstrap_report` cell by cell, each resample vector at once, the reference
-that its chunked, threaded draws must reproduce bit for bit.
+`bootstrap_report`.  `det_bootstrap_error` redraws only the p_d of W's cells,
+each from the binomial that the exact |det W| error of `bootstrap_report`
+assumes, so away from the null the two agree to the bootstrap's own
+Monte Carlo error.
 """
 
 import itertools
@@ -192,7 +193,7 @@ def sequential_bootstrap_report(c, resamples, seed, fair_sampling):
 
 def det_bootstrap_error(c, resamples, seed, fair_sampling):
     """Reference: the |det W| bootstrap error, W's eight cells drawn in row-major order, each
-    from its row-major stream slot of spawn key (1,), all `resamples` rows at once:
+    from its row-major stream slot of `seed`'s spawn key (1,), all `resamples` rows at once:
     p_d* = Binomial(n, n_d/n)/n, with n the cell's trials, or its detected trials
     n_e + n_d with fair sampling."""
     streams = np.random.SeedSequence(seed, spawn_key=(1,)).spawn(c.n_prep * c.n_meas)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from pamsim import cli, trials
+from pamsim import cli
 from pamsim.cli import ConfigError, _write_outputs, build_parser, main
 from pamsim.spacetime import Event, Schedule, reference_schedule
 from pamsim.witness import DET_CLASSICAL_BOUND, I_DW_CLASSICAL_BOUND, I_DW_QUANTUM, R_QUANTUM
@@ -250,7 +250,7 @@ class TestSimulateAndReport:
     @pytest.mark.parametrize("resamples", [10**20, 2**62], ids=["over-intp", "over-bytes"])
     @pytest.mark.parametrize("source", ["config", "simulate-flag", "report-flag"])
     def test_resamples_beyond_numpy_are_domain_errors(self, tmp_path, capsys, resamples, source):
-        # numpy refuses either count with a message that does not name the key
+        # both lie beyond the largest resample count accepted
         cfg = write_config(tmp_path / "cfg.json", DET_SCENARIO, resamples=resamples)
         counts = tmp_path / "counts.csv"
         counts.write_text("i,j,n_e,n_d,n_none\n0,0,50,50,0\n")
@@ -275,18 +275,17 @@ class TestSimulateAndReport:
         return ["report", "--counts", str(path), "--resamples", "100", "--fair-sampling", "true"]
 
     def test_sparse_postselected_cell_has_a_finite_error(self, tmp_path):
-        # one detection in 10001 trials: the fair-sampling bootstrap holds it fixed
+        # one detection in 10001 trials: the fair-sampling error holds it fixed
         argv = self.sparse_counts(tmp_path / "counts.csv", 1)
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
         report = read_json(tmp_path / "out" / "witness.json")
         assert math.isfinite(report["uncertainties"]["det_abs"])
         assert report["uncertainties"]["det_abs"] > 0.0
 
-    def test_undetected_postselected_cell_exits_before_any_draw(self, tmp_path, capsys, monkeypatch):
-        def no_draw(*args):
-            raise AssertionError("a table with an undetected cell drew resamples")
-
-        monkeypatch.setattr(trials, "_resample_cell", no_draw)
+    def test_undetected_postselected_cell_exits_before_any_draw(
+        self, tmp_path, capsys, forbid_generators
+    ):
+        forbid_generators()
         argv = self.sparse_counts(tmp_path / "counts.csv", 0)
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
@@ -857,10 +856,13 @@ def test_symlinked_temporary_is_not_followed(tmp_path, capsys, target):
     assert sorted(p.name for p in out.iterdir()) == ["bounds.json"]
 
 
-def test_temporary_swapped_for_a_symlink_after_its_creation_gets_no_write(tmp_path, monkeypatch):
+def test_temporary_swapped_for_a_symlink_after_its_creation_gets_no_write(
+    tmp_path, monkeypatch, capsys
+):
     # a symlink put in place of the temporary right after its exclusive create, whether by
     # `open(..., "x")` or by `os.open` with O_EXCL, must not receive the file's text: a
-    # reopen of the temporary by name would follow it out of --out
+    # reopen of the temporary by name would follow it out of --out.  Nor may the rename,
+    # which goes by name, make the symlink the output
     out = tmp_path / "o"
     victim = tmp_path / "victim.txt"
     victim.write_text("kept\n")
@@ -887,8 +889,40 @@ def test_temporary_swapped_for_a_symlink_after_its_creation_gets_no_write(tmp_pa
 
     monkeypatch.setattr(cli, "open", swapping_open, raising=False)
     monkeypatch.setattr(os, "open", swapping_os_open)
-    main(["bounds", "--witness", "idw", "-d", "2", "--out", str(out)])
+    assert main(["bounds", "--witness", "idw", "-d", "2", "--out", str(out)]) == 1
     assert len(swaps) == 1
+    assert victim.read_text() == "kept\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --out {out}: cannot write bounds.json "
+        "(.bounds.json.tmp was replaced while it was written)\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+def test_temporary_swapped_after_it_was_written_leaves_no_output(configs_dir, tmp_path, capsys):
+    # the third of predict's five temporaries is swapped for a symlink once written and
+    # closed: the check before the renames refuses it, so no output file is renamed
+    out = tmp_path / "o"
+    victim = tmp_path / "victim.txt"
+    victim.write_text("kept\n")
+    real_open = open
+
+    @contextlib.contextmanager
+    def swapping_open(path, *args, **kwargs):
+        with real_open(path, *args, **kwargs) as fh:
+            yield fh
+        if Path(path).name == ".dw_terms.csv.tmp":
+            Path(path).unlink()
+            Path(path).symlink_to("../victim.txt")
+
+    argv = ["predict", "--config", str(configs_dir / "det_witness_ideal.json"), "--out", str(out)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "open", swapping_open, raising=False)
+        assert main(argv) == 1
+    assert "(.dw_terms.csv.tmp was replaced while it was written)" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
     assert victim.read_text() == "kept\n"
 
 
@@ -991,7 +1025,7 @@ class TestParserReuse:
         assert main([*counts, "--seed", "0", "--out", str(zero)]) == 0
         witness = (bare / "witness.json").read_bytes()
         assert witness == (zero / "witness.json").read_bytes()
-        assert witness != (sim / "witness.json").read_bytes()  # seed 9's bootstrap
+        assert witness == (sim / "witness.json").read_bytes()  # no error reads a seed
 
     def test_output_goes_to_the_streams_of_the_call(self):
         main(["bounds", "-h"])  # the parser exists before the redirected calls
