@@ -3,8 +3,8 @@
 Each case runs one deterministic CLI command in a fresh working directory,
 writing into `out/` there, and records what the command wrote: the files in
 `out/` (kept under `files/`, since `out/` is git-ignored), its stdout and
-stderr, and its exit code.  Seeded climbs and `simulate` are left out,
-because numpy does not promise its `Generator` streams across versions.
+stderr, and its exit code.  `simulate` is left out, because numpy does
+not promise its `Generator` streams across versions.
 `report` draws nothing: its errors are closed forms.  It runs on two
 fixtures, the counts that `pamsim.trials.sample` drew without fair sampling
 at visibility 0.9 and efficiency 0.6, 100000 trials per setting, seed
@@ -57,7 +57,7 @@ CASES = {
         for name in ("det_witness_ideal", "dimension_witness_ideal", "fitted_no_fsa")
     },
     **{f"bounds_idw_d{d}": _bounds("idw", d) for d in (*range(1, 9), 8000)},
-    **{f"bounds_det_d{d}": _bounds("det", d, "--restarts", "0") for d in range(2, 7)},
+    **{f"bounds_det_d{d}": _bounds("det", d) for d in (*range(2, 8), 12)},
     "spacetime": ["spacetime", str(CONFIGS / "reference_geometry_schedule.json"), "--out", "out"],
     **{
         f"report_{name}_fair_{fair}": [

@@ -5,11 +5,10 @@ lexicographic (encode, decode) order, the order whose first maximizer
 `classical_max_linear` must return.  `mixture_table` evaluates a convex
 mixture of strategies (shared randomness) as one table.
 
-`encoder_candidates`, `decoder_candidates` and `materialised_move` are the
-determinant climb's line search on a materialised (2, 2, R, K) candidate
-stack, whose first maxima the product-grid line search of `classical` must
-reproduce.  `vertex_max_det` enumerates the vertex pairs of the determinant
-witness, the reference for the closed form of `classical_max_det`.
+`vertex_max_det` enumerates the vertex pairs of the determinant witness,
+the reference for the closed form of `classical_max_det`;
+`independent_mixture_dets` samples the independent mixtures that the
+closed form must bound.
 
 `sequential_bootstrap_report` is the full parametric bootstrap, every cell
 redrawn from its multinomial, the reference for the closed-form errors of
@@ -25,10 +24,9 @@ import numpy as np
 
 from pamsim.classical import (
     DeterministicStrategy,
-    _entries,
+    _contrast_preparations,
     _grid_strategy,
     _lex_grid,
-    _message_pairs,
     strategy_table,
 )
 from pamsim.scenario import ProbabilityTable
@@ -39,7 +37,6 @@ from pamsim.witness import (
     I_DW_CLASSICAL_BOUND,
     WitnessReport,
     abs_det,
-    det,
     det_witness,
     dimension_witness,
 )
@@ -69,9 +66,21 @@ def canonical_rows(grid):
     return np.flatnonzero((grid[:, 0] == 0) & (grid[:, 1:] <= prior + 1).all(axis=1))
 
 
+def entries(w):
+    """A (..., 2, 2) stack as nested rows w[k][l] of (...) arrays, for `abs_det`."""
+    return w.transpose(-2, -1, *range(w.ndim - 2))
+
+
+def message_pairs(contrast, encoders, d):
+    """(n_enc, contrast rows) index m+ * d + m- of the messages a contrast row
+    compares: that row of the encoder's vertex matrix is one-hot(m+) - one-hot(m-)."""
+    plus, minus = _contrast_preparations(contrast)
+    return encoders[:, plus] * d + encoders[:, minus]
+
+
 def encoder_candidates(y, pairs):
     """ce @ y[:, None] entries first, (2, 2, R, n_enc) from y (R, d, 2) and the message
-    pairs of the encoders (`_message_pairs`): each entry is the one subtraction
+    pairs of the encoders (`message_pairs`): each entry is the one subtraction
     y[m+] - y[m-] that the product also rounds to."""
     yt = np.ascontiguousarray(y.transpose(2, 0, 1))  # (column, R, message)
     diff = (yt[:, :, :, None] - yt[:, :, None, :]).reshape(*yt.shape[:2], -1)
@@ -94,54 +103,20 @@ def vertex_max_det(d):
     n_meas, n_prep = DET_CONTRAST.shape
     encoders = _lex_grid(d, n_prep)
     decoders = _lex_grid(2, d * n_meas).reshape(-1, d, n_meas)
-    pairs = _message_pairs(DET_CONTRAST, encoders, d)
+    pairs = message_pairs(DET_CONTRAST, encoders, d)
     value, a, b = vertex_max(1.0 - decoders.astype(float), encoders, pairs)
     return value, _grid_strategy(encoders[a], decoders[b])
 
 
-def decoder_candidates(x, dd):
-    """x[:, None] @ dd entries first, (2, 2, R, n_dec) from x (R, 2, d) and 0/1
-    dd: column l of decoder b adds the columns m of x with dd[b, m, l] = 1, in
-    order from 0.0 as the product does, gathered from every subset's sum."""
-    patterns = (dd.astype(np.intp) << np.arange(dd.shape[1])[:, None]).sum(axis=1)
-    sums = np.zeros((x.shape[1], len(x), 1))  # (row, R, subset)
-    for column in np.ascontiguousarray(x.transpose(2, 1, 0))[..., None]:
-        sums = np.concatenate((sums, sums + column), axis=2)
-    return sums[:, :, patterns.T].transpose(0, 2, 1, 3)
-
-
-def materialised_move(w, candidates):
-    """Exact line search from each matrix w[r] toward each candidate vertex
-    matrix candidates[:, :, r, k] (entries first): per row r, (best |det|,
-    first maximizing candidate index, t)."""
-    w = np.ascontiguousarray(_entries(w))[..., None]
-    delta = candidates - w
-    det_w, det_delta = det(w), det(delta)
-    cross = (
-        w[0][0] * delta[1][1]
-        + delta[0][0] * w[1][1]
-        - w[0][1] * delta[1][0]
-        - delta[0][1] * w[1][0]
-    )
-    at_one = np.abs(det_w + cross + det_delta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_star = -cross / (2.0 * det_delta)
-    valid = (t_star > 0.0) & (t_star < 1.0)
-    t_star = np.where(valid, t_star, 0.0)
-    at_star = np.where(
-        valid, np.abs(det_w + cross * t_star + det_delta * t_star**2), -np.inf
-    )
-    rows = np.arange(len(at_one))
-    best_at_one = np.argmax(at_one, axis=1)
-    best_at_star = np.argmax(at_star, axis=1)
-    one = at_one[rows, best_at_one]
-    star = at_star[rows, best_at_star]
-    use_star = star > one
-    return (
-        np.where(use_star, star, one),
-        np.where(use_star, best_at_star, best_at_one),
-        np.where(use_star, t_star[rows, best_at_star], 1.0),
-    )
+def independent_mixture_dets(d, n, seed):
+    """|det W| of n seeded independent mixtures: a Dirichlet encoder per preparation, and
+    per message a Dirichlet mixture of the decode rows."""
+    rng = np.random.default_rng(seed)
+    n_meas, n_prep = DET_CONTRAST.shape
+    encoder = rng.dirichlet(np.ones(d), size=(n, n_prep))  # (n, n_prep, d)
+    rows = 1.0 - _lex_grid(2, n_meas)  # p_d of each decode row
+    decoder = rng.dirichlet(np.ones(len(rows)), size=(n, d)) @ rows  # (n, d, n_meas) p_d
+    return abs_det(entries(DET_CONTRAST @ encoder @ decoder))
 
 
 def sequential_bootstrap_report(c, resamples, seed, fair_sampling):

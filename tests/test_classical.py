@@ -5,8 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,32 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     canonical_rows,
-    decoder_candidates,
-    encoder_candidates,
+    entries,
     enumerate_deterministic,
-    materialised_move,
+    independent_mixture_dets,
+    message_pairs,
     mixture_table,
     vertex_max,
     vertex_max_det,
 )
 
-from pamsim import classical
+from pamsim import classical, cli
 from pamsim.classical import (
-    _BLOCK_CANDIDATES,
     DeterministicStrategy,
     EnumerationCapExceeded,
     _affine_form,
-    _best_coordinate_move,
-    _climb,
-    _decoder_columns,
-    _decoder_grid,
-    _encoder_grid,
-    _encoder_rows,
-    _entries,
+    _contrast_preparations,
     _lex_grid,
-    _message_pairs,
-    _restart_block,
-    _start_points,
     classical_max_det,
     classical_max_linear,
     retrocausal_max,
@@ -63,8 +51,6 @@ ALWAYS_D = DeterministicStrategy(encode=(0, 0, 0, 0), decode=((0, 0),))
 
 # (d, n_prep, n_meas) cases checked against brute-force enumeration
 ORACLE_CASES = ((1, 3, 2), (2, 3, 2), (3, 3, 2), (4, 3, 2), (2, 4, 2), (3, 4, 3))
-# (d, n_prep) cases whose determinant-search starting points are checked bit for bit
-START_CASES = ((2, 4), (3, 4), (4, 4), (5, 4), (2, 5), (3, 5))
 
 
 def brute_force_linear(witness, d, n_prep, n_meas):
@@ -130,78 +116,9 @@ def vertex_affine_witness(t):
     return dimension_witness(t) + float(t.p_e[0, 0] * (1.0 - t.p_e[0, 0]))
 
 
-def in_order_dirichlet(weights):
-    """Unit exponentials over their sum taken left to right, as
-    Generator.dirichlet(np.ones(K)) computes it."""
-    total = 0.0
-    for w in weights:
-        total += w
-    return weights * (1.0 / total)
-
-
-def reference_climb(ce, dd, row):
-    """One restart of the coordinate ascent from one exponential row, one
-    2x2 matrix at a time."""
-
-    def det(w):
-        return w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
-
-    def best_move(w, candidates):
-        # best endpoint move; an interior extremum wins only if strictly better
-        at_one, at_star = [], []
-        for b in candidates:
-            delta = b - w
-            cross = (
-                w[0, 0] * delta[1, 1] + delta[0, 0] * w[1, 1]
-                - w[0, 1] * delta[1, 0] - delta[0, 1] * w[1, 0]
-            )
-            at_one.append(abs(det(w) + cross + det(delta)))
-            t = -cross / (2.0 * det(delta)) if det(delta) != 0.0 else math.nan
-            if 0.0 < t < 1.0:
-                at_star.append((abs(det(w) + cross * t + det(delta) * t**2), t))
-            else:
-                at_star.append((-math.inf, 0.0))
-        a = int(np.argmax(at_one))
-        k = int(np.argmax([v for v, _ in at_star]))
-        if at_star[k][0] > at_one[a]:
-            return at_star[k][0], k, at_star[k][1]
-        return at_one[a], a, 1.0
-
-    x = np.tensordot(in_order_dirichlet(row[: len(ce)]), ce, axes=1)
-    y = np.tensordot(in_order_dirichlet(row[len(ce) :]), dd, axes=1)
-    current = abs(det(x @ y))
-    for _ in range(200):
-        improved = False
-        value, a, t = best_move(x @ y, ce @ y)
-        if value > current + 1e-15:
-            x = (1.0 - t) * x + t * ce[a]
-            current, improved = abs(det(x @ y)), True
-        value, b, t = best_move(x @ y, x @ dd)
-        if value > current + 1e-15:
-            y = (1.0 - t) * y + t * dd[b]
-            current, improved = abs(det(x @ y)), True
-        if not improved:
-            break
-    return current
-
-
-def per_restart_start_points(ce, dd, e):
-    """Dirichlet starting points normalised and projected one exponential
-    row at a time: the reference that `_start_points` must match bit for bit."""
-    ce_flat, dd_flat = ce.reshape(len(ce), -1), dd.reshape(len(dd), -1)
-    x, y = [], []
-    for row in e:
-        x.append(np.dot(in_order_dirichlet(row[: len(ce)])[None], ce_flat))
-        y.append(np.dot(in_order_dirichlet(row[len(ce) :])[None], dd_flat))
-    return (
-        np.concatenate(x).reshape(-1, *ce.shape[1:]),
-        np.concatenate(y).reshape(-1, *dd.shape[1:]),
-    )
-
-
 def loads_random_module(call):
     """Whether `call`, run in a fresh interpreter after `from pamsim import classical,
-    witness`, leaves numpy.random in sys.modules."""
+    witness`, leaves numpy.random in sys.modules (the last line it prints)."""
     code = f"import sys; from pamsim import classical, witness; {call}; " + (
         "print('numpy.random' in sys.modules)"
     )
@@ -209,50 +126,18 @@ def loads_random_module(call):
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
-    return out.strip() == "True"
-
-
-def start_exponentials(ce, dd, seed, restarts):
-    """`restarts` rows of starting-point exponentials, drawn at once."""
-    return np.random.default_rng(seed).standard_exponential((restarts, len(ce) + len(dd)))
+    return out.splitlines()[-1] == "True"
 
 
 @functools.cache
-def det_search_vertices(d, n_prep):
-    """(ce, dd, pairs) built the way `_mixture_max` builds its own
-    (checked below), with W read off the first four of `n_prep`
-    preparations: a fifth only widens the encoder grid the climbs run over."""
-    encoders = _lex_grid(d, n_prep)
-    contrast = np.pad(DET_CONTRAST, ((0, 0), (0, n_prep - DET_CONTRAST.shape[1])))
-    ce = contrast @ (encoders[:, :, None] == np.arange(d)).astype(float)
+def det_vertices(d):
+    """(ce, dd, pairs) of every d-message vertex pair on `DET_CONTRAST`: each encoder's
+    contrast rows (n_enc, 2, d), each decoder's p_d rows (n_dec, d, 2), and the message
+    pairs of the encoders (`message_pairs`)."""
+    encoders = _lex_grid(d, DET_CONTRAST.shape[1])
+    ce = DET_CONTRAST @ (encoders[:, :, None] == np.arange(d)).astype(float)
     dd = 1.0 - _lex_grid(2, 2 * d).reshape(-1, d, 2).astype(float)
-    return ce, dd, _message_pairs(contrast, encoders, d)
-
-
-def restart_count(count, d, n_prep=4):
-    """`count` itself, or a count around the lockstep block size of the
-    (d, n_prep) search, named "block-1", "block", "block+1" or "2block+7"."""
-    if isinstance(count, int):
-        return count
-    block = _restart_block(*det_search_vertices(d, n_prep)[:2])
-    return {"block-1": max(1, block - 1), "block": block, "block+1": block + 1,
-            "2block+7": 2 * block + 7}[count]
-
-
-# counts around the derived block size, tested after the fixed counts
-BLOCK_SIZES = ("block-1", "block", "block+1")
-# (d, restarts, seed): mixture_max.hex(), value, encode, decode of classical_max_det,
-# as computed before the candidate matrices stopped going through matmul
-PINNED_DET = {
-    (2, 2000, 11): ("0x1.0000000000000p-58", 0.0, [0, 0, 0, 0], ["dd", "dd"]),
-    (3, 500, 12): ("0x1.0000000000000p+0", 1.0, [0, 1, 0, 2], ["dd", "de", "ed"]),
-    (2, 300, 0): ("0x1.6000000000000p-59", 0.0, [0, 0, 0, 0], ["dd", "dd"]),
-    (2, 500, 5): ("0x1.4000000000000p-59", 0.0, [0, 0, 0, 0], ["dd", "dd"]),
-    (4, 50, 5): ("0x1.0000000000000p+1", 2.0, [0, 1, 2, 3], ["dd", "ee", "de", "ed"]),
-    (3, 130, 23): ("0x1.0000000000000p+0", 1.0, [0, 1, 0, 2], ["dd", "de", "ed"]),
-    (2, 10000, 0): ("0x1.8000000000000p-58", 0.0, [0, 0, 0, 0], ["dd", "dd"]),
-    (3, 10000, 0): ("0x1.0000000000000p+0", 1.0, [0, 1, 0, 2], ["dd", "de", "ed"]),
-}
+    return ce, dd, message_pairs(DET_CONTRAST, encoders, d)
 
 
 class TestStrategyTable:
@@ -435,23 +320,10 @@ class TestDeterminantBound:
         assert len(dets) == 256
         assert max(dets) == 0.0
 
-    def test_search_d2(self):
-        result = classical_max_det(2, restarts=500, seed=5)
-        assert result.value == 0.0
-        assert result.mixture_max <= 1e-9
-        assert result.n_strategies == 256
-
-    def test_d2_value_is_the_exact_vertex_maximum(self):
-        # the climbs' rounding residue (1.7e-18 here) is not the bound
-        result = classical_max_det(2, restarts=300, seed=0)
-        assert result.mixture_max > 0.0
-        assert result.value == 0.0
-
     def test_search_d4_reaches_two(self):
         # injective encoding frees all eight table entries; the extremal
         # matrix [[1,-1],[1,1]] has |det| = 2
-        result = classical_max_det(4, restarts=50, seed=5)
-        assert result.value == 2.0
+        assert classical_max_det(4).value == 2.0
 
     def test_d4_can_reproduce_ideal_witness(self):
         s = DeterministicStrategy(
@@ -463,7 +335,7 @@ class TestDeterminantBound:
 
     def test_correlated_mixture_breaks_the_null(self):
         """Shared randomness between encoder and decoder reaches |det| = 1/4,
-        which is why the search runs over independent randomization only."""
+        which is why the bound is over independent randomization only."""
         a = DeterministicStrategy(encode=(0, 1, 0, 0), decode=((0, 1), (1, 1)))
         b = DeterministicStrategy(encode=(0, 0, 0, 1), decode=((1, 1), (1, 0)))
         assert det_witness(strategy_table(a, 4, 2)) == 0.0
@@ -471,66 +343,30 @@ class TestDeterminantBound:
         mix = mixture_table(((0.5, a), (0.5, b)), 4, 2)
         assert det_witness(mix) == pytest.approx(0.25, abs=1e-12)
 
-    def test_seeded_search_is_deterministic(self):
-        r1 = classical_max_det(2, restarts=100, seed=9)
-        r2 = classical_max_det(2, restarts=100, seed=9)
-        assert r1.mixture_max == r2.mixture_max
-
     def test_rejects_d1(self):
         with pytest.raises(ValueError):
             classical_max_det(1)
 
-    def test_rejects_negative_restarts(self):
-        with pytest.raises(ValueError, match="restarts"):
-            classical_max_det(2, restarts=-3)
+    def test_d2_bound_is_the_rank_null(self):
+        result = classical_max_det(2)
+        assert result.value == 0.0
+        assert det_witness(strategy_table(result.strategy, 4, 2)) == 0.0
 
-    @pytest.mark.parametrize("restarts", (0, 1, 64, 65, 130) + BLOCK_SIZES + ("2block+7",))
-    def test_reproducible_across_block_sizes(self, restarts):
-        restarts = restart_count(restarts, 2)
-        first = classical_max_det(2, restarts=restarts, seed=17)
-        assert classical_max_det(2, restarts=restarts, seed=17) == first
-        assert first.restarts == restarts
-        assert first.mixture_max <= 1e-9
-
-    def test_lockstep_climb_matches_single_climbs(self):
-        # contrast-derived vertices; at d = 4 some climbs stop at |det W| = 1,
-        # short of the maximum 2
-        for d, n_rows, n_ends in ((3, 40, 1), (4, 12, 2)):
-            ce, dd, pairs = det_search_vertices(d, 4)
-            e = start_exponentials(ce, dd, 4, n_rows)
-            reached = _climb(ce, dd, pairs, e)
-            expected = [reference_climb(ce, dd, row) for row in e]
-            np.testing.assert_allclose(reached, expected, rtol=1e-12)
-            assert len(set(np.round(reached, 9))) == n_ends
-
-    def test_more_restarts_extend_the_same_climbs(self):
-        # restart k starts from row k of the seeded stream whatever the total, so
-        # the best value can only grow with the restart count
-        counts = [restart_count(r, 2) for r in (0, 1, 64, 65, 130) + BLOCK_SIZES + ("2block+7",)]
-        maxima = [classical_max_det(2, restarts=r, seed=17).mixture_max for r in counts]
-        assert maxima[0] == 0.0
-        assert maxima == sorted(maxima)
-
-    @pytest.mark.parametrize("case", sorted(PINNED_DET))
-    def test_results_are_pinned_bit_for_bit(self, case):
-        mixture_hex, value, encode, decode = PINNED_DET[case]
-        result = classical_max_det(*case)
-        assert result.mixture_max.hex() == mixture_hex
-        assert result.value == value
-        assert result.strategy.to_json_dict() == {
-            "encode": encode,
-            "decode": [list(row) for row in decode],
-        }
+    def test_bound_depends_on_the_dimension_only(self):
+        # nothing is drawn: repeated calls give equal results, and the value never falls with d
+        results = [classical_max_det(d) for d in (2, 3, 4, 5, 2, 3, 4, 5)]
+        assert results[:4] == results[4:]
+        assert [r.value for r in results[:4]] == [0.0, 1.0, 2.0, 2.0]
 
     @pytest.mark.parametrize("d", (2, 3, 4, 5))
     @pytest.mark.parametrize("slice_pairs", (1, 7, 4096))
     def test_vertex_max_is_the_first_stacked_maximum(self, d, slice_pairs):
         # the first maximum over every encoder of the grid, found here in slices of
         # `slice_pairs` encoders; the pass itself scores only canonical ones
-        ce, dd, pairs = det_search_vertices(d, 4)
+        ce, dd, pairs = det_vertices(d)
         best = (-1.0, 0, 0)
         for start in range(0, len(ce), slice_pairs):
-            dets = abs_det(_entries(ce[start : start + slice_pairs, None] @ dd))
+            dets = abs_det(entries(ce[start : start + slice_pairs, None] @ dd))
             a, b = np.unravel_index(np.argmax(dets), dets.shape)
             if dets[a, b] > best[0]:
                 best = (dets[a, b], start + a, b)
@@ -564,16 +400,27 @@ class TestDeterminantBound:
 
     def test_d6_certificate_is_pinned(self):
         # as computed before the pass scored only canonical encoders (1.3 s then)
-        result = classical_max_det(6, restarts=0)
-        assert (result.value, result.mixture_max) == (2.0, 0.0)
+        result = classical_max_det(6)
+        assert result.value == 2.0
         assert result.strategy.to_json_dict() == {
             "encode": [0, 1, 2, 3],
             "decode": [list(row) for row in ("dd", "ee", "de", "ed", "dd", "dd")],
         }
 
-    def test_zero_restarts_load_no_random_module(self):
-        # no restart draws anything, so numpy.random (about 10 ms to import) stays unloaded
-        assert not loads_random_module("classical.classical_max_det(6, restarts=0)")
+    def test_det_bound_loads_no_random_module(self, tmp_path):
+        # nothing is drawn, so numpy.random (about 10 ms to import) stays unloaded, and the
+        # ignored --restarts and --seed change no output byte
+        argv = ["bounds", "--witness", "det", "-d", "3"]
+        searched, bare = tmp_path / "searched", tmp_path / "bare"
+        calls = (
+            [*argv, "--restarts", "500", "--seed", "7", "--out", str(searched)],
+            [*argv, "--restarts", "0", "--out", str(bare)],
+        )
+        call = "from pamsim.cli import main; " + "; ".join(
+            f"assert main({command!r}) == 0" for command in calls
+        )
+        assert not loads_random_module(f"classical.classical_max_det(6); {call}")
+        assert (searched / "bounds.json").read_bytes() == (bare / "bounds.json").read_bytes()
 
     @pytest.mark.parametrize(
         "row",
@@ -582,36 +429,37 @@ class TestDeterminantBound:
     def test_contrast_rows_must_be_one_plus_one_minus(self, row):
         contrast = np.array([row, [0, 0, 1, -1]])
         with pytest.raises(ValueError, match="one \\+1 and one -1"):
-            _message_pairs(contrast, _lex_grid(2, 4), 2)
-
-
-def independent_mixture_dets(d, n, seed):
-    """|det W| of n seeded independent mixtures: a Dirichlet encoder per preparation, and
-    per message a Dirichlet mixture of the decode rows."""
-    rng = np.random.default_rng(seed)
-    n_meas, n_prep = DET_CONTRAST.shape
-    encoder = rng.dirichlet(np.ones(d), size=(n, n_prep))  # (n, n_prep, d)
-    rows = 1.0 - _lex_grid(2, n_meas)  # p_d of each decode row
-    decoder = rng.dirichlet(np.ones(len(rows)), size=(n, d)) @ rows  # (n, d, n_meas) p_d
-    return abs_det(_entries(DET_CONTRAST @ encoder @ decoder))
+            _contrast_preparations(contrast)
 
 
 class TestDetClosedForm:
-    @pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
+    @pytest.mark.parametrize("d", (2, 3, 4, 5, 6, 7, 8))
     def test_matches_the_vertex_enumeration(self, d):
-        result = classical_max_det(d, restarts=0)
+        result = classical_max_det(d)
         assert (result.value, result.strategy) == vertex_max_det(d)
         assert det_witness(strategy_table(result.strategy, 4, 2)) == result.value
         assert result.value == (0.0, 1.0, 2.0)[min(d, 4) - 2]
 
-    @pytest.mark.parametrize("d", (2, 3, 4, 5, 6))
+    @pytest.mark.parametrize("d", (2, 3, 4, 5, 6, 7, 8))
     def test_independent_mixtures_never_exceed_it(self, d):
         dets = independent_mixture_dets(d, 20_000, seed=d)
-        assert dets.max() <= classical_max_det(d, restarts=0).value + 1e-12
+        assert dets.max() <= classical_max_det(d).value + 1e-12
         if d == 2:  # the rank argument: 0 up to rounding
             assert dets.max() <= 1e-12
         else:
             assert dets.max() > 0.1
+
+    @pytest.mark.parametrize("d", range(2, 41))
+    def test_holds_past_four_messages(self, d):
+        # a vertex pair sends at most four messages, one per preparation, so relabelling
+        # them to 0..3 keeps |det W|: past d = 4 the bound and its strategy are d = 4's,
+        # the strategy's decode padded with "d" rows the encoder never sends
+        result = classical_max_det(d)
+        assert result.value == classical_max_det(min(d, 4)).value
+        assert det_witness(strategy_table(result.strategy, 4, 2)) == result.value
+        first = classical_max_det(min(d, 4)).strategy
+        assert result.strategy.encode == first.encode
+        assert result.strategy.decode == first.decode + ((0, 0),) * (d - len(first.decode))
 
     @pytest.mark.parametrize(
         "contrast",
@@ -619,14 +467,17 @@ class TestDetClosedForm:
             [[0, 0, 1, -1], [1, -1, 0, 0]],
             [[-1, 1, 0, 0], [0, 0, -1, 1]],
             [[0, 1, 0, -1], [1, 0, -1, 0]],
+            [[0, -1, 0, 1], [-1, 0, 1, 0]],
+            [[1, 0, 0, -1], [0, -1, 1, 0]],
             [[1, 0, 0, -1, 0], [0, 0, 1, 0, -1]],
+            [[0, 1, 0, 0, -1, 0], [0, 0, -1, 0, 0, 1]],
         ),
     )
-    @pytest.mark.parametrize("d", (2, 3, 4))
+    @pytest.mark.parametrize("d", (2, 3, 4, 5, 6, 7, 8))
     def test_strategy_attains_it_on_any_accepted_contrast(self, monkeypatch, contrast, d):
         contrast = np.array(contrast)
         monkeypatch.setattr(classical, "DET_CONTRAST", contrast)
-        result = classical_max_det(d, restarts=0)
+        result = classical_max_det(d)
         w = contrast @ strategy_table(result.strategy, *contrast.shape[::-1]).p_d
         assert abs(np.linalg.det(w)) == pytest.approx(result.value, abs=1e-12)
 
@@ -643,319 +494,16 @@ class TestDetClosedForm:
         ),
     )
     @pytest.mark.parametrize("restarts", (0, 3))
-    def test_refuses_any_other_contrast(self, monkeypatch, contrast, restarts):
+    def test_refuses_any_other_contrast(self, monkeypatch, tmp_path, capsys, contrast, restarts):
         monkeypatch.setattr(classical, "DET_CONTRAST", np.array(contrast))
         with pytest.raises(ValueError, match="on disjoint preparations"):
-            classical_max_det(3, restarts=restarts)
-
-
-def grid_stack(entries, order=None):
-    """Candidate entries [k][l], each broadcast over the product grid, as an
-    entries-first (2, 2, R, K) stack in candidate order (`order` gathers the
-    flattened grid into it)."""
-    shape = np.broadcast_shapes(*(c.shape for row in entries for c in row))
-    flat = np.stack(
-        [np.broadcast_to(c, shape).reshape(-1, shape[-1]) for row in entries for c in row]
-    )
-    if order is not None:
-        flat = flat[:, order]
-    return np.ascontiguousarray(flat.reshape(2, 2, *flat.shape[1:]).transpose(0, 1, 3, 2))
-
-
-def check_builders(monkeypatch, ce, dd, pairs, seen):
-    """Make every candidate build of the climbs assert that, broadcast to
-    candidate order, it equals bit for bit the entries-first matmul it
-    replaces; record the inputs in `seen`."""
-    build_rows, build_columns = _encoder_rows, _decoder_columns
-    enc_rows = _encoder_grid(pairs, dd.shape[1])[2]
-
-    def rows(y, plus, minus):
-        got = build_rows(y, plus, minus)
-        assert grid_stack(got).tobytes() == np.ascontiguousarray(
-            _entries(ce[enc_rows] @ y[:, None])
-        ).tobytes()
-        seen.append(("y", y.copy()))
-        return got
-
-    def columns(x):
-        got = build_columns(x)
-        assert grid_stack(got, _decoder_grid(dd)).tobytes() == np.ascontiguousarray(
-            _entries(x[:, None] @ dd)
-        ).tobytes()
-        seen.append(("x", x.copy()))
-        return got
-
-    monkeypatch.setattr(classical, "_encoder_rows", rows)
-    monkeypatch.setattr(classical, "_decoder_columns", columns)
-
-
-def grid_moves(w, x, y, dd, pairs):
-    """(encoder move, decoder move) of the grid line search from (w, x, y), with
-    each move's index mapped to its encoder or decoder row."""
-    plus, minus, enc_rows = _encoder_grid(pairs, dd.shape[1])
-    value, a, t = _best_coordinate_move(w, _encoder_rows(y, plus, minus))
-    return (value, enc_rows[a], t), _best_coordinate_move(w, _decoder_columns(x), _decoder_grid(dd))
-
-
-def materialised_moves(w, x, y, dd, pairs):
-    """The same two moves on materialised candidate stacks."""
-    return (
-        materialised_move(w, encoder_candidates(y, pairs)),
-        materialised_move(w, decoder_candidates(x, dd)),
-    )
-
-
-def move_bytes(moves):
-    return [[np.asarray(part).tobytes() for part in move] for move in moves]
-
-
-class TestDetCandidates:
-    @pytest.mark.parametrize("d, restarts", ((3, 120), (4, 40), (5, 9)))
-    def test_builders_match_the_matmuls_along_the_climbs(self, monkeypatch, d, restarts):
-        # at d = 2 no climb moves (|det W| is 0 on every line), so it builds from
-        # start points only: see the next test
-        seen = []
-        ce, dd, pairs = det_search_vertices(d, 4)
-        check_builders(monkeypatch, ce, dd, pairs, seen)
-        _climb(ce, dd, pairs, start_exponentials(ce, dd, d, restarts))
-        xs = [m for kind, m in seen if kind == "x"]
-        assert len([kind for kind, _ in seen if kind == "y"]) == len(xs) >= 2
-        # the second round builds from climbed states, whose encoder mixtures
-        # have negative entries
-        assert any((x < 0.0).any() for x in xs[1:])
-
-    @pytest.mark.parametrize("d", (2, 3, 4, 5))
-    def test_builders_match_the_matmuls_at_start_points(self, d):
-        ce, dd, pairs = det_search_vertices(d, 4)
-        x, y = _start_points(ce, dd, start_exponentials(ce, dd, 7 + d, 33))
-        plus, minus, enc_rows = _encoder_grid(pairs, d)
-        by_encoder = np.ascontiguousarray(_entries(ce @ y[:, None]))
-        by_decoder = np.ascontiguousarray(_entries(x[:, None] @ dd))
-        assert encoder_candidates(y, pairs).tobytes() == by_encoder.tobytes()
-        assert decoder_candidates(x, dd).tobytes() == by_decoder.tobytes()
-        assert grid_stack(_encoder_rows(y, plus, minus)).tobytes() == np.ascontiguousarray(
-            by_encoder[:, :, :, enc_rows]
-        ).tobytes()
-        assert grid_stack(_decoder_columns(x), _decoder_grid(dd)).tobytes() == by_decoder.tobytes()
-
-    @pytest.mark.parametrize("d", (2, 3, 4, 5))
-    def test_encoder_grid_drops_only_repeated_zero_rows(self, d):
-        ce, dd, pairs = det_search_vertices(d, 4)
-        plus, minus, enc_rows = _encoder_grid(pairs, d)
-        assert len(plus) == d * d - d + 1
-        # every distinct vertex matrix once, at its first encoder, in encoder order
-        first = {}
-        for a, vertex in enumerate(ce):
-            first.setdefault(vertex.tobytes(), a)
-        assert enc_rows.tolist() == sorted(first.values())
-
-
-class TestDetLineSearch:
-    @pytest.mark.parametrize("d", (2, 3, 4, 5))
-    def test_grid_moves_match_the_stack_at_start_points(self, d):
-        ce, dd, pairs = det_search_vertices(d, 4)
-        x, y = _start_points(ce, dd, start_exponentials(ce, dd, 40 + d, 50))
-        w = x @ y
-        got = move_bytes(grid_moves(w, x, y, dd, pairs))
-        assert got == move_bytes(materialised_moves(w, x, y, dd, pairs))
-
-    @pytest.mark.parametrize("d, restarts", ((2, 40), (3, 120), (4, 40), (5, 9)))
-    def test_grid_moves_match_the_stack_along_the_climbs(self, monkeypatch, d, restarts):
-        ce, dd, pairs = det_search_vertices(d, 4)
-        enc_rows = _encoder_grid(pairs, d)[2]
-        seen, xs = [], []
-        check_builders(monkeypatch, ce, dd, pairs, seen)
-        move = _best_coordinate_move
-
-        def checked(w, candidates, order=None):
-            got = move(w, candidates, order)
-            kind, mixture = seen[-1]
-            if kind == "y":
-                expected = materialised_move(w, encoder_candidates(mixture, pairs))
-                got_index = (got[0], enc_rows[got[1]], got[2])
-            else:
-                expected = materialised_move(w, decoder_candidates(mixture, dd))
-                got_index = got
-                xs.append(mixture)
-            assert move_bytes([got_index]) == move_bytes([expected])
-            return got
-
-        monkeypatch.setattr(classical, "_best_coordinate_move", checked)
-        _climb(ce, dd, pairs, start_exponentials(ce, dd, 50 + d, restarts))
-        assert len(xs) >= 1
-        if d > 2:  # climbed states: encoder mixtures with negative entries
-            assert any((x < 0.0).any() for x in xs[1:])
-
-    @settings(max_examples=150, deadline=None)
-    @given(d=st.integers(2, 4), data=st.data())
-    def test_ties_go_to_the_stacks_first_maximum(self, d, data):
-        # small-integer mixtures make |det| exact, so candidates tie everywhere,
-        # the dropped zero-row repeats included
-        ce, dd, pairs = det_search_vertices(d, 4)
-        n = data.draw(st.integers(1, 4))
-        small = st.integers(-2, 2)
-        x = np.array(data.draw(st.lists(small, min_size=n * 2 * d, max_size=n * 2 * d)))
-        y = np.array(data.draw(st.lists(small, min_size=n * d * 2, max_size=n * d * 2)))
-        x, y = x.reshape(n, 2, d).astype(float), y.reshape(n, d, 2).astype(float)
-        w = x @ y
-        got = move_bytes(grid_moves(w, x, y, dd, pairs))
-        assert got == move_bytes(materialised_moves(w, x, y, dd, pairs))
-
-
-def in_new_thread(call):
-    """call() on a new thread (with a workspace of its own), its result returned."""
-    results = []
-    thread = threading.Thread(target=lambda: results.append(call()))
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive()
-    return results[0]
-
-
-def workspace_buffers():
-    """This thread's `_best_coordinate_move` workspace arrays (none before a search)."""
-    return getattr(classical._workspace, "buffers", ())
-
-
-class TestDetWorkspace:
-    """The line searches write every grid-sized value into one workspace per thread."""
-
-    def test_results_survive_a_later_search(self):
-        ce, dd, pairs = det_search_vertices(3, 4)
-        plus, minus, _ = _encoder_grid(pairs, 3)
-        moves = []
-        for seed in (1, 2):
-            x, y = _start_points(ce, dd, start_exponentials(ce, dd, seed, 202))
-            w = x @ y
-            moves.append(_best_coordinate_move(w, _encoder_rows(y, plus, minus)))
-            moves.append(_best_coordinate_move(w, _decoder_columns(x), _decoder_grid(dd)))
-        kept = move_bytes(moves)
-        x, y = _start_points(ce, dd, start_exponentials(ce, dd, 3, 202))
-        _best_coordinate_move(x @ y, _decoder_columns(x), _decoder_grid(dd))
-        assert move_bytes(moves) == kept
-        assert len(workspace_buffers()) == 7
-        for part in (part for move in moves for part in move):
-            assert not any(np.shares_memory(part, buffer) for buffer in workspace_buffers())
-
-    def test_concurrent_searches_match_sequential_ones(self):
-        ce, dd, pairs = det_search_vertices(3, 4)
-        e = start_exponentials(ce, dd, 9, 202)
-
-        def search(seed):
-            climbed = _climb(ce, dd, pairs, e).tobytes()
-            return climbed, classical_max_det(3, 500, seed).mixture_max.hex()
-
-        seeds = (0, 1, 7, 918273645)  # more threads than the two cores of CI hosts
-        expected = {seed: search(seed) for seed in seeds}
-        start, got = threading.Barrier(len(seeds)), {}
-
-        def run(seed):
-            start.wait()
-            got[seed] = [search(seed) for _ in range(10)]
-
-        threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-4)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert got == {seed: [expected[seed]] * 10 for seed in seeds}
-
-    def test_buffers_stay_within_a_block_of_candidates(self):
-        def sizes():
-            for d, restarts in ((2, 1025), (3, 203), (4, 65), (5, 17), (6, 5)):
-                classical_max_det(d, restarts, seed=d)
-            return [buffer.size for buffer in workspace_buffers()]
-
-        got = in_new_thread(sizes)
-        assert len(got) == 7
-        assert max(got) <= _BLOCK_CANDIDATES
-
-    def test_warm_search_allocates_less_than_three_grid_arrays(self):
-        # d = 2, 1024 restarts: the decoder grid is 16 x 1024 float64, 128 KB
-        ce, dd, _ = det_search_vertices(2, 4)
-        x, y = _start_points(ce, dd, start_exponentials(ce, dd, 4, 1024))
-        w, columns, order = x @ y, _decoder_columns(x), _decoder_grid(dd)
-
-        def peak():
-            _best_coordinate_move(w, columns, order)  # warm: the workspace is there
-            tracemalloc.start()
-            try:
-                _best_coordinate_move(w, columns, order)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert in_new_thread(peak) < 3 * len(order) * len(w) * 8
-
-
-class TestDetStartPoints:
-    @pytest.mark.parametrize("d", (2, 3))
-    def test_vertices_are_the_searched_ones(self, monkeypatch, d):
-        seen = []
-        monkeypatch.setattr(classical, "_climb", lambda *args: seen.append(args) or np.zeros(1))
-        classical_max_det(d, restarts=1)
-        ce, dd, pairs, _ = seen[0]
-        expected = det_search_vertices(d, 4)
-        assert [m.tobytes() for m in (ce, dd, pairs)] == [m.tobytes() for m in expected]
-
-    @pytest.mark.parametrize("n_rows", (1, 63, 64, 65) + BLOCK_SIZES)
-    @pytest.mark.parametrize("d, n_prep", START_CASES)
-    def test_climbs_reach_what_per_restart_starts_reach(self, monkeypatch, d, n_prep, n_rows):
-        ce, dd, pairs = det_search_vertices(d, n_prep)
-        e = start_exponentials(ce, dd, 10 * d + n_prep, restart_count(n_rows, d, n_prep))
-        reached = _climb(ce, dd, pairs, e)
-        monkeypatch.setattr(classical, "_start_points", per_restart_start_points)
-        assert reached.tobytes() == _climb(ce, dd, pairs, e).tobytes()
-
-    @pytest.mark.parametrize("d, n_prep", START_CASES)
-    def test_block_projection_rounds_like_one_row_at_a_time(self, d, n_prep):
-        # a plain 2-D matmul over the block rounds many of these rows differently
-        ce, dd, _ = det_search_vertices(d, n_prep)
-        e = start_exponentials(ce, dd, 5, max(64, restart_count("block+1", d, n_prep)))
-        block = _start_points(ce, dd, e)
-        rows = per_restart_start_points(ce, dd, e)
-        assert [m.tobytes() for m in block] == [m.tobytes() for m in rows]
-
-    @pytest.mark.parametrize("restarts", (1, 63, 64, 65, 130) + BLOCK_SIZES + ("2block+7",))
-    def test_blocked_draws_are_one_draw(self, restarts):
-        # how classical_max_det draws its lockstep blocks of restarts
-        ce, dd, _ = det_search_vertices(3, 4)
-        block = _restart_block(ce, dd)
-        restarts = restart_count(restarts, 3)
-        rng = np.random.default_rng(11)
-        blocks = [
-            rng.standard_exponential((min(block, restarts - start), len(ce) + len(dd)))
-            for start in range(0, restarts, block)
-        ]
-        whole = start_exponentials(ce, dd, 11, restarts)
-        assert np.concatenate(blocks).tobytes() == whole.tobytes()
-
-    def test_rows_are_the_dirichlet_draws_of_one_generator(self):
-        # restart k starts where the k-th pair of rng.dirichlet calls would
-        ce, dd, _ = det_search_vertices(2, 4)
-        e = start_exponentials(ce, dd, 3, 5)
-        rng = np.random.default_rng(3)
-        for row in e:
-            for weights in (row[: len(ce)], row[len(ce) :]):
-                expected = rng.dirichlet(np.ones(len(weights)))
-                assert in_order_dirichlet(weights).tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("restarts", (1, 63, 64, 65, 130) + BLOCK_SIZES + ("2block+7",))
-    @pytest.mark.parametrize("d", (2, 3))
-    def test_search_matches_climbing_every_start_at_once(self, d, restarts):
-        ce, dd, pairs = det_search_vertices(d, 4)
-        restarts = restart_count(restarts, d)
-        expected = _climb(ce, dd, pairs, start_exponentials(ce, dd, 23, restarts)).max()
-        assert classical_max_det(d, restarts=restarts, seed=23).mixture_max == expected
-
-    def test_block_size_follows_the_candidate_count(self):
-        assert [restart_count("block", d) for d in (2, 3, 4, 5)] == [1024, 202, 64, 16]
+            classical_max_det(3)
+        # the ignored --restarts does not get the command past the refusal
+        out = tmp_path / "out"
+        argv = ["bounds", "--witness", "det", "-d", "3", "--restarts", str(restarts)]
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert "on disjoint preparations" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRetrocausal:

@@ -368,8 +368,7 @@ class TestBounds:
         assert rc == 0
         payload = read_json(tmp_path / "bounds.json")
         assert payload["value"] == 0.0
-        assert payload["mixture_max"] <= 1e-9
-        assert payload["n_strategies"] == 256
+        assert sorted(payload) == ["dimension", "strategy", "value", "witness"]
 
     def test_negative_restarts_exit_code(self, tmp_path):
         argv = ["bounds", "--witness", "det", "-d", "2", "--restarts", "-3", "--out", str(tmp_path)]
@@ -380,9 +379,8 @@ class TestBounds:
         argv = ["bounds", "--witness", "det", "-d", "3", "--restarts", "0", "--out", str(tmp_path)]
         assert main(argv) == 0
         payload = read_json(tmp_path / "bounds.json")
-        assert payload["restarts"] == 0
-        assert payload["mixture_max"] == 0.0
         assert payload["value"] == 1.0
+        assert "restarts" not in payload
 
     @pytest.mark.parametrize(
         "witness, dimension, message",
@@ -427,8 +425,45 @@ class TestBounds:
         assert main(["bounds", "--witness", "det", "--out", str(bare)]) == 0
         argv = ["bounds", "--witness", "det", "--restarts", "10000", "--seed", "0"]
         assert main([*argv, "--out", str(explicit)]) == 0
-        assert read_json(bare / "bounds.json")["restarts"] == 10_000
         assert (bare / "bounds.json").read_bytes() == (explicit / "bounds.json").read_bytes()
+
+    @pytest.mark.parametrize("restarts", (0, 1, 64, 65, 130, 10_000, 2**31))
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    def test_det_search_flags_change_no_byte(self, tmp_path, capsys, d, restarts):
+        # --restarts and --seed are range-checked, then ignored: the bound is closed-form
+        argv = ["bounds", "--witness", "det", "-d", str(d)]
+        given, bare = tmp_path / "given", tmp_path / "bare"
+        assert main([*argv, "--restarts", str(restarts), "--seed", "17", "--out", str(given)]) == 0
+        searched = capsys.readouterr().out.replace(str(given), str(bare))
+        assert main([*argv, "--out", str(bare)]) == 0
+        assert capsys.readouterr().out == searched
+        assert (given / "bounds.json").read_bytes() == (bare / "bounds.json").read_bytes()
+
+    # (d, --restarts, --seed): value, encode, decode; the strategy is the first maximising
+    # vertex pair in lexicographic (encode, decode) order, whatever the ignored flags
+    PINNED_DET = {
+        (2, 2000, 11): (0.0, [0, 0, 0, 0], ["dd", "dd"]),
+        (3, 500, 12): (1.0, [0, 1, 0, 2], ["dd", "de", "ed"]),
+        (2, 300, 0): (0.0, [0, 0, 0, 0], ["dd", "dd"]),
+        (2, 500, 5): (0.0, [0, 0, 0, 0], ["dd", "dd"]),
+        (4, 50, 5): (2.0, [0, 1, 2, 3], ["dd", "ee", "de", "ed"]),
+        (3, 130, 23): (1.0, [0, 1, 0, 2], ["dd", "de", "ed"]),
+        (2, 10000, 0): (0.0, [0, 0, 0, 0], ["dd", "dd"]),
+        (3, 10000, 0): (1.0, [0, 1, 0, 2], ["dd", "de", "ed"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED_DET))
+    def test_det_results_are_pinned(self, tmp_path, case):
+        value, encode, decode = self.PINNED_DET[case]
+        d, restarts, seed = map(str, case)
+        argv = ["bounds", "--witness", "det", "-d", d, "--restarts", restarts, "--seed", seed]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        payload = read_json(tmp_path / "bounds.json")
+        assert payload["value"] == value
+        assert payload["strategy"] == {
+            "encode": encode,
+            "decode": [list(row) for row in decode],
+        }
 
     def test_enumeration_cap_exit_code(self, tmp_path):
         # 8^3 * 2^16 = 33,554,432 strategies exceeds the default cap
@@ -436,14 +471,34 @@ class TestBounds:
         assert main(["bounds", "--witness", "idw", "-d", "8", "--out", str(out)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("witness", ["idw", "det"])
-    def test_enumeration_cap_at_large_dimension(self, tmp_path, capsys, witness):
+    def test_enumeration_cap_at_large_dimension(self, tmp_path, capsys):
         # the count, 8000^n_prep * 2^16000, has more digits than int-to-str converts
         out = tmp_path / "out"
-        assert main(["bounds", "--witness", witness, "-d", "8000", "--out", str(out)]) == 2
+        assert main(["bounds", "--witness", "idw", "-d", "8000", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: message dimension 8000 gives at least 2**16000 strategies")
         assert err.endswith("the enumeration cap of 10000000\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("d", (7, 8, 12, 100, 1000, 5000, 8000))
+    def test_det_enumerates_nothing_at_large_dimension(self, tmp_path, capsys, d):
+        # d = 7 was refused with 39,337,984 strategies while the enumeration ran
+        out = tmp_path / "out"
+        assert main(["bounds", "--witness", "det", "-d", str(d), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(f"classical |det W| bound (d={d}): 2\n")
+        payload = read_json(out / "bounds.json")
+        assert payload["value"] == 2.0
+        assert payload["strategy"]["encode"] == [0, 1, 2, 3]
+        assert payload["strategy"]["decode"][4:] == [["d", "d"]] * (d - 4)
+
+    def test_det_refuses_a_strategy_beyond_the_cap(self, tmp_path, capsys):
+        # the strategy's decode table has d rows of two entries
+        out = tmp_path / "out"
+        assert main(["bounds", "--witness", "det", "-d", "5000001", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: message dimension 5000001 gives a strategy of 10000002 decode entries, "
+            "more than the enumeration cap of 10000000\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("witness", ["idw", "det"])
@@ -993,14 +1048,12 @@ class TestParserReuse:
         assert cli._parser() is cli._parser()
         assert build_parser() is not build_parser()
 
-    def test_search_flags_do_not_carry_over(self, tmp_path):
-        given, bare = tmp_path / "given", tmp_path / "bare"
-        argv = ["bounds", "--witness", "det", "-d", "2"]
-        assert main([*argv, "--restarts", "5", "--seed", "3", "--out", str(given)]) == 0
-        assert main([*argv, "--out", str(bare)]) == 0
-        assert read_json(given / "bounds.json")["restarts"] == 5
-        payload = read_json(bare / "bounds.json")
-        assert (payload["restarts"], payload["seed"]) == (10_000, 0)
+    def test_search_flags_do_not_carry_over(self, tmp_path, capsys):
+        # --witness idw refuses --restarts and --seed, so it fails if they carry over
+        det = ["bounds", "--witness", "det", "-d", "2"]
+        assert main([*det, "--restarts", "5", "--seed", "3", "--out", str(tmp_path / "d")]) == 0
+        assert main(["bounds", "--witness", "idw", "-d", "2", "--out", str(tmp_path / "i")]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "first, code",
