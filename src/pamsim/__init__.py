@@ -1,6 +1,6 @@
 """Desk-scale simulator for delayed-choice prepare-and-measure experiments.
 
-Exact quantum predictions for phase-encoded qubit preparations, exhaustive
+Exact quantum predictions for phase-encoded qubit preparations, closed-form
 classical bounds for bounded-dimension message models, witness statistics
 with finite-count standard errors, and causality validation of the event
 schedule.

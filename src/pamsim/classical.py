@@ -18,18 +18,15 @@ two outcomes.  Two kinds of randomness sit on top:
   stochastic encoder and a stochastic decoder has det W = 0, whereas
   *correlated* mixtures reach |det W| = 1/4 (see tests for an explicit
   two-strategy example).  `classical_max_det` therefore bounds the
-  independent (product) space, in closed form, and `classical_max_linear`
-  the full mixture space.
+  independent (product) space, and `classical_max_linear` the full
+  mixture space.
 
-Linear bounds are exact without enumerating decoders: a linear witness
-is affine in p_e, and for a fixed encoder the best decoder picks every
-(message, measurement) bit on its own, so the maximum is found in closed
-form per encoder, over all encoders at once.  The affine form (c0, C)
-is read off the witness once per bound, and `retrocausal_max` reads it
-once for both of its maxima; the maximisers themselves take (c0, C).
-The test suite checks these results against brute-force enumeration.
-`classical_max_linear` refuses loudly when its strategy count exceeds
-`DEFAULT_ENUMERATION_CAP`; `classical_max_det` enumerates nothing.
+Both bounds are closed forms: a table of the bound and its first
+maximiser by message dimension, argued in the bound's docstring and
+checked by enumerations that live in the test suite.  The I_DW bounds
+read the witness's affine form (c0, C) once per call and refuse any but
+I_DW's.  A strategy of more than `DEFAULT_ENUMERATION_CAP` decode
+entries is refused before it is built.
 Outcome encoding: decode entries are 1 for outcome "e" and 0 for
 outcome "d".
 """
@@ -43,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .scenario import ProbabilityTable
-from .witness import DET_CONTRAST
+from .witness import DET_CONTRAST, IDW_COEF
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -51,7 +48,7 @@ TableFunctional = Callable[[ProbabilityTable], float]
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """Strategy space too large for exhaustive enumeration, or strategy too large to write."""
+    """Strategy too large to write: more than `DEFAULT_ENUMERATION_CAP` decode entries."""
 
 
 @dataclass(frozen=True)
@@ -99,35 +96,15 @@ def _pe_table(p_e: np.ndarray) -> ProbabilityTable:
     return ProbabilityTable(p_e, 1.0 - p_e, np.zeros(p_e.shape))
 
 
-def strategy_count(d: int, n_prep: int, n_meas: int) -> int:
-    return d**n_prep * 2 ** (d * n_meas)
-
-
-def _check_cap(d: int, n_prep: int, n_meas: int) -> None:
-    """Refuse more strategies than the cap; 2**(d * n_meas) decoders alone over it refuse
-    before the count is built, so a huge d costs no huge integer."""
-    if d * n_meas >= DEFAULT_ENUMERATION_CAP.bit_length():
+def _padded(decode: tuple, d: int, n_meas: int) -> tuple:
+    """`decode` padded with "d" rows to d messages, refused (EnumerationCapExceeded) before
+    any row is built when its d * n_meas entries exceed `DEFAULT_ENUMERATION_CAP`."""
+    if d * n_meas > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapExceeded(
-            f"message dimension {d} gives at least 2**{d * n_meas} strategies, more than "
-            f"the enumeration cap of {DEFAULT_ENUMERATION_CAP}"
+            f"message dimension {d} gives a strategy of {d * n_meas} decode entries, more "
+            f"than the enumeration cap of {DEFAULT_ENUMERATION_CAP}"
         )
-    count = strategy_count(d, n_prep, n_meas)
-    if count > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapExceeded(
-            f"{count} strategies exceed the enumeration cap of {DEFAULT_ENUMERATION_CAP}"
-        )
-
-
-def _lex_grid(base: int, length: int) -> np.ndarray:
-    """Every tuple in range(base)**length as a row, in itertools.product order."""
-    return np.indices((base,) * length).reshape(length, -1).T
-
-
-def _grid_strategy(encoder: np.ndarray, decode: np.ndarray) -> DeterministicStrategy:
-    """The strategy of one `_lex_grid` encoder row and a (d, n_meas) 0/1 decode array."""
-    return DeterministicStrategy(
-        encode=tuple(encoder.tolist()), decode=tuple(map(tuple, decode.astype(int).tolist()))
-    )
+    return decode + ((0,) * n_meas,) * (d - len(decode))
 
 
 def _check_dimension(d: int) -> None:
@@ -166,49 +143,57 @@ def _affine_value(witness: TableFunctional, c0: float, coef: np.ndarray, p_e: np
     return value
 
 
-def classical_max_linear(
-    witness: TableFunctional,
-    d: int,
-    n_prep: int,
-    n_meas: int,
-) -> tuple[float, DeterministicStrategy]:
-    """Exact maximum of a linear table functional over all mixtures.
+def _idw_form(witness: TableFunctional, n_prep: int, n_meas: int) -> tuple[float, np.ndarray]:
+    """The affine form (c0, C) of `witness`, refused (ValueError) unless it is I_DW's:
+    <D_ij> = 2 p_e - 1 without loss, so c0 = -sum(IDW_COEF) = -1 and C = 2 * IDW_COEF."""
+    c0, coef = _affine_form(witness, n_prep, n_meas)
+    if coef.shape != IDW_COEF.shape or c0 != -IDW_COEF.sum() or (coef != 2 * IDW_COEF).any():
+        why = f"c0 = -1 and C = {(2 * IDW_COEF).tolist()}, got {c0!r} and {coef.tolist()}"
+        raise ValueError(f"the bound is a closed form of I_DW, whose affine form in p_e is {why}")
+    return c0, coef
 
-    By convexity the maximum is attained at a deterministic strategy.
-    Writing the witness as c0 + sum(C * p_e), an encoder sends the mass
-    S[m, j] = sum(C[i, j] for i with encode(i) = m) to decode bit (m, j),
-    so its best decoder sets exactly the bits with S > 0.  All d**n_prep
-    encoders are scored at once; ties go to the first strategy in
-    lexicographic (encode, decode) order, and the value returned is the
-    witness evaluated at that strategy.  Raises ValueError if the witness
-    is not affine in p_e.
+
+# At min(d, 3) messages: the I_DW bound and its first maximiser in lexicographic (encode,
+# decode) order, the decode rows by message (1 for "e"), padded with "d" rows.
+_IDW_VERTICES = {
+    1: (1.0, (0, 0, 0), ((1, 0),)),  # ed
+    2: (3.0, (0, 0, 1), ((1, 0), (0, 0))),  # ed/dd
+    3: (5.0, (0, 1, 2), ((1, 1), (1, 0), (0, 0))),  # ee/ed/dd
+}
+
+
+def classical_max_linear(
+    witness: TableFunctional, d: int, n_prep: int, n_meas: int
+) -> tuple[float, DeterministicStrategy]:
+    """Exact maximum of I_DW over d-message strategies with shared randomness.
+
+    I_DW = D00 + D01 + D10 - D11 - D20 (`IDW_COEF`) is linear in the
+    table, so by convexity its maximum sits at a deterministic strategy,
+    where every D_ij is +-1.  5 needs D00 = D01 = D10 = +1 and
+    D11 = D20 = -1: preparations 0 and 1 differ at measurement 1, and
+    preparation 2 differs from both at measurement 0, which takes three
+    distinct messages, so d >= 3.  At d = 2 two preparations share a
+    message and so a row of D; the three cases give 2 D00 - D20,
+    D01 + D10 - D11 and D00 + D01 - D11, each at most 3.  At d = 1,
+    I_DW = D00 <= 1.  The strategy returned is the first maximiser in
+    lexicographic (encode, decode) order (`_IDW_VERTICES`), which the
+    test suite checks against an enumeration of the encoders; the value
+    is the witness evaluated at its table.
+
+    Nothing is enumerated.  Raises ValueError if the witness's affine form
+    in p_e is not I_DW's on `IDW_COEF.shape`, and EnumerationCapExceeded
+    for a decode table of more than `DEFAULT_ENUMERATION_CAP` entries.
     """
     _check_dimension(d)
-    _check_cap(d, n_prep, n_meas)
-    return _linear_max(witness, d, *_affine_form(witness, n_prep, n_meas))
+    value, encode, decode = _causal_max(witness, d, *_idw_form(witness, n_prep, n_meas))
+    return value, DeterministicStrategy(encode=encode, decode=_padded(decode, d, n_meas))
 
 
-def _linear_max(
-    witness: TableFunctional, d: int, c0: float, coef: np.ndarray
-) -> tuple[float, DeterministicStrategy]:
-    """`classical_max_linear` of the witness whose affine form is (c0, coef)."""
-    n_prep, n_meas = coef.shape
-    # mass[e, m, j] = S[m, j] of encoder e, summed in preparation order
-    encoders = _lex_grid(d, n_prep)
-    rows = np.arange(len(encoders))
-    mass = np.zeros((len(encoders), d, n_meas))
-    for i, row in enumerate(coef):
-        mass[rows, encoders[:, i]] += row
-    bits = mass > 0.0
-    # Score each encoder by the table its best decoder produces, summed row
-    # by row: strategies that produce the same table tie exactly.
-    score = np.zeros(len(encoders))
-    for i in range(n_prep):
-        score += np.where(bits[rows, encoders[:, i]], coef[i], 0.0).sum(axis=1)
-    best = int(np.argmax(score))
-
-    p_e = bits[best][encoders[best]].astype(float)
-    return _affine_value(witness, c0, coef, p_e), _grid_strategy(encoders[best], bits[best])
+def _causal_max(witness: TableFunctional, d: int, c0: float, coef: np.ndarray) -> tuple:
+    """(value, encode, unpadded decode) of `classical_max_linear`, from I_DW's form (c0, coef)."""
+    _, encode, decode = _IDW_VERTICES[min(d, 3)]
+    p_e = np.array(decode, dtype=float)[list(encode)]
+    return _affine_value(witness, c0, coef, p_e), encode, decode
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +264,10 @@ def classical_max_det(d: int) -> DetBoundResult:
         raise ValueError(f"determinant search needs message dimension >= 2, got {d}")
     plus, minus = _contrast_preparations(DET_CONTRAST)
     n_meas, n_prep = DET_CONTRAST.shape  # W is n_meas x n_meas
-    if d * n_meas > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapExceeded(
-            f"message dimension {d} gives a strategy of {d * n_meas} decode entries, more "
-            f"than the enumeration cap of {DEFAULT_ENUMERATION_CAP}"
-        )
-
     value, messages, decode = _DET_VERTICES[min(d, 4)]
+    decode = _padded(decode, d, n_meas)
     encode = np.zeros(n_prep, dtype=int)  # a preparation outside W sends message 0
     encode[plus], encode[minus] = np.transpose(messages)
-    decode += ((0,) * n_meas,) * (d - len(decode))
     return DetBoundResult(
         value=value,
         strategy=DeterministicStrategy(encode=tuple(encode.tolist()), decode=decode),
@@ -307,23 +286,18 @@ def _best_coordinate_move(*args, **kwargs):
 # ---------------------------------------------------------------------------
 
 
-def setting_aware_max(
-    witness: TableFunctional,
-    d: int,
-    n_prep: int,
-    n_meas: int,
-) -> float:
-    """Exact witness maximum when the encoder also sees the measurement
+def setting_aware_max(witness: TableFunctional, d: int, n_prep: int, n_meas: int) -> float:
+    """Exact I_DW maximum when the encoder also sees the measurement
     index, over encode: (i, j) -> m and decode: (m, j) -> outcome.
 
-    With d >= 2 every cell's outcome is free, so the maximum of
-    c0 + sum(C * p_e) is c0 + sum(max(C, 0)); with d = 1 a column shares
-    one outcome, giving c0 + sum_j max(0, sum_i C[i, j]).  The value is
-    the witness evaluated at that table.  Raises ValueError if the
-    witness is not affine in p_e.
+    With d >= 2 every cell's outcome is free, so each D_ij takes the sign
+    of its coefficient: 5.  With d = 1 a column shares one outcome, and
+    the best is "e" in column 0 (coefficients 1 + 1 - 1) and "d" in
+    column 1 (1 - 1): 1.  The value is the witness evaluated at that
+    table.  Raises ValueError as `classical_max_linear` does.
     """
     _check_dimension(d)
-    return _setting_aware_max(witness, d, *_affine_form(witness, n_prep, n_meas))
+    return _setting_aware_max(witness, d, *_idw_form(witness, n_prep, n_meas))
 
 
 def _setting_aware_max(witness: TableFunctional, d: int, c0: float, coef: np.ndarray) -> float:
@@ -336,22 +310,18 @@ def _setting_aware_max(witness: TableFunctional, d: int, c0: float, coef: np.nda
 
 
 def retrocausal_max(
-    witness: TableFunctional,
-    d: int,
-    n_prep: int,
-    n_meas: int,
-    leak: float,
+    witness: TableFunctional, d: int, n_prep: int, n_meas: int, leak: float
 ) -> float:
-    """Maximum witness value at a given leak probability (optimal base):
+    """Maximum I_DW at a given leak probability (optimal base):
     (1 - leak) * `classical_max_linear` + leak * `setting_aware_max`, with
-    the same checks, from one read of the witness's affine form."""
+    their witness checks, from one read of the witness's affine form.  No
+    strategy is built, so no cap applies."""
     # written so that NaN, which fails every comparison, is refused
     if not 0.0 <= leak <= 1.0:
         raise ValueError(f"leak must be in [0, 1], got {leak}")
     _check_dimension(d)
-    _check_cap(d, n_prep, n_meas)
-    form = _affine_form(witness, n_prep, n_meas)
-    causal, _ = _linear_max(witness, d, *form)
+    form = _idw_form(witness, n_prep, n_meas)
+    causal, _, _ = _causal_max(witness, d, *form)
     if leak == 0.0:
         return causal
     leaked = _setting_aware_max(witness, d, *form)

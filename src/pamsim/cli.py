@@ -6,7 +6,7 @@ same arguments reproduces the output files byte for byte.  Input files
 are parsed in `scenario`, `trials` and `spacetime`; a bad one exits 1.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 domain error
-(e.g. enumeration cap exceeded), 3 spacetime validation failure.
+(e.g. a strategy beyond the enumeration cap), 3 spacetime validation failure.
 
 `main` builds its parser once per process and reuses it: parsing leaves
 an argparse parser unchanged, each call gets a fresh namespace, and
@@ -27,12 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical import (
-    EnumerationCapExceeded,
-    classical_max_det,
-    classical_max_linear,
-    strategy_count,
-)
+from .classical import EnumerationCapExceeded, classical_max_det, classical_max_linear
 from .scenario import Scenario, csv_text, json_text, load_json, probability_table, read_section
 from .spacetime import Schedule, validate
 from .trials import (
@@ -214,7 +209,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _require(cfg.scenario, "scenario")
     plan = _require(cfg.plan, "plan")
     resamples = _check_resamples(cfg.resamples)
-    counts = sample(probability_table(scenario), plan)
+    # drawn as a run records them, undetected trials included; `estimate` postselects
+    counts = sample(probability_table(replace(scenario, fair_sampling=False)), plan)
     files = {"counts.csv": counts.to_csv()}
     return _analyze(counts, resamples, plan.seed, scenario.fair_sampling, cfg.outputs, files)
 
@@ -234,18 +230,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         raise ConfigError(f"--dimension must be >= {least}, got {args.dimension}")
     if args.witness == "idw":
         value, strategy = classical_max_linear(dimension_witness, args.dimension, *IDW_COEF.shape)
-        payload = {
-            "witness": "idw",
-            "dimension": args.dimension,
-            "value": value,
-            "n_strategies": strategy_count(args.dimension, *IDW_COEF.shape),
-            "strategy": strategy.to_json_dict(),
-        }
-        line = f"classical I_DW bound (d={args.dimension}): {value:.6g}"
+        name, bound = "I_DW", {"value": value, "strategy": strategy.to_json_dict()}
     else:
-        result = classical_max_det(args.dimension)
-        payload = {"witness": "det", "dimension": args.dimension, **result.to_json_dict()}
-        line = f"classical |det W| bound (d={args.dimension}): {result.value:.3g}"
+        name, bound = "|det W|", classical_max_det(args.dimension).to_json_dict()
+    payload = {"witness": args.witness, "dimension": args.dimension, **bound}
+    line = f"classical {name} bound (d={args.dimension}): {bound['value']:g}"
     _write_outputs(args.out, {"bounds.json": json_text(payload)}, [line])
     return 0
 
@@ -314,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         fair_sampling=Scenario.fair_sampling,
     )
 
-    p = sub.add_parser("bounds", help="classical witness bounds by enumeration/search")
+    p = sub.add_parser("bounds", help="classical witness bounds in closed form")
     p.add_argument("--witness", choices=("idw", "det"), required=True)
     p.add_argument(
         "--dimension", "-d", type=_non_negative_int, default=2, help="message dimension"

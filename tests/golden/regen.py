@@ -56,7 +56,7 @@ CASES = {
         f"predict_{name}": ["predict", "--config", str(CONFIGS / f"{name}.json"), "--out", "out"]
         for name in ("det_witness_ideal", "dimension_witness_ideal", "fitted_no_fsa")
     },
-    **{f"bounds_idw_d{d}": _bounds("idw", d) for d in (*range(1, 9), 8000)},
+    **{f"bounds_idw_d{d}": _bounds("idw", d) for d in (*range(1, 9), 12)},
     **{f"bounds_det_d{d}": _bounds("det", d) for d in (*range(2, 8), 12)},
     "spacetime": ["spacetime", str(CONFIGS / "reference_geometry_schedule.json"), "--out", "out"],
     **{

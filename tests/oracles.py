@@ -2,8 +2,11 @@
 
 `enumerate_deterministic` lists every deterministic strategy in
 lexicographic (encode, decode) order, the order whose first maximizer
-`classical_max_linear` must return.  `mixture_table` evaluates a convex
-mixture of strategies (shared randomness) as one table.
+`classical_max_linear` must return.  `linear_max` finds that maximizer
+of an affine witness by enumerating the encoders only, the reference for
+the closed form of `classical_max_linear` at any dimension.
+`mixture_table` evaluates a convex mixture of strategies (shared
+randomness) as one table.
 
 `vertex_max_det` enumerates the vertex pairs of the determinant witness,
 the reference for the closed form of `classical_max_det`;
@@ -24,9 +27,8 @@ import numpy as np
 
 from pamsim.classical import (
     DeterministicStrategy,
+    _affine_form,
     _contrast_preparations,
-    _grid_strategy,
-    _lex_grid,
     strategy_table,
 )
 from pamsim.scenario import ProbabilityTable
@@ -40,6 +42,41 @@ from pamsim.witness import (
     det_witness,
     dimension_witness,
 )
+
+
+def lex_grid(base, length):
+    """Every tuple in range(base)**length as a row, in itertools.product order."""
+    return np.indices((base,) * length).reshape(length, -1).T
+
+
+def grid_strategy(encoder, decode):
+    """The strategy of one `lex_grid` encoder row and a (d, n_meas) 0/1 decode array."""
+    return DeterministicStrategy(
+        encode=tuple(encoder.tolist()), decode=tuple(map(tuple, decode.astype(int).tolist()))
+    )
+
+
+def linear_max(witness, d, n_prep, n_meas):
+    """(max, first maximizing strategy in lexicographic (encode, decode) order) of an affine
+    witness over every d-message deterministic strategy.  Writing the witness as
+    c0 + sum(C * p_e), an encoder sends the mass S[m, j] = sum(C[i, j] for i with
+    encode(i) = m) to decode bit (m, j), so its best decoder sets exactly the bits with
+    S > 0: only the d**n_prep encoders are enumerated.  Each is scored by the table its best
+    decoder produces, summed row by row, so strategies with equal tables tie exactly; the
+    value is the witness evaluated at the first maximizer's table."""
+    c0, coef = _affine_form(witness, n_prep, n_meas)
+    encoders = lex_grid(d, n_prep)
+    rows = np.arange(len(encoders))
+    mass = np.zeros((len(encoders), d, n_meas))  # S[m, j] of each encoder, in preparation order
+    for i, row in enumerate(coef):
+        mass[rows, encoders[:, i]] += row
+    bits = mass > 0.0
+    score = np.zeros(len(encoders))
+    for i in range(n_prep):
+        score += np.where(bits[rows, encoders[:, i]], coef[i], 0.0).sum(axis=1)
+    best = int(np.argmax(score))
+    strategy = grid_strategy(encoders[best], bits[best])
+    return witness(strategy_table(strategy, n_prep, n_meas)), strategy
 
 
 def enumerate_deterministic(d, n_prep, n_meas):
@@ -60,7 +97,7 @@ def mixture_table(components, n_prep, n_meas):
 
 
 def canonical_rows(grid):
-    """Indices of the canonical rows of a `_lex_grid`, which are the first of each class
+    """Indices of the canonical rows of a `lex_grid`, which are the first of each class
     of rows equal up to relabelling: e[0] = 0 and each e[i] <= max(e[:i]) + 1."""
     prior = np.maximum.accumulate(grid, axis=1)[:, :-1]
     return np.flatnonzero((grid[:, 0] == 0) & (grid[:, 1:] <= prior + 1).all(axis=1))
@@ -101,11 +138,11 @@ def vertex_max_det(d):
     """(max |det W|, first maximizing strategy) over every d-message vertex pair on the
     preparations and measurements of `DET_CONTRAST`."""
     n_meas, n_prep = DET_CONTRAST.shape
-    encoders = _lex_grid(d, n_prep)
-    decoders = _lex_grid(2, d * n_meas).reshape(-1, d, n_meas)
+    encoders = lex_grid(d, n_prep)
+    decoders = lex_grid(2, d * n_meas).reshape(-1, d, n_meas)
     pairs = message_pairs(DET_CONTRAST, encoders, d)
     value, a, b = vertex_max(1.0 - decoders.astype(float), encoders, pairs)
-    return value, _grid_strategy(encoders[a], decoders[b])
+    return value, grid_strategy(encoders[a], decoders[b])
 
 
 def independent_mixture_dets(d, n, seed):
@@ -114,7 +151,7 @@ def independent_mixture_dets(d, n, seed):
     rng = np.random.default_rng(seed)
     n_meas, n_prep = DET_CONTRAST.shape
     encoder = rng.dirichlet(np.ones(d), size=(n, n_prep))  # (n, n_prep, d)
-    rows = 1.0 - _lex_grid(2, n_meas)  # p_d of each decode row
+    rows = 1.0 - lex_grid(2, n_meas)  # p_d of each decode row
     decoder = rng.dirichlet(np.ones(len(rows)), size=(n, d)) @ rows  # (n, d, n_meas) p_d
     return abs_det(entries(DET_CONTRAST @ encoder @ decoder))
 

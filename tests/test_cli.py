@@ -156,6 +156,23 @@ class TestSimulateAndReport:
         assert main(["simulate", "--config", cfg, "--seed", "2", "--out", str(out2)]) == 0
         assert (out1 / "counts.csv").read_bytes() != (out2 / "counts.csv").read_bytes()
 
+    def test_fair_sampling_draws_undetected_trials(self, tmp_path):
+        # the counts are drawn as a run records them, and `estimate` postselects them: at
+        # efficiency 0.3 about 7 trials in 10 go undetected
+        scenario = {**DET_SCENARIO, "efficiency": 0.3}
+        cfg = write_config(tmp_path / "cfg.json", scenario, trials=10_000, seed=5)
+        sim_out, rep_out = tmp_path / "sim", tmp_path / "rep"
+        assert main(["simulate", "--config", cfg, "--out", str(sim_out)]) == 0
+        with open(sim_out / "counts.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        detected = sum(int(r["n_e"]) + int(r["n_d"]) for r in rows)
+        undetected = sum(int(r["n_none"]) for r in rows)
+        assert 0.25 < detected / (detected + undetected) < 0.35
+        counts = str(sim_out / "counts.csv")
+        argv = ["report", "--counts", counts, "--fair-sampling", "true", "--out", str(rep_out)]
+        assert main(argv) == 0
+        assert (sim_out / "witness.json").read_bytes() == (rep_out / "witness.json").read_bytes()
+
     def test_report_missing_counts(self, tmp_path):
         assert main(["report", "--counts", str(tmp_path / "nope.csv")]) == 1
 
@@ -354,8 +371,7 @@ class TestBounds:
         assert main(["bounds", "--witness", "idw", "-d", "2", "--out", str(tmp_path)]) == 0
         payload = read_json(tmp_path / "bounds.json")
         assert payload["value"] == 3.0
-        assert payload["n_strategies"] == 128
-        assert "strategy" in payload
+        assert sorted(payload) == ["dimension", "strategy", "value", "witness"]
 
     def test_idw_d3_saturates(self, tmp_path):
         assert main(["bounds", "--witness", "idw", "-d", "3", "--out", str(tmp_path)]) == 0
@@ -465,20 +481,17 @@ class TestBounds:
             "decode": [list(row) for row in decode],
         }
 
-    def test_enumeration_cap_exit_code(self, tmp_path):
-        # 8^3 * 2^16 = 33,554,432 strategies exceeds the default cap
+    @pytest.mark.parametrize("d", (8, 12, 8000))
+    def test_idw_enumerates_nothing_at_large_dimension(self, tmp_path, capsys, d):
+        # d = 8 was refused with 33,554,432 strategies while the enumeration ran, and d = 8000
+        # has a strategy count of more digits than int-to-str converts
         out = tmp_path / "out"
-        assert main(["bounds", "--witness", "idw", "-d", "8", "--out", str(out)]) == 2
-        assert not out.exists()
-
-    def test_enumeration_cap_at_large_dimension(self, tmp_path, capsys):
-        # the count, 8000^n_prep * 2^16000, has more digits than int-to-str converts
-        out = tmp_path / "out"
-        assert main(["bounds", "--witness", "idw", "-d", "8000", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: message dimension 8000 gives at least 2**16000 strategies")
-        assert err.endswith("the enumeration cap of 10000000\n")
-        assert not out.exists()
+        assert main(["bounds", "--witness", "idw", "-d", str(d), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(f"classical I_DW bound (d={d}): 5\n")
+        payload = read_json(out / "bounds.json")
+        assert payload["value"] == 5.0
+        assert payload["strategy"]["encode"] == [0, 1, 2]
+        assert payload["strategy"]["decode"][3:] == [["d", "d"]] * (d - 3)
 
     @pytest.mark.parametrize("d", (7, 8, 12, 100, 1000, 5000, 8000))
     def test_det_enumerates_nothing_at_large_dimension(self, tmp_path, capsys, d):
@@ -491,10 +504,11 @@ class TestBounds:
         assert payload["strategy"]["encode"] == [0, 1, 2, 3]
         assert payload["strategy"]["decode"][4:] == [["d", "d"]] * (d - 4)
 
-    def test_det_refuses_a_strategy_beyond_the_cap(self, tmp_path, capsys):
+    @pytest.mark.parametrize("witness", ["idw", "det"])
+    def test_refuses_a_strategy_beyond_the_cap(self, tmp_path, capsys, witness):
         # the strategy's decode table has d rows of two entries
         out = tmp_path / "out"
-        assert main(["bounds", "--witness", "det", "-d", "5000001", "--out", str(out)]) == 2
+        assert main(["bounds", "--witness", witness, "-d", "5000001", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: message dimension 5000001 gives a strategy of 10000002 decode entries, "
             "more than the enumeration cap of 10000000\n"

@@ -324,8 +324,9 @@ class TestCoverage:
     )
     def test_errors_cover_the_truth(self, config, fair, efficiency):
         changes = {} if efficiency is None else {"efficiency": efficiency}
-        # the truth is postselected with fair sampling; the counts are drawn as a run records
-        # them, undetected trials included, so that the detected counts vary as in a real run
+        # the truth is postselected with fair sampling; the counts are drawn as `simulate`
+        # draws them, from the table without postselection, undetected trials included, so
+        # that the detected counts vary as in a real run
         scenario = bundled_scenario(config, fair_sampling=fair, **changes)
         truth = report_from_table(probability_table(scenario))
         table = probability_table(replace(scenario, fair_sampling=False))
