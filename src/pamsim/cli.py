@@ -18,6 +18,7 @@ returns a new parser on every call.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import stat
 import sys
@@ -98,50 +99,60 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **top)
 
 
+def _file_type(stat_path, path: str) -> int:
+    """`stat_path(path)`'s S_IFMT bits, or 0 where `pathlib`'s exists() calls it absent."""
+    try:
+        return stat.S_IFMT(stat_path(path).st_mode)
+    except OSError as exc:
+        if exc.errno not in (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP):
+            raise
+    return 0
+
+
 def _write_outputs(outputs: str | None, files: dict[str, str], lines=()) -> None:
     """Write each `name -> text` of `files` into the output directory all or nothing, then
     print the caller's result `lines` and the "wrote" line; call it once computed.  An OSError
-    is a ConfigError, and on one nothing is printed.  Each temporary is created exclusively,
-    which fails on any existing path, a dangling symlink included, and written through that
-    same handle, so no write lands outside the directory.  The renames go by name, so before
-    them each temporary's path must still be the regular file its handle had open (os.fstat,
-    taken while open, against os.lstat): a symlink swapped in is refused, even where it
-    takes the inode number that the deleted temporary freed."""
-    out = Path("out" if outputs is None else outputs)
+    is a ConfigError, and on one nothing is printed.  A symlink at an output name is replaced,
+    not followed; one to a directory is refused, as a directory is.  Each temporary is created
+    exclusively and written through that handle, so no write lands outside the directory, and
+    before the renames, which go by name, its os.lstat must still be the regular file of the
+    handle's os.fstat.  A file costs an os.stat of its name, an os.lstat of its temporary, the
+    create, an os.fstat, one write of its bytes, the os.lstat check and an os.replace."""
+    out = str(Path("out" if outputs is None else outputs))  # spelt as `pathlib` spells it
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        Path(out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {out}: cannot create the directory ({exc.strerror})") from exc
-    temps = {name: out / f".{name}.tmp" for name in files}  # renamed once all are written
-    for name, temp in temps.items():
-        if (out / name).exists() and not (out / name).is_file():
+    temps = {name: f"{out}/.{name}.tmp" for name in files}  # renamed once all are written
+    stale = {name: _file_type(os.lstat, temp) for name, temp in temps.items()}  # 0: absent
+    for name, kind in stale.items():
+        if _file_type(os.stat, f"{out}/{name}") not in (0, stat.S_IFREG):  # follows symlinks
             raise ConfigError(f"--out {out}: cannot write {name} (not a regular file)")
-        if not temp.is_symlink() and temp.exists() and not temp.is_file():
-            why = f"{temp.name} is not a regular file"
+        if kind not in (0, stat.S_IFREG, stat.S_IFLNK):
+            why = f".{name}.tmp is not a regular file"
             raise ConfigError(f"--out {out}: cannot write {name} ({why})")
     created = {}  # the os.fstat of each temporary this call has created
     try:
         for name, text in files.items():
-            temps[name].unlink(missing_ok=True)  # a stale one; a symlink is not followed
-            with open(temps[name], "x", encoding="utf-8", newline="") as fh:
+            if stale[name]:  # a symlink is not followed
+                Path(temps[name]).unlink(missing_ok=True)
+            with open(temps[name], "xb") as fh:
                 created[name] = os.fstat(fh.fileno())
-                fh.write(text)
+                fh.write(text.encode())
         for name, handle in created.items():
             found = os.lstat(temps[name])
             if not (stat.S_ISREG(found.st_mode) and os.path.samestat(handle, found)):
-                why = f"{temps[name].name} was replaced while it was written"
+                why = f".{name}.tmp was replaced while it was written"
                 raise ConfigError(f"--out {out}: cannot write {name} ({why})")
         for name in files:
-            temps[name].replace(out / name)
+            os.replace(temps[name], f"{out}/{name}")
     except (OSError, ConfigError) as exc:
         for temp in map(temps.get, created):  # the renamed ones are gone already
-            temp.unlink(missing_ok=True)
+            Path(temp).unlink(missing_ok=True)
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"--out {out}: cannot write {name} ({exc.strerror})") from exc
-    for line in lines:
-        print(line)
-    print(f"wrote {out}/{', '.join(files)}")
+    print(*lines, f"wrote {out}/{', '.join(files)}", sep="\n")
 
 
 def _witness_files(report: WitnessReport) -> dict:

@@ -910,7 +910,77 @@ def test_temporary_path_that_is_a_directory_is_config_error(tmp_path, capsys):
     assert (out / ".bounds.json.tmp").is_dir()
 
 
-@pytest.mark.parametrize("target", ["../victim.txt", "../absent.txt"], ids=["file", "dangling"])
+@pytest.mark.parametrize(
+    "target", ["../victim.txt", "../absent.txt", "bounds.json"], ids=["file", "dangling", "loop"]
+)
+def test_symlinked_output_name_is_replaced_not_followed(tmp_path, capsys, target):
+    # the symlink is replaced by a regular file, and what it points to is left as it was;
+    # `pathlib`'s exists() takes a loop (ELOOP) for an absent file, as it takes ENOENT
+    out = tmp_path / "o"
+    out.mkdir()
+    victim = tmp_path / "victim.txt"
+    victim.write_text("kept\n")
+    (out / "bounds.json").symlink_to(target)
+    assert main(["bounds", "--witness", "idw", "-d", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert victim.read_text() == "kept\n"
+    assert not (tmp_path / "absent.txt").exists()
+    assert not (out / "bounds.json").is_symlink()
+    assert stat.S_ISREG((out / "bounds.json").lstat().st_mode)
+    assert read_json(out / "bounds.json")["value"] == 3.0
+    assert sorted(p.name for p in out.iterdir()) == ["bounds.json"]
+
+
+def test_output_name_symlinked_to_a_directory_is_refused(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    target = tmp_path / "d"
+    target.mkdir()
+    (target / "x.txt").write_text("kept\n")
+    (out / "bounds.json").symlink_to("../d")
+    assert main(["bounds", "--witness", "idw", "-d", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --out {out}: cannot write bounds.json (not a regular file)\n"
+    )
+    assert sorted(p.name for p in out.iterdir()) == ["bounds.json"]
+    assert os.readlink(out / "bounds.json") == "../d"
+    assert sorted(p.name for p in target.iterdir()) == ["x.txt"]
+    assert (target / "x.txt").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("spelling", ["o/", "./o", "o/.", "o//", "./o/./"])
+def test_out_is_displayed_as_its_path(tmp_path, monkeypatch, capsys, spelling):
+    # the "wrote" line and the error messages spell --out as `pathlib` does
+    monkeypatch.chdir(tmp_path)
+    argv = ["bounds", "--witness", "idw", "-d", "2", "--out", spelling]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "wrote o/bounds.json"
+    (tmp_path / "o" / "bounds.json").unlink()
+    (tmp_path / "o" / "bounds.json").mkdir()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: --out o: cannot write bounds.json (not a regular file)\n"
+    )
+    (tmp_path / "o" / "bounds.json").rmdir()
+    (tmp_path / "o" / ".bounds.json.tmp").mkdir()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: --out o: cannot write bounds.json (.bounds.json.tmp is not a regular file)\n"
+    )
+    (tmp_path / "o" / ".bounds.json.tmp").rmdir()
+    (tmp_path / "o").rmdir()
+    (tmp_path / "o").write_text("a file\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: --out o: cannot create the directory (")
+
+
+@pytest.mark.parametrize(
+    "target",
+    ["../victim.txt", "../absent.txt", ".bounds.json.tmp"],
+    ids=["file", "dangling", "loop"],
+)
 def test_symlinked_temporary_is_not_followed(tmp_path, capsys, target):
     out = tmp_path / "o"
     out.mkdir()
