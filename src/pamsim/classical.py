@@ -24,9 +24,13 @@ two outcomes.  Two kinds of randomness sit on top:
 Both bounds are closed forms: a table of the bound and its first
 maximiser by message dimension, argued in the bound's docstring and
 checked by enumerations that live in the test suite.  The I_DW bounds
-read the witness's affine form (c0, C) once per call and refuse any but
-I_DW's.  A strategy of more than `DEFAULT_ENUMERATION_CAP` decode
-entries is refused before it is built.
+take the witness as a callable.  The package's own `dimension_witness`
+on `IDW_COEF.shape` is I_DW by definition, so its values at the
+maximisers are read from the tables and it is never called.  Any other
+callable is probed: its affine form (c0, C) in p_e is read once per
+call, refused unless it is I_DW's, and the witness is evaluated at each
+maximiser it returns.  A strategy of more than
+`DEFAULT_ENUMERATION_CAP` decode entries is refused before it is built.
 Outcome encoding: decode entries are 1 for outcome "e" and 0 for
 outcome "d".
 """
@@ -41,6 +45,7 @@ import numpy as np
 
 from .scenario import ProbabilityTable
 from .witness import DET_CONTRAST, IDW_COEF
+from .witness import dimension_witness as _dimension_witness  # bound once, at import
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -143,12 +148,16 @@ def _affine_value(witness: TableFunctional, c0: float, coef: np.ndarray, p_e: np
     return value
 
 
+# I_DW's affine form (c0, C) in p_e: <D_ij> = 2 p_e - 1 without loss, so c0 = -sum(IDW_COEF)
+# = -1 and C = 2 * IDW_COEF.
+_C0, _COEF = -IDW_COEF.sum(), 2 * IDW_COEF
+
+
 def _idw_form(witness: TableFunctional, n_prep: int, n_meas: int) -> tuple[float, np.ndarray]:
-    """The affine form (c0, C) of `witness`, refused (ValueError) unless it is I_DW's:
-    <D_ij> = 2 p_e - 1 without loss, so c0 = -sum(IDW_COEF) = -1 and C = 2 * IDW_COEF."""
+    """The affine form (c0, C) of `witness`, refused (ValueError) unless it is I_DW's."""
     c0, coef = _affine_form(witness, n_prep, n_meas)
-    if coef.shape != IDW_COEF.shape or c0 != -IDW_COEF.sum() or (coef != 2 * IDW_COEF).any():
-        why = f"c0 = -1 and C = {(2 * IDW_COEF).tolist()}, got {c0!r} and {coef.tolist()}"
+    if coef.shape != _COEF.shape or c0 != _C0 or (coef != _COEF).any():
+        why = f"c0 = -1 and C = {_COEF.tolist()}, got {c0!r} and {coef.tolist()}"
         raise ValueError(f"the bound is a closed form of I_DW, whose affine form in p_e is {why}")
     return c0, coef
 
@@ -160,6 +169,35 @@ _IDW_VERTICES = {
     2: (3.0, (0, 0, 1), ((1, 0), (0, 0))),  # ed/dd
     3: (5.0, (0, 1, 2), ((1, 1), (1, 0), (0, 0))),  # ee/ed/dd
 }
+
+
+def _aware_max(d: int) -> tuple[float, np.ndarray]:
+    """(value, p_e) of I_DW's setting-aware maximiser at min(d, 2) messages: "e" wherever the
+    cell's coefficient is positive, or at d = 1, where its column's sum is; c0 + sum(C * p_e)."""
+    positive = (_COEF.sum(axis=0) if d == 1 else _COEF) > 0.0
+    p_e = np.broadcast_to(positive, _COEF.shape).astype(float)
+    return float(_C0 + np.sum(_COEF * p_e)), p_e
+
+
+# I_DW's maxima as (value, p_e): the causal one at min(d, 3) messages (`_IDW_VERTICES`) and
+# the setting-aware one at min(d, 2).
+_CAUSAL = {
+    k: (value, np.array(decode, dtype=float)[list(encode)])
+    for k, (value, encode, decode) in _IDW_VERTICES.items()
+}
+_AWARE = {k: _aware_max(k) for k in (1, 2)}
+
+
+def _idw_values(witness: TableFunctional, n_prep: int, n_meas: int, maxima) -> list:
+    """The witness at each (value, p_e) of `maxima`, I_DW's maxima.  For the package's own
+    `dimension_witness` on `IDW_COEF.shape`, whose affine form is I_DW's by definition, these
+    are the values, the witness's exact floats on those 0/1 tables.  Any other callable is
+    probed: its affine form is read once and refused unless it is I_DW's, then the witness
+    is evaluated at each p_e and checked against that form."""
+    if witness is _dimension_witness and (n_prep, n_meas) == IDW_COEF.shape:
+        return [value for value, _ in maxima]
+    c0, coef = _idw_form(witness, n_prep, n_meas)
+    return [_affine_value(witness, c0, coef, p_e.copy()) for _, p_e in maxima]
 
 
 def classical_max_linear(
@@ -178,22 +216,19 @@ def classical_max_linear(
     I_DW = D00 <= 1.  The strategy returned is the first maximiser in
     lexicographic (encode, decode) order (`_IDW_VERTICES`), which the
     test suite checks against an enumeration of the encoders; the value
-    is the witness evaluated at its table.
+    is the witness at its table.
 
-    Nothing is enumerated.  Raises ValueError if the witness's affine form
-    in p_e is not I_DW's on `IDW_COEF.shape`, and EnumerationCapExceeded
-    for a decode table of more than `DEFAULT_ENUMERATION_CAP` entries.
+    Nothing is enumerated.  The package's own `dimension_witness` on
+    `IDW_COEF.shape` is not called: the value is read from the table.
+    Any other witness is evaluated at the 9 tables that read its affine
+    form in p_e and at the maximiser's; ValueError if that form is not
+    I_DW's on `IDW_COEF.shape`.  EnumerationCapExceeded for a decode
+    table of more than `DEFAULT_ENUMERATION_CAP` entries.
     """
     _check_dimension(d)
-    value, encode, decode = _causal_max(witness, d, *_idw_form(witness, n_prep, n_meas))
-    return value, DeterministicStrategy(encode=encode, decode=_padded(decode, d, n_meas))
-
-
-def _causal_max(witness: TableFunctional, d: int, c0: float, coef: np.ndarray) -> tuple:
-    """(value, encode, unpadded decode) of `classical_max_linear`, from I_DW's form (c0, coef)."""
+    [value] = _idw_values(witness, n_prep, n_meas, [_CAUSAL[min(d, 3)]])
     _, encode, decode = _IDW_VERTICES[min(d, 3)]
-    p_e = np.array(decode, dtype=float)[list(encode)]
-    return _affine_value(witness, c0, coef, p_e), encode, decode
+    return value, DeterministicStrategy(encode=encode, decode=_padded(decode, d, n_meas))
 
 
 # ---------------------------------------------------------------------------
@@ -293,20 +328,14 @@ def setting_aware_max(witness: TableFunctional, d: int, n_prep: int, n_meas: int
     With d >= 2 every cell's outcome is free, so each D_ij takes the sign
     of its coefficient: 5.  With d = 1 a column shares one outcome, and
     the best is "e" in column 0 (coefficients 1 + 1 - 1) and "d" in
-    column 1 (1 - 1): 1.  The value is the witness evaluated at that
-    table.  Raises ValueError as `classical_max_linear` does.
+    column 1 (1 - 1): 1.  The value is the witness at that table, read
+    from I_DW's affine form for the package's own `dimension_witness`
+    and evaluated, with its checks, for any other witness, which is
+    refused with ValueError as `classical_max_linear` refuses it.
     """
     _check_dimension(d)
-    return _setting_aware_max(witness, d, *_idw_form(witness, n_prep, n_meas))
-
-
-def _setting_aware_max(witness: TableFunctional, d: int, c0: float, coef: np.ndarray) -> float:
-    """`setting_aware_max` of the witness whose affine form is (c0, coef)."""
-    if d == 1:
-        p_e = np.broadcast_to(coef.sum(axis=0) > 0.0, coef.shape).astype(float)
-    else:
-        p_e = (coef > 0.0).astype(float)
-    return float(_affine_value(witness, c0, coef, p_e))
+    [value] = _idw_values(witness, n_prep, n_meas, [_AWARE[min(d, 2)]])
+    return float(value)
 
 
 def retrocausal_max(
@@ -314,15 +343,17 @@ def retrocausal_max(
 ) -> float:
     """Maximum I_DW at a given leak probability (optimal base):
     (1 - leak) * `classical_max_linear` + leak * `setting_aware_max`, with
-    their witness checks, from one read of the witness's affine form.  No
-    strategy is built, so no cap applies."""
+    their witness checks from one read of the witness's affine form, and
+    the setting-aware maximiser left out at leak 0.  The package's own
+    `dimension_witness` is not called, as in those bounds.  No strategy
+    is built, so no cap applies."""
     # written so that NaN, which fails every comparison, is refused
     if not 0.0 <= leak <= 1.0:
         raise ValueError(f"leak must be in [0, 1], got {leak}")
     _check_dimension(d)
-    form = _idw_form(witness, n_prep, n_meas)
-    causal, _, _ = _causal_max(witness, d, *form)
     if leak == 0.0:
+        [causal] = _idw_values(witness, n_prep, n_meas, [_CAUSAL[min(d, 3)]])
         return causal
-    leaked = _setting_aware_max(witness, d, *form)
-    return (1.0 - leak) * causal + leak * leaked
+    maxima = [_CAUSAL[min(d, 3)], _AWARE[min(d, 2)]]
+    causal, leaked = _idw_values(witness, n_prep, n_meas, maxima)
+    return (1.0 - leak) * causal + leak * float(leaked)

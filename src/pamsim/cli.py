@@ -124,15 +124,16 @@ def _write_outputs(outputs: str | None, files: dict[str, str], lines=()) -> None
     except OSError as exc:
         raise ConfigError(f"--out {out}: cannot create the directory ({exc.strerror})") from exc
     temps = {name: f"{out}/.{name}.tmp" for name in files}  # renamed once all are written
-    stale = {name: _file_type(os.lstat, temp) for name, temp in temps.items()}  # 0: absent
-    for name, kind in stale.items():
-        if _file_type(os.stat, f"{out}/{name}") not in (0, stat.S_IFREG):  # follows symlinks
-            raise ConfigError(f"--out {out}: cannot write {name} (not a regular file)")
-        if kind not in (0, stat.S_IFREG, stat.S_IFLNK):
-            why = f".{name}.tmp is not a regular file"
-            raise ConfigError(f"--out {out}: cannot write {name} ({why})")
+    stale = {}  # the file type of each temporary found before this call; 0: absent
     created = {}  # the os.fstat of each temporary this call has created
     try:
+        for name, temp in temps.items():
+            stale[name] = _file_type(os.lstat, temp)
+            if _file_type(os.stat, f"{out}/{name}") not in (0, stat.S_IFREG):  # follows symlinks
+                raise ConfigError(f"--out {out}: cannot write {name} (not a regular file)")
+            if stale[name] not in (0, stat.S_IFREG, stat.S_IFLNK):
+                why = f".{name}.tmp is not a regular file"
+                raise ConfigError(f"--out {out}: cannot write {name} ({why})")
         for name, text in files.items():
             if stale[name]:  # a symlink is not followed
                 Path(temps[name]).unlink(missing_ok=True)

@@ -24,6 +24,7 @@ from oracles import (
     vertex_max_det,
 )
 
+import pamsim.witness
 from pamsim import classical, cli
 from pamsim.classical import (
     DeterministicStrategy,
@@ -618,3 +619,54 @@ class TestRetrocausal:
     def test_optimal_retrocausality_never_exceeds_leak(self, leak):
         value = retrocausal_max(dimension_witness, 2, 3, 2, leak)
         assert retrocausality(value) <= leak + 1e-12
+
+
+class TestOwnWitness:
+    # the package's own dimension_witness takes its values from I_DW's tables; a wrapper of
+    # it is probed as any foreign callable is, and both must give the same floats
+    @staticmethod
+    def wrapped(t):
+        return dimension_witness(t)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_linear_bound_agrees_with_the_probed_wrapper(self, d):
+        value, strategy = classical_max_linear(dimension_witness, d, 3, 2)
+        probed, probed_strategy = classical_max_linear(self.wrapped, d, 3, 2)
+        assert value.hex() == probed.hex()
+        assert strategy == probed_strategy
+
+    @pytest.mark.parametrize("d", [*range(1, 9), 10**12])
+    @pytest.mark.parametrize("leak", (0.0, 0.1, 0.37, 1.0))
+    def test_leaked_bounds_agree_with_the_probed_wrapper(self, d, leak):
+        own = setting_aware_max(dimension_witness, d, 3, 2)
+        assert own.hex() == setting_aware_max(self.wrapped, d, 3, 2).hex()
+        own = retrocausal_max(dimension_witness, d, 3, 2, leak)
+        assert own.hex() == retrocausal_max(self.wrapped, d, 3, 2, leak).hex()
+
+    @pytest.mark.parametrize(
+        "witness, tables",
+        [("own", (0, 0, 0, 0)), ("wrapper", (10, 10, 10, 11)), ("replaced", (10, 10, 10, 11))],
+    )
+    def test_only_the_own_witness_builds_no_table(self, monkeypatch, witness, tables):
+        # a wrapper (the benchmark tracer installs one) and a replaced module attribute are probed
+        if witness == "replaced":
+            monkeypatch.setattr(pamsim.witness, "dimension_witness", self.wrapped)
+        witness = {"wrapper": self.wrapped}.get(witness, pamsim.witness.dimension_witness)
+        built, pe_table = [], classical._pe_table
+
+        def counted(p_e):
+            built.append(p_e)
+            return pe_table(p_e)
+
+        monkeypatch.setattr(classical, "_pe_table", counted)
+        counts = []
+        for call in (
+            lambda: classical_max_linear(witness, 2, 3, 2),
+            lambda: setting_aware_max(witness, 2, 3, 2),
+            lambda: retrocausal_max(witness, 2, 3, 2, 0.0),
+            lambda: retrocausal_max(witness, 2, 3, 2, 0.5),
+        ):
+            before = len(built)
+            call()
+            counts.append(len(built) - before)
+        assert tuple(counts) == tables

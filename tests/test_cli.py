@@ -910,6 +910,21 @@ def test_temporary_path_that_is_a_directory_is_config_error(tmp_path, capsys):
     assert (out / ".bounds.json.tmp").is_dir()
 
 
+def test_output_path_too_long_to_stat_is_config_error(tmp_path, capsys):
+    # --out and its bounds.json fit in PATH_MAX, its .bounds.json.tmp does not, so the
+    # check of a stale temporary, before anything is written, fails with ENAMETOOLONG
+    limit = os.pathconf(tmp_path, "PC_PATH_MAX")
+    out = str(tmp_path)
+    while len(out) < limit - 15:  # components of 200 characters, the last one shorter
+        out += "/" + "p" * max(1, min(199, limit - 15 - len(out) - 1))
+    assert len(f"{out}/bounds.json") < limit <= len(f"{out}/.bounds.json.tmp")
+    assert main(["bounds", "--witness", "idw", "-d", "2", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out}: cannot write bounds.json (File name too long)\n"
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize(
     "target", ["../victim.txt", "../absent.txt", "bounds.json"], ids=["file", "dangling", "loop"]
 )
