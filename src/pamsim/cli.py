@@ -2,8 +2,9 @@
 
 Subcommands: predict, simulate, bounds, spacetime, report.  Every
 command is a pure function of its inputs and seed: rerunning with the
-same arguments reproduces the output files byte for byte.  Input files
-are parsed in `scenario`, `trials` and `spacetime`; a bad one exits 1.
+same arguments reproduces the output files byte for byte and leaves them
+untouched.  Input files are parsed in `scenario`, `trials` and
+`spacetime`; a bad one exits 1.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 domain error
 (e.g. a strategy beyond the enumeration cap), 3 spacetime validation failure.
@@ -66,7 +67,10 @@ _RUN_CONFIG_KEYS = {
 
 
 def load_run_config(path: str) -> RunConfig:
-    return RunConfig(**read_section(load_json(path), _RUN_CONFIG_KEYS, "top-level"))
+    cfg = RunConfig(**read_section(load_json(path), _RUN_CONFIG_KEYS, "top-level"))
+    if cfg.outputs == "":  # `pathlib` would take it for the working directory
+        raise ValueError("top-level config: outputs must be a non-empty JSON string, got ''")
+    return cfg
 
 
 def _read(kind: str, load, path: str):
@@ -99,53 +103,91 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **top)
 
 
-def _file_type(stat_path, path: str) -> int:
-    """`stat_path(path)`'s S_IFMT bits, or 0 where `pathlib`'s exists() calls it absent."""
+def _stat(stat_path, path: str) -> os.stat_result | None:
+    """`stat_path(path)`, or None where `pathlib`'s exists() calls the path absent."""
     try:
-        return stat.S_IFMT(stat_path(path).st_mode)
+        return stat_path(path)
     except OSError as exc:
         if exc.errno not in (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP):
             raise
-    return 0
+    return None
+
+
+def _file_type(found: os.stat_result | None) -> int:
+    """`found`'s S_IFMT bits; 0 for an absent path."""
+    return 0 if found is None else stat.S_IFMT(found.st_mode)
+
+
+def _holds(path: str, found: os.stat_result | None, data: bytes) -> bool:
+    """Whether `path`, of os.lstat `found`, is a regular file of one link holding exactly
+    `data`.  It is read through a descriptor that follows no symlink and waits on no FIFO,
+    and whose os.fstat must show a regular file; one that cannot be read does not hold it."""
+    if _file_type(found) != stat.S_IFREG or found.st_nlink != 1 or found.st_size != len(data):
+        return False
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+    except OSError:
+        return False
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):  # swapped in since the os.lstat
+            return False
+        return os.read(fd, len(data) + 1) == data  # a short read or a grown file differs
+    except OSError:
+        return False
+    finally:
+        os.close(fd)
 
 
 def _write_outputs(outputs: str | None, files: dict[str, str], lines=()) -> None:
     """Write each `name -> text` of `files` into the output directory all or nothing, then
     print the caller's result `lines` and the "wrote" line; call it once computed.  An OSError
-    is a ConfigError, and on one nothing is printed.  A symlink at an output name is replaced,
-    not followed; one to a directory is refused, as a directory is.  Each temporary is created
-    exclusively and written through that handle, so no write lands outside the directory, and
-    before the renames, which go by name, its os.lstat must still be the regular file of the
-    handle's os.fstat.  A file costs an os.stat of its name, an os.lstat of its temporary, the
-    create, an os.fstat, one write of its bytes, the os.lstat check and an os.replace."""
+    is a ConfigError, and on one nothing is printed.  A name that already is a regular file of
+    one link holding the text's bytes, with no temporary beside it, is kept as it is: its inode,
+    mode and mtime stay.  A symlink at an output name is replaced, not followed; one to a
+    directory is refused, as a directory is.  Each temporary is created exclusively and written
+    through that handle, so no write lands outside the directory, and before the renames, which
+    go by name, its os.lstat must still be the regular file of the handle's os.fstat.  Every
+    file costs an os.lstat of its temporary and one of its name (and an os.stat of a symlink);
+    a kept one then an os.open, os.fstat, read and close, a written one the create, an os.fstat,
+    one write of its bytes, the os.lstat check and an os.replace."""
     out = str(Path("out" if outputs is None else outputs))  # spelt as `pathlib` spells it
     try:
         Path(out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {out}: cannot create the directory ({exc.strerror})") from exc
     temps = {name: f"{out}/.{name}.tmp" for name in files}  # renamed once all are written
+    data = {name: text.encode() for name, text in files.items()}
     stale = {}  # the file type of each temporary found before this call; 0: absent
+    kept = set()  # the names that already hold their bytes
     created = {}  # the os.fstat of each temporary this call has created
     try:
         for name, temp in temps.items():
-            stale[name] = _file_type(os.lstat, temp)
-            if _file_type(os.stat, f"{out}/{name}") not in (0, stat.S_IFREG):  # follows symlinks
+            stale[name] = _file_type(_stat(os.lstat, temp))
+            found = _stat(os.lstat, f"{out}/{name}")
+            kind = _file_type(found)
+            if kind == stat.S_IFLNK:  # replaced, not followed, unless it leads to a non-file
+                kind = _file_type(_stat(os.stat, f"{out}/{name}"))
+            if kind not in (0, stat.S_IFREG):
                 raise ConfigError(f"--out {out}: cannot write {name} (not a regular file)")
             if stale[name] not in (0, stat.S_IFREG, stat.S_IFLNK):
                 why = f".{name}.tmp is not a regular file"
                 raise ConfigError(f"--out {out}: cannot write {name} ({why})")
-        for name, text in files.items():
+            if not stale[name] and _holds(f"{out}/{name}", found, data[name]):
+                kept.add(name)
+        for name in files:
+            if name in kept:
+                continue
             if stale[name]:  # a symlink is not followed
                 Path(temps[name]).unlink(missing_ok=True)
             with open(temps[name], "xb") as fh:
                 created[name] = os.fstat(fh.fileno())
-                fh.write(text.encode())
+                fh.write(data[name])
         for name, handle in created.items():
             found = os.lstat(temps[name])
             if not (stat.S_ISREG(found.st_mode) and os.path.samestat(handle, found)):
                 why = f".{name}.tmp was replaced while it was written"
                 raise ConfigError(f"--out {out}: cannot write {name} ({why})")
-        for name in files:
+        for name in created:
             os.replace(temps[name], f"{out}/{name}")
     except (OSError, ConfigError) as exc:
         for temp in map(temps.get, created):  # the renamed ones are gone already
@@ -287,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         "seed": dict(type=_non_negative_int, help="RNG seed"),
         "resamples": dict(type=_non_negative_int, help=_IGNORED("|det W|'s error")),
         "fair_sampling": dict(type=_parse_bool, metavar="BOOL", help="postselect (true/false)"),
-        "out": dict(help="output directory"),
+        "out": dict(type=_out_dir, help="output directory"),
     }
 
     def add(p, *names):
@@ -340,6 +382,12 @@ def _non_negative_int(text: str) -> int:
         return non_negative_int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _out_dir(text: str) -> str:
+    if not text:  # `pathlib` would take it for the working directory
+        raise argparse.ArgumentTypeError("expected a directory, got ''")
+    return text
 
 
 def _parse_bool(text: str) -> bool:

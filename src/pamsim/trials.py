@@ -94,8 +94,13 @@ class CountTable:
         fields = ("i", "j", "n_e", "n_d", "n_none")
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not set(fields).issubset(reader.fieldnames):
-                raise ValueError(f"counts CSV must have columns {sorted(fields)}")
+            header = reader.fieldnames or []
+            missing = [name for name in fields if name not in header]
+            if missing:  # the header's repr shows a byte-order mark, as in '\ufeffi'
+                raise ValueError(
+                    f"counts CSV must have columns {sorted(fields)}; "
+                    f"missing {missing} from the header {header!r}"
+                )
             for row in reader:
                 where = f"line {reader.line_num} of counts CSV"
                 if None in row or None in row.values():

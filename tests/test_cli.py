@@ -7,6 +7,8 @@ import math
 import os
 import shlex
 import stat
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -1138,6 +1140,187 @@ def test_failed_write_keeps_temporaries_it_did_not_write(tmp_path, monkeypatch):
         _write_outputs(str(tmp_path), files)
     assert sorted(p.name for p in tmp_path.iterdir()) == [".b.txt.tmp"]
     assert stale.read_text() == "stale\n"
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["simulate", "--out", ""], {}, "pamsim simulate: error: argument --out: "),
+        (["predict", "--out", ""], {}, "pamsim predict: error: argument --out: "),
+        (["simulate"], {"outputs": ""}, "error: config file cfg.json: top-level config: outputs "),
+    ],
+    ids=["simulate-flag", "predict-flag", "config"],
+)
+def test_empty_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys, argv, config, message):
+    # `pathlib` spells an empty path ".", so an unset `--out "$OUT"` would write here
+    monkeypatch.chdir(tmp_path)
+    plan = {"trials_per_setting": 100}
+    Path("cfg.json").write_text(json.dumps({"scenario": DET_SCENARIO, "plan": plan, **config}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the refusal")
+
+    monkeypatch.setattr(cli, "probability_table", refuse)
+    assert main([argv[0], "--config", "cfg.json", *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert captured.err.endswith("got ''\n")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+PREDICT_FILES = ("scenario.json", "probabilities.csv", "dw_terms.csv", "witness.json", "witness.csv")
+
+
+def predict_argv(configs_dir, out):
+    return ["predict", "--config", str(configs_dir / "det_witness_ideal.json"), "--out", str(out)]
+
+
+def inodes(out):
+    """Each entry of `out` -> its (inode, mtime in ns), as os.lstat gives them."""
+    return {p.name: (p.lstat().st_ino, p.lstat().st_mtime_ns) for p in out.iterdir()}
+
+
+def test_rerun_keeps_every_file(configs_dir, tmp_path, capsys):
+    argv = predict_argv(configs_dir, tmp_path)
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    before, data = inodes(tmp_path), {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == sorted(PREDICT_FILES)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == printed
+    assert inodes(tmp_path) == before
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == data
+
+
+def test_same_size_with_other_bytes_is_replaced(tmp_path):
+    (tmp_path / "a.txt").write_text("old\n")
+    before = (tmp_path / "a.txt").stat().st_ino
+    _write_outputs(str(tmp_path), {"a.txt": "new\n"})
+    assert (tmp_path / "a.txt").stat().st_ino != before
+    assert (tmp_path / "a.txt").read_text() == "new\n"
+    assert os.listdir(tmp_path) == ["a.txt"]
+
+
+def test_symlink_to_identical_bytes_is_replaced_by_a_file(tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    target = tmp_path / "target.txt"
+    target.write_text("same\n")
+    before = inodes(tmp_path)["target.txt"]
+    (out / "a.txt").symlink_to("../target.txt")
+    _write_outputs(str(out), {"a.txt": "same\n"})
+    assert not (out / "a.txt").is_symlink()
+    assert stat.S_ISREG((out / "a.txt").lstat().st_mode)
+    assert (out / "a.txt").read_text() == "same\n"
+    assert inodes(tmp_path)["target.txt"] == before
+    assert target.read_text() == "same\n"
+    assert os.listdir(out) == ["a.txt"]
+
+
+def test_identical_hard_linked_output_is_replaced(tmp_path):
+    # were it kept, the next run that changes the file would change the twin too
+    out = tmp_path / "o"
+    out.mkdir()
+    twin = tmp_path / "twin.txt"
+    twin.write_text("same\n")
+    os.link(twin, out / "a.txt")
+    _write_outputs(str(out), {"a.txt": "same\n"})
+    assert (out / "a.txt").stat().st_ino != twin.stat().st_ino
+    assert (out / "a.txt").read_text() == "same\n"
+    assert twin.read_text() == "same\n"
+    assert twin.stat().st_nlink == 1
+
+
+def test_unchanged_output_still_clears_a_stale_temporary(tmp_path):
+    (tmp_path / "a.txt").write_text("same\n")
+    (tmp_path / ".a.txt.tmp").write_text("stale\n")
+    _write_outputs(str(tmp_path), {"a.txt": "same\n"})
+    assert os.listdir(tmp_path) == ["a.txt"]
+    assert (tmp_path / "a.txt").read_text() == "same\n"
+
+
+def test_unchanged_output_still_refuses_a_directory_temporary(tmp_path, capsys):
+    argv = ["bounds", "--witness", "idw", "-d", "2", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    before = inodes(tmp_path)
+    (tmp_path / ".bounds.json.tmp").mkdir()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --out {tmp_path}: cannot write bounds.json "
+        "(.bounds.json.tmp is not a regular file)\n"
+    )
+    assert inodes(tmp_path)["bounds.json"] == before["bounds.json"]
+
+
+def test_fifo_at_the_output_name_is_refused_without_blocking(tmp_path):
+    # opening a FIFO to compare its bytes would wait for a writer; run apart so a hang fails
+    os.mkfifo(tmp_path / "bounds.json")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = ["bounds", "--witness", "idw", "-d", "2", "--out", str(tmp_path)]
+    done = subprocess.run(
+        [sys.executable, "-m", "pamsim.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"error: --out {tmp_path}: cannot write bounds.json (not a regular file)\n"
+    )
+    assert stat.S_ISFIFO((tmp_path / "bounds.json").lstat().st_mode)
+    assert os.listdir(tmp_path) == ["bounds.json"]
+
+
+def count_writes(monkeypatch):
+    """Counts of `_write_outputs`' exclusive creates and renames, as they are made."""
+    calls = {"create": 0, "replace": 0}
+    real_open, real_replace = open, os.replace
+
+    def counting_open(path, mode="r", *args, **kwargs):
+        calls["create"] += "x" in mode
+        return real_open(path, mode, *args, **kwargs)
+
+    def counting_replace(*args, **kwargs):
+        calls["replace"] += 1
+        return real_replace(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    monkeypatch.setattr(os, "replace", counting_replace)
+    return calls
+
+
+def test_rerun_creates_and_renames_only_changed_files(configs_dir, tmp_path, monkeypatch, capsys):
+    argv = predict_argv(configs_dir, tmp_path)
+    calls = count_writes(monkeypatch)
+    assert main(argv) == 0
+    assert calls == {"create": 5, "replace": 5}
+    calls.update(create=0, replace=0)
+    assert main(argv) == 0
+    assert calls == {"create": 0, "replace": 0}
+    written = (tmp_path / "dw_terms.csv").read_bytes()
+    (tmp_path / "dw_terms.csv").write_bytes(written.replace(b"D_00", b"D_99"))
+    assert main(argv) == 0
+    assert calls == {"create": 1, "replace": 1}
+    assert (tmp_path / "dw_terms.csv").read_bytes() == written
+    # the "wrote" line names every file, kept or written
+    wrote = f"wrote {tmp_path}/{', '.join(PREDICT_FILES)}"
+    assert capsys.readouterr().out.splitlines().count(wrote) == 3
+
+
+def test_failed_write_of_a_changed_file_keeps_every_file(configs_dir, tmp_path, monkeypatch, capsys):
+    argv = predict_argv(configs_dir, tmp_path)
+    assert main(argv) == 0
+    (tmp_path / "witness.json").write_text("edited\n")
+    before = inodes(tmp_path)
+    data = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    fail_writing(monkeypatch, "witness.json")
+    assert main(argv) == 1
+    assert "cannot write witness.json (Permission denied)" in capsys.readouterr().err
+    assert inodes(tmp_path) == before
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == data
 
 
 class TestParserReuse:

@@ -372,6 +372,25 @@ class TestCountTableCsv:
         with pytest.raises(ValueError):
             CountTable.from_csv(path)
 
+    def test_missing_column_is_named_with_the_header(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("i,j,n_e,n_none\n0,0,5,0\n")
+        with pytest.raises(ValueError) as info:
+            CountTable.from_csv(path)
+        assert str(info.value).endswith(
+            "missing ['n_d'] from the header ['i', 'j', 'n_e', 'n_none']"
+        )
+
+    def test_byte_order_mark_shows_in_the_header(self, tmp_path):
+        # a spreadsheet export's UTF-8 BOM sticks to the first column name
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfi,j,n_e,n_d,n_none\n0,0,5,5,0\n")
+        with pytest.raises(ValueError) as info:
+            CountTable.from_csv(path)
+        assert str(info.value).endswith(
+            "missing ['i'] from the header ['\\ufeffi', 'j', 'n_e', 'n_d', 'n_none']"
+        )
+
     def test_incomplete_grid(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("i,j,n_e,n_d,n_none\n0,0,5,5,0\n1,1,5,5,0\n")
