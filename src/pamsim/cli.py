@@ -118,11 +118,22 @@ def _file_type(found: os.stat_result | None) -> int:
     return 0 if found is None else stat.S_IFMT(found.st_mode)
 
 
+def _new_file_mode() -> int:
+    """The mode `open(path, "xb")` gives a new file: 0o666 less the umask.  os.umask reads it
+    only by setting it; 0o777 meanwhile gives a file another thread creates no access at all."""
+    umask = os.umask(0o777)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def _holds(path: str, found: os.stat_result | None, data: bytes) -> bool:
-    """Whether `path`, of os.lstat `found`, is a regular file of one link holding exactly
-    `data`.  It is read through a descriptor that follows no symlink and waits on no FIFO,
-    and whose os.fstat must show a regular file; one that cannot be read does not hold it."""
+    """Whether `path`, of os.lstat `found`, is a regular file of one link, with the mode a new
+    file would get, holding exactly `data`.  It is read through a descriptor that follows no
+    symlink and waits on no FIFO, and whose os.fstat must show a regular file; one that cannot
+    be read does not hold it."""
     if _file_type(found) != stat.S_IFREG or found.st_nlink != 1 or found.st_size != len(data):
+        return False
+    if stat.S_IMODE(found.st_mode) != _new_file_mode():  # a rewrite would change it
         return False
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
@@ -142,14 +153,15 @@ def _write_outputs(outputs: str | None, files: dict[str, str], lines=()) -> None
     """Write each `name -> text` of `files` into the output directory all or nothing, then
     print the caller's result `lines` and the "wrote" line; call it once computed.  An OSError
     is a ConfigError, and on one nothing is printed.  A name that already is a regular file of
-    one link holding the text's bytes, with no temporary beside it, is kept as it is: its inode,
-    mode and mtime stay.  A symlink at an output name is replaced, not followed; one to a
-    directory is refused, as a directory is.  Each temporary is created exclusively and written
-    through that handle, so no write lands outside the directory, and before the renames, which
-    go by name, its os.lstat must still be the regular file of the handle's os.fstat.  Every
-    file costs an os.lstat of its temporary and one of its name (and an os.stat of a symlink);
-    a kept one then an os.open, os.fstat, read and close, a written one the create, an os.fstat,
-    one write of its bytes, the os.lstat check and an os.replace."""
+    one link holding the text's bytes, with the mode a new file would get and no temporary
+    beside it, is kept as it is: its inode and mtime stay.  A symlink at an output name is
+    replaced, not followed; one to a directory is refused, as a directory is.  Each temporary
+    is created exclusively and written through that handle, so no write lands outside the
+    directory, and before the renames, which go by name, its os.lstat must still be the
+    regular file of the handle's os.fstat.  Every file costs an os.lstat of its temporary and
+    one of its name (and an os.stat of a symlink); one of the right size then two os.umask
+    calls.  A kept one then costs an os.open, os.fstat, read and close, a written one the
+    create, an os.fstat, one write of its bytes, the os.lstat check and an os.replace."""
     out = str(Path("out" if outputs is None else outputs))  # spelt as `pathlib` spells it
     try:
         Path(out).mkdir(parents=True, exist_ok=True)

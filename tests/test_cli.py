@@ -7,8 +7,6 @@ import math
 import os
 import shlex
 import stat
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -841,21 +839,26 @@ def test_directory_input_is_config_error(tmp_path, capsys, argv, kind):
 
 
 @pytest.mark.parametrize(
-    "argv, taken",
+    "argv, taken, make",
     [
-        (["bounds", "--witness", "idw", "-d", "2"], "bounds.json"),
-        (["predict", "--config", "det_witness_ideal.json"], "witness.json"),
+        (["bounds", "--witness", "idw", "-d", "2"], "bounds.json", os.mkdir),
+        (["predict", "--config", "det_witness_ideal.json"], "witness.json", os.mkdir),
+        # opening a FIFO to compare its bytes would wait for a writer
+        (["bounds", "--witness", "idw", "-d", "2"], "bounds.json", os.mkfifo),
     ],
-    ids=["bounds", "predict"],
+    ids=["bounds", "predict", "fifo"],
 )
-def test_unwritable_output_file_is_config_error(configs_dir, tmp_path, capsys, argv, taken):
+def test_unwritable_output_file_is_config_error(configs_dir, tmp_path, capsys, argv, taken, make):
     argv = [str(configs_dir / a) if a.endswith(".json") else a for a in argv]
     out = tmp_path / "o"
-    (out / taken).mkdir(parents=True)
+    out.mkdir()
+    make(out / taken)
+    kind = stat.S_IFMT((out / taken).lstat().st_mode)
     assert main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: --out {out}: cannot write {taken} (")
-    assert (out / taken).is_dir()
+    assert err == f"error: --out {out}: cannot write {taken} (not a regular file)\n"
+    assert stat.S_IFMT((out / taken).lstat().st_mode) == kind
+    assert os.listdir(out) == [taken]
 
 
 def test_refused_output_file_leaves_the_directory_as_it_was(configs_dir, tmp_path, capsys):
@@ -1095,6 +1098,27 @@ def test_output_files_take_mode_0o666_less_the_umask(configs_dir, tmp_path, umas
     assert modes == dict.fromkeys(names, mode)
 
 
+def test_rerun_rewrites_a_file_whose_mode_a_new_file_would_not_have(configs_dir, tmp_path):
+    # a kept file keeps its mode, so only one with the mode a new file gets is kept
+    argv = ["predict", "--config", str(configs_dir / "det_witness_ideal.json")]
+    argv += ["--out", str(tmp_path)]
+    old = os.umask(0o022)
+    try:
+        assert main(argv) == 0
+        (tmp_path / "witness.json").chmod(0o444)
+        before = inodes(tmp_path)
+        assert main(argv) == 0
+        after = inodes(tmp_path)
+        assert {n for n in before if after[n] != before[n]} == {"witness.json"}
+        os.umask(0o027)
+        assert main(argv) == 0
+    finally:
+        os.umask(old)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(before, 0o640)
+    assert not {i for i, _ in inodes(tmp_path).values()} & {i for i, _ in after.values()}
+
+
 def test_stale_temporary_file_is_replaced(tmp_path):
     (tmp_path / ".a.txt.tmp").write_text("stale and longer than the new text\n")
     _write_outputs(str(tmp_path), {"a.txt": "new\n"})
@@ -1254,24 +1278,6 @@ def test_unchanged_output_still_refuses_a_directory_temporary(tmp_path, capsys):
         "(.bounds.json.tmp is not a regular file)\n"
     )
     assert inodes(tmp_path)["bounds.json"] == before["bounds.json"]
-
-
-def test_fifo_at_the_output_name_is_refused_without_blocking(tmp_path):
-    # opening a FIFO to compare its bytes would wait for a writer; run apart so a hang fails
-    os.mkfifo(tmp_path / "bounds.json")
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    argv = ["bounds", "--witness", "idw", "-d", "2", "--out", str(tmp_path)]
-    done = subprocess.run(
-        [sys.executable, "-m", "pamsim.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert done.returncode == 1
-    assert done.stdout == ""
-    assert done.stderr == (
-        f"error: --out {tmp_path}: cannot write bounds.json (not a regular file)\n"
-    )
-    assert stat.S_ISFIFO((tmp_path / "bounds.json").lstat().st_mode)
-    assert os.listdir(tmp_path) == ["bounds.json"]
 
 
 def count_writes(monkeypatch):
