@@ -21,7 +21,6 @@ from .scenario import (
 )
 from .classical import (
     DeterministicStrategy,
-    EnumerationCapExceeded,
     classical_max_det,
     classical_max_linear,
     retrocausal_max,

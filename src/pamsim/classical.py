@@ -29,8 +29,8 @@ on `IDW_COEF.shape` is I_DW by definition, so its values at the
 maximisers are read from the tables and it is never called.  Any other
 callable is probed: its affine form (c0, C) in p_e is read once per
 call, refused unless it is I_DW's, and the witness is evaluated at each
-maximiser it returns.  A strategy of more than
-`DEFAULT_ENUMERATION_CAP` decode entries is refused before it is built.
+maximiser it returns.  A maximiser's decode table lists only the
+messages its encoder sends, so its size does not grow with d.
 Outcome encoding: decode entries are 1 for outcome "e" and 0 for
 outcome "d".
 """
@@ -44,16 +44,10 @@ from typing import Callable
 import numpy as np
 
 from .scenario import ProbabilityTable
-from .witness import DET_CONTRAST, IDW_COEF
+from .witness import IDW_COEF
 from .witness import dimension_witness as _dimension_witness  # bound once, at import
 
-DEFAULT_ENUMERATION_CAP = 10_000_000
-
 TableFunctional = Callable[[ProbabilityTable], float]
-
-
-class EnumerationCapExceeded(RuntimeError):
-    """Strategy too large to write: more than `DEFAULT_ENUMERATION_CAP` decode entries."""
 
 
 @dataclass(frozen=True)
@@ -99,17 +93,6 @@ def strategy_table(
 def _pe_table(p_e: np.ndarray) -> ProbabilityTable:
     """The no-loss table whose outcome-"e" probabilities are `p_e`."""
     return ProbabilityTable(p_e, 1.0 - p_e, np.zeros(p_e.shape))
-
-
-def _padded(decode: tuple, d: int, n_meas: int) -> tuple:
-    """`decode` padded with "d" rows to d messages, refused (EnumerationCapExceeded) before
-    any row is built when its d * n_meas entries exceed `DEFAULT_ENUMERATION_CAP`."""
-    if d * n_meas > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapExceeded(
-            f"message dimension {d} gives a strategy of {d * n_meas} decode entries, more "
-            f"than the enumeration cap of {DEFAULT_ENUMERATION_CAP}"
-        )
-    return decode + ((0,) * n_meas,) * (d - len(decode))
 
 
 def _check_dimension(d: int) -> None:
@@ -163,7 +146,7 @@ def _idw_form(witness: TableFunctional, n_prep: int, n_meas: int) -> tuple[float
 
 
 # At min(d, 3) messages: the I_DW bound and its first maximiser in lexicographic (encode,
-# decode) order, the decode rows by message (1 for "e"), padded with "d" rows.
+# decode) order, with a decode row (1 for "e") for each message 0..max(encode) it sends.
 _IDW_VERTICES = {
     1: (1.0, (0, 0, 0), ((1, 0),)),  # ed
     2: (3.0, (0, 0, 1), ((1, 0), (0, 0))),  # ed/dd
@@ -222,13 +205,13 @@ def classical_max_linear(
     `IDW_COEF.shape` is not called: the value is read from the table.
     Any other witness is evaluated at the 9 tables that read its affine
     form in p_e and at the maximiser's; ValueError if that form is not
-    I_DW's on `IDW_COEF.shape`.  EnumerationCapExceeded for a decode
-    table of more than `DEFAULT_ENUMERATION_CAP` entries.
+    I_DW's on `IDW_COEF.shape`.  The strategy's decode table lists only
+    the messages its encoder sends, whatever d.
     """
     _check_dimension(d)
     [value] = _idw_values(witness, n_prep, n_meas, [_CAUSAL[min(d, 3)]])
     _, encode, decode = _IDW_VERTICES[min(d, 3)]
-    return value, DeterministicStrategy(encode=encode, decode=_padded(decode, d, n_meas))
+    return value, DeterministicStrategy(encode=encode, decode=decode)
 
 
 # ---------------------------------------------------------------------------
@@ -251,25 +234,13 @@ class DetBoundResult:
         return {**asdict(self), "strategy": self.strategy.to_json_dict()}
 
 
-def _contrast_preparations(contrast: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The +1 and the -1 preparation of each contrast row, refused (ValueError) unless
-    the contrast is two rows, each one +1 and one -1, on disjoint preparations."""
-    one_pair = np.zeros(contrast.shape[1])
-    one_pair[[0, -1]] = -1, 1
-    paired = len(contrast) == 2 and (np.sort(contrast, axis=1) == one_pair).all()
-    if not paired or (np.count_nonzero(contrast, axis=0) > 1).any():
-        why = "two rows, each one +1 and one -1, on disjoint preparations"
-        raise ValueError(f"the contrast must be {why}, got {contrast.tolist()}")
-    return contrast.argmax(axis=1), contrast.argmin(axis=1)
-
-
 # At min(d, 4) messages: the bound and its first maximising vertex pair in lexicographic
-# (encode, decode) order, as the messages (m+, m-) that the +1 and the -1 preparation of
-# each contrast row send, and the decode rows by message (1 for "e"), padded with "d" rows.
+# (encode, decode) order, with a decode row (1 for "e") for each message 0..max(encode) it
+# sends.
 _DET_VERTICES = {
-    2: (0.0, ((0, 0), (0, 0)), ((0, 0), (0, 0))),  # dd/dd
-    3: (1.0, ((0, 1), (0, 2)), ((0, 0), (0, 1), (1, 0))),  # dd/de/ed
-    4: (2.0, ((0, 1), (2, 3)), ((0, 0), (1, 1), (0, 1), (1, 0))),  # dd/ee/de/ed
+    2: (0.0, (0, 0, 0, 0), ((0, 0),)),  # dd
+    3: (1.0, (0, 1, 0, 2), ((0, 0), (0, 1), (1, 0))),  # dd/de/ed
+    4: (2.0, (0, 1, 2, 3), ((0, 0), (1, 1), (0, 1), (1, 0))),  # dd/ee/de/ed
 }
 
 
@@ -281,8 +252,8 @@ def classical_max_det(d: int) -> DetBoundResult:
     The value is closed-form.  |det W| is multilinear in the independent
     encoder and decoder mixtures, so its maximum sits at a vertex
     (deterministic) pair.  Each contrast row is one +1 and one -1
-    preparation, on disjoint preparations (any other contrast is refused
-    with ValueError), so at a vertex each entry of W is y[m+, l] - y[m-, l]
+    preparation, on disjoint preparations (the test suite pins
+    `DET_CONTRAST`), so at a vertex each entry of W is y[m+, l] - y[m-, l]
     in {-1, 0, 1}, for the p_d rows y of the decoder, and |ad - bc| <= 2.
     At d = 2 the bound is 0, by the rank argument of Bowles, Quintino &
     Brunner (PRL 112, 140407, 2014).  Reaching 2 needs all four entries
@@ -291,22 +262,13 @@ def classical_max_det(d: int) -> DetBoundResult:
     lexicographic (encode, decode) order (`_DET_VERTICES`), which the test
     suite checks against an enumeration of the vertex pairs.
 
-    Nothing is enumerated or drawn.  The strategy's decode table has d
-    rows, so a d whose table alone exceeds `DEFAULT_ENUMERATION_CAP`
-    entries is refused before any is built.
+    Nothing is enumerated or drawn.  The strategy's decode table lists
+    only the messages its encoder sends, whatever d.
     """
     if d < 2:
         raise ValueError(f"determinant search needs message dimension >= 2, got {d}")
-    plus, minus = _contrast_preparations(DET_CONTRAST)
-    n_meas, n_prep = DET_CONTRAST.shape  # W is n_meas x n_meas
-    value, messages, decode = _DET_VERTICES[min(d, 4)]
-    decode = _padded(decode, d, n_meas)
-    encode = np.zeros(n_prep, dtype=int)  # a preparation outside W sends message 0
-    encode[plus], encode[minus] = np.transpose(messages)
-    return DetBoundResult(
-        value=value,
-        strategy=DeterministicStrategy(encode=tuple(encode.tolist()), decode=decode),
-    )
+    value, encode, decode = _DET_VERTICES[min(d, 4)]
+    return DetBoundResult(value, DeterministicStrategy(encode=encode, decode=decode))
 
 
 # `perfbench/tracing.py` counts the calls of this name as `classical.det.line_searches`, so it
@@ -346,7 +308,7 @@ def retrocausal_max(
     their witness checks from one read of the witness's affine form, and
     the setting-aware maximiser left out at leak 0.  The package's own
     `dimension_witness` is not called, as in those bounds.  No strategy
-    is built, so no cap applies."""
+    is built."""
     # written so that NaN, which fails every comparison, is refused
     if not 0.0 <= leak <= 1.0:
         raise ValueError(f"leak must be in [0, 1], got {leak}")

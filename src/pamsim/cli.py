@@ -7,7 +7,8 @@ untouched.  Input files are parsed in `scenario`, `trials` and
 `spacetime`; a bad one exits 1.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 domain error
-(e.g. a strategy beyond the enumeration cap), 3 spacetime validation failure.
+(e.g. a fair-sampling table with an undetectable cell), 3 spacetime
+validation failure.
 
 `main` builds its parser once per process and reuses it: parsing leaves
 an argparse parser unchanged, each call gets a fresh namespace, and
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical import EnumerationCapExceeded, classical_max_det, classical_max_linear
+from .classical import classical_max_det, classical_max_linear
 from .scenario import Scenario, csv_text, json_text, load_json, probability_table, read_section
 from .spacetime import Schedule, validate
 from .trials import (
@@ -427,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (EnumerationCapExceeded, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

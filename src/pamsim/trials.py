@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,10 +44,15 @@ _SAMPLE_KEY = 0
 
 
 def non_negative_int(text: str) -> int:
-    """Parse a non-negative integer of ASCII digits, refusing "+5", " 5" and "1_000"."""
+    """Parse a non-negative integer of ASCII digits, refusing "+5", " 5" and "1_000", and
+    more digits than the interpreter converts (sys.get_int_max_str_digits(), 4300 unless set)."""
     if not (text.isascii() and text.isdecimal()):
         raise ValueError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # of ASCII digits, int() refuses only past the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"expected at most {limit} digits, got {len(text)}") from None
 
 
 class InsufficientStatisticsError(ValueError):

@@ -4,7 +4,9 @@
 lexicographic (encode, decode) order, the order whose first maximizer
 `classical_max_linear` must return.  `linear_max` finds that maximizer
 of an affine witness by enumerating the encoders only, the reference for
-the closed form of `classical_max_linear` at any dimension.
+the closed form of `classical_max_linear` at any dimension.  Both
+references return their maximizer with the decode rows of the messages
+0..max(encode) that it sends, as the closed forms do.
 `mixture_table` evaluates a convex mixture of strategies (shared
 randomness) as one table.
 
@@ -25,12 +27,7 @@ import itertools
 
 import numpy as np
 
-from pamsim.classical import (
-    DeterministicStrategy,
-    _affine_form,
-    _contrast_preparations,
-    strategy_table,
-)
+from pamsim.classical import DeterministicStrategy, _affine_form, strategy_table
 from pamsim.scenario import ProbabilityTable
 from pamsim.trials import InsufficientStatisticsError, estimate
 from pamsim.witness import (
@@ -50,9 +47,11 @@ def lex_grid(base, length):
 
 
 def grid_strategy(encoder, decode):
-    """The strategy of one `lex_grid` encoder row and a (d, n_meas) 0/1 decode array."""
+    """The strategy of one `lex_grid` encoder row and a (d, n_meas) 0/1 decode array, its
+    decode trimmed to the rows of the messages 0..max(encoder) that the encoder sends."""
+    sent = decode[: encoder.max() + 1]
     return DeterministicStrategy(
-        encode=tuple(encoder.tolist()), decode=tuple(map(tuple, decode.astype(int).tolist()))
+        encode=tuple(encoder.tolist()), decode=tuple(map(tuple, sent.astype(int).tolist()))
     )
 
 
@@ -109,9 +108,10 @@ def entries(w):
 
 
 def message_pairs(contrast, encoders, d):
-    """(n_enc, contrast rows) index m+ * d + m- of the messages a contrast row
-    compares: that row of the encoder's vertex matrix is one-hot(m+) - one-hot(m-)."""
-    plus, minus = _contrast_preparations(contrast)
+    """(n_enc, contrast rows) index m+ * d + m- of the messages a contrast row of one +1
+    and one -1 preparation compares: that row of the encoder's vertex matrix is
+    one-hot(m+) - one-hot(m-)."""
+    plus, minus = contrast.argmax(axis=1), contrast.argmin(axis=1)
     return encoders[:, plus] * d + encoders[:, minus]
 
 

@@ -25,13 +25,11 @@ from oracles import (
 )
 
 import pamsim.witness
-from pamsim import classical, cli
+from pamsim import classical
 from pamsim.classical import (
     DeterministicStrategy,
-    EnumerationCapExceeded,
     _IDW_VERTICES,
     _affine_form,
-    _contrast_preparations,
     classical_max_det,
     classical_max_linear,
     retrocausal_max,
@@ -56,7 +54,8 @@ ORACLE_CASES = ((1, 3, 2), (2, 3, 2), (3, 3, 2), (4, 3, 2))
 
 
 def brute_force_linear(witness, d, n_prep, n_meas):
-    """Witness at every deterministic strategy; the first maximum is kept.
+    """Witness at every deterministic strategy; the first maximum is kept, with the decode
+    rows of the messages 0..max(encode) that it sends.
 
     Values are cached per table, so each distinct table is evaluated once.
     """
@@ -68,7 +67,7 @@ def brute_force_linear(witness, d, n_prep, n_meas):
             cache[key] = witness(strategy_table(s, n_prep, n_meas))
         if cache[key] > best_value:
             best_value, best = cache[key], s
-    return best_value, best
+    return best_value, DeterministicStrategy(best.encode, best.decode[: max(best.encode) + 1])
 
 
 def brute_force_setting_aware(witness, d, n_prep, n_meas):
@@ -222,10 +221,11 @@ class TestLinearBounds:
         (lambda d: classical_max_linear(dimension_witness, d, 3, 2), classical_max_det),
         ids=["idw", "det"],
     )
-    def test_refuses_a_strategy_beyond_the_cap(self, bound):
-        # one size limit for both bounds: a decode table of d rows of two entries
-        with pytest.raises(EnumerationCapExceeded, match="10000002 decode entries"):
-            bound(5_000_001)
+    def test_huge_dimension_gives_the_saturated_strategy(self, bound):
+        # a decode table lists only the messages its encoder sends, so no size limits d
+        saturated = bound(4)  # I_DW saturates at d = 3 and |det W| at d = 4
+        for d in (5_000_001, 10**12):
+            assert bound(d) == saturated
 
     def test_convexity(self):
         rng = np.random.default_rng(31)
@@ -259,7 +259,7 @@ class TestLinearBoundOracle:
         assert (value, strategy) == linear_max(dimension_witness, d, 3, 2)
         assert value == _IDW_VERTICES[min(d, 3)][0] == (1.0, 3.0, 5.0)[min(d, 3) - 1]
         assert dimension_witness(strategy_table(strategy, 3, 2)) == value
-        assert len(strategy.decode) == d
+        assert len(strategy.decode) == max(strategy.encode) + 1 == min(d, 3)
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 6), witness=integer_witnesses(3, 2), data=st.data())
@@ -267,10 +267,11 @@ class TestLinearBoundOracle:
         # relabelling keeps a strategy's table, and a strategy sends at most three messages,
         # one per preparation: so past d = 3 the maximum is d = 3's, as the closed form says
         value, strategy = linear_max(witness, d, 3, 2)
+        decode = strategy.decode + ((0, 0),) * (d - len(strategy.decode))  # rows for all d
         perm = data.draw(st.permutations(range(d)))
         relabelled = DeterministicStrategy(
             tuple(perm[m] for m in strategy.encode),
-            tuple(strategy.decode[perm.index(m)] for m in range(d)),
+            tuple(decode[perm.index(m)] for m in range(d)),
         )
         assert witness(strategy_table(relabelled, 3, 2)) == value
         assert linear_max(witness, min(d, 3), 3, 2)[0] == value
@@ -414,12 +415,13 @@ class TestDeterminantBound:
         assert det_witness(strategy_table(relabelled, 4, 2)) == expected
 
     def test_d6_certificate_is_pinned(self):
-        # as computed before the pass scored only canonical encoders (1.3 s then)
+        # as computed before the pass scored only canonical encoders (1.3 s then), less the
+        # decode rows of the two messages the encoder never sends
         result = classical_max_det(6)
         assert result.value == 2.0
         assert result.strategy.to_json_dict() == {
             "encode": [0, 1, 2, 3],
-            "decode": [list(row) for row in ("dd", "ee", "de", "ed", "dd", "dd")],
+            "decode": [list(row) for row in ("dd", "ee", "de", "ed")],
         }
 
     def test_det_bound_loads_no_random_module(self, tmp_path):
@@ -437,14 +439,11 @@ class TestDeterminantBound:
         assert not loads_random_module(f"classical.classical_max_det(6); {call}")
         assert (searched / "bounds.json").read_bytes() == (bare / "bounds.json").read_bytes()
 
-    @pytest.mark.parametrize(
-        "row",
-        ([1, 1, -1, -1], [1, 0, 0, 0], [2, -2, 0, 0], [0, 0, 0, 0], [1, -1, 1, -1]),
-    )
-    def test_contrast_rows_must_be_one_plus_one_minus(self, row):
-        contrast = np.array([row, [0, 0, 1, -1]])
-        with pytest.raises(ValueError, match="one \\+1 and one -1"):
-            _contrast_preparations(contrast)
+    def test_tables_rest_on_the_literal_witness_matrices(self):
+        # `_IDW_VERTICES` is a closed form of these I_DW coefficients, and `_DET_VERTICES` of
+        # this contrast: two rows, each one +1 and one -1 preparation, on disjoint preparations
+        assert IDW_COEF.tolist() == [[1, 1], [1, -1], [-1, 0]]
+        assert DET_CONTRAST.tolist() == [[1, -1, 0, 0], [0, 0, 1, -1]]
 
 
 class TestDetClosedForm:
@@ -467,58 +466,22 @@ class TestDetClosedForm:
     @pytest.mark.parametrize("d", range(2, 41))
     def test_holds_past_four_messages(self, d):
         # a vertex pair sends at most four messages, one per preparation, so relabelling
-        # them to 0..3 keeps |det W|: past d = 4 the bound and its strategy are d = 4's,
-        # the strategy's decode padded with "d" rows the encoder never sends
+        # them to 0..3 keeps |det W|: past d = 4 the bound and its strategy are d = 4's
         result = classical_max_det(d)
-        assert result.value == classical_max_det(min(d, 4)).value
+        assert result == classical_max_det(min(d, 4))
         assert det_witness(strategy_table(result.strategy, 4, 2)) == result.value
-        first = classical_max_det(min(d, 4)).strategy
-        assert result.strategy.encode == first.encode
-        assert result.strategy.decode == first.decode + ((0, 0),) * (d - len(first.decode))
+        assert len(result.strategy.decode) == max(result.strategy.encode) + 1
 
-    @pytest.mark.parametrize(
-        "contrast",
-        (
-            [[0, 0, 1, -1], [1, -1, 0, 0]],
-            [[-1, 1, 0, 0], [0, 0, -1, 1]],
-            [[0, 1, 0, -1], [1, 0, -1, 0]],
-            [[0, -1, 0, 1], [-1, 0, 1, 0]],
-            [[1, 0, 0, -1], [0, -1, 1, 0]],
-            [[1, 0, 0, -1, 0], [0, 0, 1, 0, -1]],
-            [[0, 1, 0, 0, -1, 0], [0, 0, -1, 0, 0, 1]],
-        ),
-    )
-    @pytest.mark.parametrize("d", (2, 3, 4, 5, 6, 7, 8))
-    def test_strategy_attains_it_on_any_accepted_contrast(self, monkeypatch, contrast, d):
-        contrast = np.array(contrast)
-        monkeypatch.setattr(classical, "DET_CONTRAST", contrast)
-        result = classical_max_det(d)
-        w = contrast @ strategy_table(result.strategy, *contrast.shape[::-1]).p_d
-        assert abs(np.linalg.det(w)) == pytest.approx(result.value, abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "contrast",
-        (
-            [[1, -1, 0, 0], [0, 1, -1, 0]],  # a preparation shared between the rows
-            [[1, -1, 0, 0], [1, 0, 0, -1]],
-            [[1, 1, -1, -1], [0, 0, 1, -1]],
-            [[2, -2, 0, 0], [0, 0, 1, -1]],
-            [[1, 0, 0, 0], [0, 0, 1, -1]],
-            [[1, -1, 0, 0]],
-            [[1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 1, -1]],
-        ),
-    )
-    @pytest.mark.parametrize("restarts", (0, 3))
-    def test_refuses_any_other_contrast(self, monkeypatch, tmp_path, capsys, contrast, restarts):
-        monkeypatch.setattr(classical, "DET_CONTRAST", np.array(contrast))
-        with pytest.raises(ValueError, match="on disjoint preparations"):
-            classical_max_det(3)
-        # the ignored --restarts does not get the command past the refusal
-        out = tmp_path / "out"
-        argv = ["bounds", "--witness", "det", "-d", "3", "--restarts", str(restarts)]
-        assert cli.main([*argv, "--out", str(out)]) == 2
-        assert "on disjoint preparations" in capsys.readouterr().err
-        assert not out.exists()
+class TestSentMessages:
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 10**12))
+    def test_decode_rows_are_exactly_the_messages_sent(self, d):
+        strategies = [classical_max_linear(dimension_witness, d, 3, 2)[1]]
+        if d >= 2:
+            strategies.append(classical_max_det(d).strategy)
+        for strategy in strategies:
+            assert set(strategy.encode) == set(range(len(strategy.decode)))
 
 
 class TestRetrocausal:
@@ -549,7 +512,7 @@ class TestRetrocausal:
 
     @pytest.mark.parametrize("leak", (0.0, 0.5))
     def test_builds_no_strategy_at_huge_dimension(self, leak):
-        # only the value is returned, so no decode table is built and no cap applies
+        # only the value is returned, so no decode table is built
         assert retrocausal_max(dimension_witness, 10**12, 3, 2, leak) == 5.0
 
     @pytest.mark.parametrize("leak, calls", [(0.0, 10), (0.1, 11), (1.0, 11)])

@@ -7,10 +7,13 @@ import math
 import os
 import shlex
 import stat
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pamsim import cli
 from pamsim.cli import ConfigError, _write_outputs, build_parser, main
@@ -231,10 +234,12 @@ class TestSimulateAndReport:
             (f"0,1,{2**63},0,0", "cell (0, 1) on line 3 of counts CSV has more than 2**63 - 1 trials"),
             # int64 counts would wrap to a negative total
             (f"0,1,{2**62},{2**62},0", "cell (0, 1) on line 3 of counts CSV has more than 2**63 - 1"),
+            # int() refuses more digits with advice to call sys.set_int_max_str_digits()
+            (f"0,1,{'9' * 4301},5,0", "expected at most 4300 digits, got 4301 on line 3"),
         ],
         ids=[
-            "short", "long", "plus", "underscore", "space",
-            "plus-index", "letter-index", "fullwidth-digit", "count-overflow", "sum-overflow",
+            "short", "long", "plus", "underscore", "space", "plus-index",
+            "letter-index", "fullwidth-digit", "count-overflow", "sum-overflow", "count-digits",
         ],
     )
     def test_report_malformed_row_is_config_error(self, tmp_path, capsys, row, message):
@@ -458,13 +463,13 @@ class TestBounds:
     # (d, --restarts, --seed): value, encode, decode; the strategy is the first maximising
     # vertex pair in lexicographic (encode, decode) order, whatever the ignored flags
     PINNED_DET = {
-        (2, 2000, 11): (0.0, [0, 0, 0, 0], ["dd", "dd"]),
+        (2, 2000, 11): (0.0, [0, 0, 0, 0], ["dd"]),
         (3, 500, 12): (1.0, [0, 1, 0, 2], ["dd", "de", "ed"]),
-        (2, 300, 0): (0.0, [0, 0, 0, 0], ["dd", "dd"]),
-        (2, 500, 5): (0.0, [0, 0, 0, 0], ["dd", "dd"]),
+        (2, 300, 0): (0.0, [0, 0, 0, 0], ["dd"]),
+        (2, 500, 5): (0.0, [0, 0, 0, 0], ["dd"]),
         (4, 50, 5): (2.0, [0, 1, 2, 3], ["dd", "ee", "de", "ed"]),
         (3, 130, 23): (1.0, [0, 1, 0, 2], ["dd", "de", "ed"]),
-        (2, 10000, 0): (0.0, [0, 0, 0, 0], ["dd", "dd"]),
+        (2, 10000, 0): (0.0, [0, 0, 0, 0], ["dd"]),
         (3, 10000, 0): (1.0, [0, 1, 0, 2], ["dd", "de", "ed"]),
     }
 
@@ -490,8 +495,10 @@ class TestBounds:
         assert capsys.readouterr().out.startswith(f"classical I_DW bound (d={d}): 5\n")
         payload = read_json(out / "bounds.json")
         assert payload["value"] == 5.0
-        assert payload["strategy"]["encode"] == [0, 1, 2]
-        assert payload["strategy"]["decode"][3:] == [["d", "d"]] * (d - 3)
+        assert payload["strategy"] == {
+            "encode": [0, 1, 2],
+            "decode": [list(row) for row in ("ee", "ed", "dd")],
+        }
 
     @pytest.mark.parametrize("d", (7, 8, 12, 100, 1000, 5000, 8000))
     def test_det_enumerates_nothing_at_large_dimension(self, tmp_path, capsys, d):
@@ -501,26 +508,52 @@ class TestBounds:
         assert capsys.readouterr().out.startswith(f"classical |det W| bound (d={d}): 2\n")
         payload = read_json(out / "bounds.json")
         assert payload["value"] == 2.0
-        assert payload["strategy"]["encode"] == [0, 1, 2, 3]
-        assert payload["strategy"]["decode"][4:] == [["d", "d"]] * (d - 4)
+        assert payload["strategy"] == {
+            "encode": [0, 1, 2, 3],
+            "decode": [list(row) for row in ("dd", "ee", "de", "ed")],
+        }
 
-    @pytest.mark.parametrize("witness", ["idw", "det"])
-    def test_refuses_a_strategy_beyond_the_cap(self, tmp_path, capsys, witness):
-        # the strategy's decode table has d rows of two entries
+    @pytest.mark.parametrize("witness, value", [("idw", 5.0), ("det", 2.0)])
+    def test_writes_a_small_bound_at_five_million_messages(self, tmp_path, capsys, witness, value):
+        # a strategy lists only the messages it sends, so its size does not grow with d
         out = tmp_path / "out"
-        assert main(["bounds", "--witness", witness, "-d", "5000001", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "error: message dimension 5000001 gives a strategy of 10000002 decode entries, "
-            "more than the enumeration cap of 10000000\n"
-        )
-        assert not out.exists()
+        assert main(["bounds", "--witness", witness, "-d", "5000001", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_json(out / "bounds.json")["value"] == value
+        assert (out / "bounds.json").stat().st_size < 1000
 
     @pytest.mark.parametrize("witness", ["idw", "det"])
-    def test_enumeration_cap_refusal_is_quick_at_huge_dimension(self, tmp_path, witness):
+    def test_is_quick_at_huge_dimension(self, tmp_path, witness):
         start = time.perf_counter()
         argv = ["bounds", "--witness", witness, "-d", str(10**12), "--out", str(tmp_path / "o")]
-        assert main(argv) == 2
+        assert main(argv) == 0
         assert time.perf_counter() - start < 1.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("witness, saturated", [("idw", 3), ("det", 4)])
+    def test_bounds_json_past_saturation_differs_only_in_dimension(self, witness, saturated, data):
+        d = data.draw(st.integers(1 if witness == "idw" else 2, 10**12), label="d")
+
+        def payload(dimension):
+            with tempfile.TemporaryDirectory() as out:
+                argv = ["bounds", "--witness", witness, "-d", str(dimension), "--out", out]
+                assert main(argv) == 0
+                return read_json(Path(out) / "bounds.json")
+
+        at_d, at_saturated = payload(d), payload(min(d, saturated))
+        assert at_d.pop("dimension") == d
+        at_saturated.pop("dimension")
+        assert at_d == at_saturated
+
+    @pytest.mark.parametrize("witness, name, value", [("idw", "I_DW", 5), ("det", "|det W|", 2)])
+    def test_takes_the_most_digits_int_converts(self, tmp_path, capsys, witness, name, value):
+        # 4300 digits, the interpreter's default limit, is the only upper bound of -d
+        d, out = "9" * 4300, tmp_path / "out"
+        assert main(["bounds", "--witness", witness, "-d", d, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(f"classical {name} bound (d={d}): {value}\n")
+        assert read_json(out / "bounds.json")["dimension"] == int(d)
+        assert (out / "bounds.json").stat().st_size < 5000
 
 
 class TestSpacetime:
@@ -698,6 +731,30 @@ class TestUsage:
         assert main([*argv, *inputs.get(argv[0], []), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"argument {flag}: expected a non-negative integer, got {text!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["bounds", "--witness", "idw", "-d"], "--dimension/-d"),
+            (["simulate", "--trials"], "--trials"),
+            (["simulate", "--seed"], "--seed"),
+            (["report", "--seed"], "--seed"),
+        ],
+        ids=["dimension", "trials", "simulate-seed", "report-seed"],
+    )
+    def test_integer_flags_refuse_more_digits_than_int_converts(
+        self, tmp_path, capsys, argv, flag
+    ):
+        # int() refuses more digits with advice to call sys.set_int_max_str_digits()
+        cfg = write_config(tmp_path / "cfg.json", DET_SCENARIO)
+        counts = tmp_path / "counts.csv"
+        counts.write_text("i,j,n_e,n_d,n_none\n0,0,50,50,0\n")
+        inputs = {"simulate": ["--config", cfg], "report": ["--counts", str(counts)]}
+        out = tmp_path / "out"
+        assert main([*argv, "1" * 4301, *inputs.get(argv[0], []), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument {flag}: expected at most 4300 digits, got 4301\n")
         assert not out.exists()
 
     def test_missing_required_flag(self):
