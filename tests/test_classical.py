@@ -261,6 +261,15 @@ class TestLinearBoundOracle:
         assert dimension_witness(strategy_table(strategy, 3, 2)) == value
         assert len(strategy.decode) == max(strategy.encode) + 1 == min(d, 3)
 
+    @pytest.mark.parametrize("d", range(1, 41))
+    def test_holds_past_three_messages(self, d):
+        # a strategy sends at most three messages, one per preparation, so relabelling them
+        # to 0..2 keeps I_DW: past d = 3 the bound and its strategy are d = 3's
+        value, strategy = classical_max_linear(dimension_witness, d, 3, 2)
+        assert (value, strategy) == classical_max_linear(dimension_witness, min(d, 3), 3, 2)
+        assert dimension_witness(strategy_table(strategy, 3, 2)) == value
+        assert len(strategy.decode) == max(strategy.encode) + 1
+
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 6), witness=integer_witnesses(3, 2), data=st.data())
     def test_relabelling_messages_never_changes_the_oracle_value(self, d, witness, data):
@@ -482,6 +491,25 @@ class TestSentMessages:
             strategies.append(classical_max_det(d).strategy)
         for strategy in strategies:
             assert set(strategy.encode) == set(range(len(strategy.decode)))
+
+    @pytest.mark.parametrize(
+        "d",
+        (2, 3, 4, 5, 5_000_000, 5_000_001, 10**12, 10**4299),
+        ids=("2", "3", "4", "5", "5e6", "5e6+1", "1e12", "4300-digits"),
+    )
+    @pytest.mark.parametrize("witness", ("idw", "det"))
+    def test_holds_at_the_edges(self, witness, d):
+        # the saturation points, the old enumeration cap's edge (5e6 messages, 1e7 decode
+        # entries), past hypothesis's range, and the most digits -d takes
+        if witness == "idw":
+            bound = classical_max_linear(dimension_witness, d, 3, 2)
+            assert bound == classical_max_linear(dimension_witness, min(d, 3), 3, 2)
+            strategy = bound[1]
+        else:
+            bound = classical_max_det(d)
+            assert bound == classical_max_det(min(d, 4))
+            strategy = bound.strategy
+        assert set(strategy.encode) == set(range(len(strategy.decode)))
 
 
 class TestRetrocausal:

@@ -236,10 +236,15 @@ class TestSimulateAndReport:
             (f"0,1,{2**62},{2**62},0", "cell (0, 1) on line 3 of counts CSV has more than 2**63 - 1"),
             # int() refuses more digits with advice to call sys.set_int_max_str_digits()
             (f"0,1,{'9' * 4301},5,0", "expected at most 4300 digits, got 4301 on line 3"),
+            (f"{'1' * 4301},1,5,5,0", "expected at most 4300 digits, got 4301 on line 3 of"),
+            (f"0,{'0' * 4301},5,5,0", "expected at most 4300 digits, got 4301 on line 3 of"),
+            (f"0,1,5,{'5' * 4301},0", "expected at most 4300 digits, got 4301 on line 3"),
+            (f"0,1,5,5,{'9' * 4302}", "expected at most 4300 digits, got 4302 on line 3"),
         ],
         ids=[
             "short", "long", "plus", "underscore", "space", "plus-index",
             "letter-index", "fullwidth-digit", "count-overflow", "sum-overflow", "count-digits",
+            "i-digits", "j-zero-digits", "n_d-digits", "n_none-digits",
         ],
     )
     def test_report_malformed_row_is_config_error(self, tmp_path, capsys, row, message):
@@ -740,8 +745,15 @@ class TestUsage:
             (["simulate", "--trials"], "--trials"),
             (["simulate", "--seed"], "--seed"),
             (["report", "--seed"], "--seed"),
+            (["simulate", "--resamples"], "--resamples"),
+            (["report", "--resamples"], "--resamples"),
+            (["bounds", "--witness", "det", "--restarts"], "--restarts"),
+            (["bounds", "--witness", "det", "--seed"], "--seed"),
         ],
-        ids=["dimension", "trials", "simulate-seed", "report-seed"],
+        ids=[
+            "dimension", "trials", "simulate-seed", "report-seed",
+            "simulate-resamples", "report-resamples", "bounds-restarts", "bounds-seed",
+        ],
     )
     def test_integer_flags_refuse_more_digits_than_int_converts(
         self, tmp_path, capsys, argv, flag
@@ -756,6 +768,22 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.endswith(f"error: argument {flag}: expected at most 4300 digits, got 4301\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--trials", "200", "--seed"],
+            ["bounds", "--witness", "det", "--restarts"],
+            ["bounds", "--witness", "det", "--seed"],
+        ],
+        ids=["simulate-seed", "bounds-restarts", "bounds-seed"],
+    )
+    def test_integer_flags_take_the_most_digits_int_converts(self, tmp_path, argv):
+        cfg = write_config(tmp_path / "cfg.json", DET_SCENARIO)
+        inputs = {"simulate": ["--config", cfg]}
+        out = tmp_path / "out"
+        assert main([*argv, "7" * 4300, *inputs.get(argv[0], []), "--out", str(out)]) == 0
+        assert out.is_dir()
 
     def test_missing_required_flag(self):
         assert main(["predict"]) == 1
