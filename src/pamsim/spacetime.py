@@ -175,24 +175,13 @@ class ValidationReport:
         }
 
 
-# (name, description, event pairs that must be space-like separated)
-_SPACELIKE_CONDITIONS = (
-    (
-        "C1",
-        "measurer's choice space-like from preparer's choice and measurement",
-        (("bob_choice", "alice_choice"), ("bob_choice", "alice_measurement")),
-    ),
-    (
-        "C2",
-        "the two measurements are space-like separated",
-        (("alice_measurement", "bob_measurement"),),
-    ),
-    (
-        "C3",
-        "both setting choices space-like from the pair emission",
-        (("alice_choice", "pair_emission"), ("bob_choice", "pair_emission")),
-    ),
-)
+_DESCRIPTIONS = {
+    "C1": "measurer's choice space-like from preparer's choice and measurement",
+    "C2": "the two measurements are space-like separated",
+    "C3": "both setting choices space-like from the pair emission",
+    "C4": "preparer's setting choice precedes measurer's setting choice",
+    "C5": "no measurement precedes its photon's earliest arrival",
+}
 
 
 def validate(s: Schedule) -> ValidationReport:
@@ -208,50 +197,41 @@ def validate(s: Schedule) -> ValidationReport:
         choice precedes the measuring station's setting choice;
     C5  no measurement fires before its photon can have arrived
         through its link.
+
+    Each condition is a list of (passed, detail) checks; it passes when all of
+    them do, and its detail joins theirs.
     """
-    results = []
-    for name, description, pairs in _SPACELIKE_CONDITIONS:
-        kinds = [interval(s.events[a], s.events[b]) for a, b in pairs]
-        results.append(
-            ConditionResult(
-                name=name,
-                description=description,
-                passed=all(kind == SPACE_LIKE for kind in kinds),
-                detail="; ".join(f"{a} vs {b}: {kind}" for (a, b), kind in zip(pairs, kinds)),
-            )
-        )
+    events = s.events
 
-    t_ac = s.events["alice_choice"].time
-    t_bc = s.events["bob_choice"].time
-    results.append(
+    def space_like(a: str, b: str) -> tuple[bool, str]:
+        kind = interval(events[a], events[b])
+        return kind == SPACE_LIKE, f"{a} vs {b}: {kind}"
+
+    def arrives(name: str, link: Link) -> tuple[bool, str]:
+        arrival = events[link.source].time + link.transit_ns()
+        actual = events[link.target].time
+        detail = f"{name}: {link.target} at {actual} ns vs earliest arrival {arrival:.3f} ns"
+        return actual >= arrival - _ARRIVAL_SLACK_NS, detail
+
+    t_ac, t_bc = events["alice_choice"].time, events["bob_choice"].time
+    checks = {
+        "C1": [space_like("bob_choice", "alice_choice"),
+               space_like("bob_choice", "alice_measurement")],
+        "C2": [space_like("alice_measurement", "bob_measurement")],
+        "C3": [space_like("alice_choice", "pair_emission"),
+               space_like("bob_choice", "pair_emission")],
+        "C4": [(t_ac < t_bc, f"alice_choice at {t_ac} ns, bob_choice at {t_bc} ns")],
+        "C5": [arrives(name, link) for name, link in s.media.items()],
+    }
+    return ValidationReport(conditions=tuple(
         ConditionResult(
-            name="C4",
-            description="preparer's setting choice precedes measurer's setting choice",
-            passed=t_ac < t_bc,
-            detail=f"alice_choice at {t_ac} ns, bob_choice at {t_bc} ns",
+            name=name,
+            description=_DESCRIPTIONS[name],
+            passed=all(ok for ok, _ in rows),
+            detail="; ".join(detail for _, detail in rows) or "no links declared",
         )
-    )
-
-    c5_ok = True
-    c5_details = []
-    for name, link in s.media.items():
-        arrival = s.events[link.source].time + link.transit_ns()
-        actual = s.events[link.target].time
-        ok = actual >= arrival - _ARRIVAL_SLACK_NS
-        c5_ok &= ok
-        c5_details.append(
-            f"{name}: {link.target} at {actual} ns vs earliest arrival {arrival:.3f} ns"
-        )
-    results.append(
-        ConditionResult(
-            name="C5",
-            description="no measurement precedes its photon's earliest arrival",
-            passed=c5_ok,
-            detail="; ".join(c5_details) if c5_details else "no links declared",
-        )
-    )
-
-    return ValidationReport(conditions=tuple(results))
+        for name, rows in checks.items()
+    ))
 
 
 def reference_schedule() -> Schedule:

@@ -205,7 +205,8 @@ def _per_trial(c: CountTable, fair: bool) -> np.ndarray:
 def estimate(c: CountTable, fair_sampling: bool) -> ProbabilityTable:
     """Relative frequencies; with fair sampling, per detected trial."""
     if c.n_trials.min() <= 0:
-        raise ValueError("every cell needs at least one trial")
+        i, j = np.argwhere(c.n_trials <= 0)[0]
+        raise ValueError(f"cell (i={i}, j={j}) has no trial; every cell needs at least one")
     denom = _per_trial(c, fair_sampling)
     p_none = np.zeros(denom.shape) if fair_sampling else c.n_none / denom
     return ProbabilityTable(c.n_e / denom, c.n_d / denom, p_none)

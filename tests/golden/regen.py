@@ -18,6 +18,12 @@ stderr, and write nothing.
 Run from the repository root after an intended output change:
 
     PYTHONPATH=src python tests/golden/regen.py
+
+`mismatches()` reruns every case and lists what differs from the goldens.
+It needs only the standard library and pamsim, so it checks an installed
+package too, run from outside the checkout with this directory on the path:
+
+    PYTHONPATH=tests/golden python -c 'import regen; print(regen.mismatches())'
 """
 
 from __future__ import annotations
@@ -114,11 +120,34 @@ def recorded(name: str) -> dict[str, bytes]:
     }
 
 
+def unlisted() -> list[str]:
+    """The directories beside the cases that no case lists."""
+    return sorted(
+        path.name for path in GOLDEN.iterdir()
+        if path.is_dir() and path.name not in CASES and path.name != "__pycache__"
+    )
+
+
+def mismatches() -> list[str]:
+    """Rerun every case against its goldens: one `case: name` line for each golden
+    file (exit code, stdout, stderr or output file) that differs, is missing or is
+    extra, and one for each unlisted directory.  Empty when everything matches."""
+    found = [f"{name}: not a listed case" for name in unlisted()]
+    for name, argv in CASES.items():
+        with tempfile.TemporaryDirectory() as work:
+            fresh = run_case(argv, Path(work))
+        golden = recorded(name)
+        found += [
+            f"{name}: {rel}" for rel in sorted(fresh.keys() | golden.keys())
+            if fresh.get(rel) != golden.get(rel)
+        ]
+    return found
+
+
 def regenerate() -> None:
     """Rewrite every case directory from a fresh run, and drop directories of unlisted cases."""
-    for stale in GOLDEN.iterdir():
-        if stale.is_dir() and stale.name not in CASES and stale.name != "__pycache__":
-            shutil.rmtree(stale)
+    for stale in unlisted():
+        shutil.rmtree(GOLDEN / stale)
     for name, argv in CASES.items():
         case = GOLDEN / name
         shutil.rmtree(case, ignore_errors=True)

@@ -319,6 +319,18 @@ class TestSimulateAndReport:
         assert "cell (i=2, j=1) has no detected events to postselect on" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fair", ["true", "false"])
+    def test_cell_without_trials_is_named(self, tmp_path, capsys, fair):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("i,j,n_e,n_d,n_none\n0,0,5,5,0\n0,1,5,5,0\n1,0,5,5,0\n1,1,0,0,0\n")
+        out = tmp_path / "out"
+        argv = ["report", "--counts", str(counts), "--fair-sampling", fair, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: cell (i=1, j=1) has no trial; every cell needs at least one\n"
+        )
+        assert not out.exists()
+
     def test_plan_without_trials_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": DET_SCENARIO, "plan": {"seed": 1}}))
