@@ -83,6 +83,12 @@ CASES = {
     "error_trials_beyond_int64": _simulate("--trials", "9223372036854775808"),
     "error_resamples_beyond_limit": _report("--resamples", "384307168202282326"),
     "error_fair_sampling_maybe": _report("--fair-sampling", "maybe"),
+    # the top-level parser's refusals, each with its usage line
+    "error_no_command": [],
+    "error_unknown_command": ["bogus"],
+    "error_unrecognized_argument": [
+        "predict", "--config", str(CONFIGS / "det_witness_ideal.json"), "--seed", "3", "--out", "out"
+    ],
 }
 
 
