@@ -38,7 +38,7 @@ outcome "d".
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -231,7 +231,7 @@ class DetBoundResult:
     strategy: DeterministicStrategy
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "strategy": self.strategy.to_json_dict()}
+        return {"value": self.value, "strategy": self.strategy.to_json_dict()}
 
 
 # At min(d, 4) messages: the bound and its first maximising vertex pair in lexicographic

@@ -15,6 +15,14 @@ an argparse parser unchanged, each call gets a fresh namespace, and
 usage, errors and `-h` write to the `sys.stdout`/`sys.stderr` of the
 moment, so a `redirect_stdout` still captures them.  `build_parser`
 returns a new parser on every call.
+
+An argv whose first token is a command's name is parsed by that
+command's own parser, into a namespace that already holds the command:
+the top-level parser would only hand it the same tokens.  The full
+parser speaks only when the first token names no command (none, `-h`,
+an unknown name) or the command leaves arguments over; it then parses
+the same argv, so its usage line and error are the ones it always
+printed.
 """
 
 from __future__ import annotations
@@ -164,10 +172,12 @@ def _write_outputs(outputs: str | None, files: dict[str, str], lines=()) -> None
     calls.  A kept one then costs an os.open, os.fstat, read and close, a written one the
     create, an os.fstat, one write of its bytes, the os.lstat check and an os.replace."""
     out = str(Path("out" if outputs is None else outputs))  # spelt as `pathlib` spells it
-    try:
-        Path(out).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"--out {out}: cannot create the directory ({exc.strerror})") from exc
+    if not os.path.isdir(out):  # one stat for an existing directory; it never raises
+        try:
+            Path(out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            why = f"cannot create the directory ({exc.strerror})"
+            raise ConfigError(f"--out {out}: {why}") from exc
     temps = {name: f"{out}/.{name}.tmp" for name in files}  # renamed once all are written
     data = {name: text.encode() for name, text in files.items()}
     stale = {}  # the file type of each temporary found before this call; 0: absent
@@ -413,14 +423,31 @@ def _parse_bool(text: str) -> bool:
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser that `main` reuses."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser that `main` reuses, and each command's parser by name: the choices of its
+    one subparsers action."""
+    parser = build_parser()
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, commands
+
+
+def _parse(argv: list[str] | None = None) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, `sys.argv[1:]` for None, through the command's own
+    parser where `argv[0]` names one and it leaves nothing over."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parser()
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -16,7 +16,7 @@ actual run's event times were never published.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .scenario import load_json, read_section
@@ -169,10 +169,11 @@ class ValidationReport:
         raise KeyError(name)
 
     def to_json_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "conditions": [asdict(c) for c in self.conditions],
-        }
+        conditions = [
+            {"name": c.name, "description": c.description, "passed": c.passed, "detail": c.detail}
+            for c in self.conditions
+        ]
+        return {"all_passed": self.all_passed, "conditions": conditions}
 
 
 _DESCRIPTIONS = {

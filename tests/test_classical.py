@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -27,6 +28,7 @@ from oracles import (
 import pamsim.witness
 from pamsim import classical
 from pamsim.classical import (
+    DetBoundResult,
     DeterministicStrategy,
     _IDW_VERTICES,
     _affine_form,
@@ -447,6 +449,13 @@ class TestDeterminantBound:
         )
         assert not loads_random_module(f"classical.classical_max_det(6); {call}")
         assert (searched / "bounds.json").read_bytes() == (bare / "bounds.json").read_bytes()
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_json_dict_has_every_field(self, d):
+        # written out by hand, so a field added to the record must be added to it too
+        result = classical_max_det(d)
+        assert list(result.to_json_dict()) == [f.name for f in dataclasses.fields(DetBoundResult)]
+        assert result.to_json_dict()["value"] == result.value
 
     def test_tables_rest_on_the_literal_witness_matrices(self):
         # `_IDW_VERTICES` is a closed form of these I_DW coefficients, and `_DET_VERTICES` of

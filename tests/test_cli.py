@@ -7,9 +7,11 @@ import math
 import os
 import shlex
 import stat
+import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,17 @@ class TestSimulateAndReport:
         out = capsys.readouterr().out
         assert f"sigma above {DET_CLASSICAL_BOUND:g})" in out
         assert f"sigma above {I_DW_CLASSICAL_BOUND:g})" in out
+
+    def test_no_error_reads_seed_or_resamples(self, tmp_path):
+        # report's errors are closed forms: another --seed or --resamples changes no byte
+        counts = str(Path(__file__).resolve().parent / "golden" / "det_witness_counts.csv")
+        written = []
+        for seed, resamples in (("1", "100"), ("2", "5000")):
+            out = tmp_path / f"seed{seed}"
+            flags = ["--seed", seed, "--resamples", resamples, "--out", str(out)]
+            assert main(["report", "--counts", counts, *flags]) == 0
+            written.append((out / "witness.json").read_bytes())
+        assert written[0] == written[1]
 
     def test_seeded_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", DET_SCENARIO)
@@ -1433,6 +1446,23 @@ class TestParserReuse:
         assert cli._parser() is cli._parser()
         assert build_parser() is not build_parser()
 
+    def test_commands_are_the_reused_parsers_subparsers(self):
+        parser, commands = cli._parser()
+        (action,) = parser._subparsers._group_actions
+        assert commands is action.choices
+        assert list(commands) == ["predict", "simulate", "report", "bounds", "spacetime"]
+        assert [p.prog for p in commands.values()] == [f"pamsim {name}" for name in commands]
+
+    def test_entry_reads_sys_argv(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        argv = ["pamsim", "bounds", "--witness", "idw", "-d", "2", "--out", str(out)]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exit:
+            cli.entry()
+        assert exit.value.code == 0
+        assert capsys.readouterr().out == f"classical I_DW bound (d=2): 3\nwrote {out}/bounds.json\n"
+        assert read_json(out / "bounds.json")["value"] == 3.0
+
     def test_search_flags_do_not_carry_over(self, tmp_path, capsys):
         # --witness idw refuses --restarts and --seed, so it fails if they carry over
         det = ["bounds", "--witness", "det", "-d", "2"]
@@ -1442,8 +1472,13 @@ class TestParserReuse:
 
     @pytest.mark.parametrize(
         "first, code",
-        [(["bounds", "--witness", "idw", "--bogus"], 1), (["-h"], 0), (["bounds", "-h"], 0)],
-        ids=["bad-flag", "help", "command-help"],
+        [
+            (["bounds", "--witness", "idw", "--bogus"], 1),
+            (["bounds", "--witness", "idw", "extra"], 1),
+            (["-h"], 0),
+            (["bounds", "-h"], 0),
+        ],
+        ids=["bad-flag", "leftover-argument", "help", "command-help"],
     )
     def test_good_call_after_an_exit(self, tmp_path, capsys, first, code):
         assert main(first) == code
@@ -1479,6 +1514,75 @@ class TestParserReuse:
         assert "pamsim bounds: error: " in bad_err.getvalue()
 
 
+def parse_outcome(parse, argv):
+    """What `parse(argv)` gives under COLUMNS=80: its namespace or ("exit", SystemExit code),
+    then what it printed to stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def full_parse(argv):
+    return build_parser().parse_args(argv)
+
+
+def argv_tokens():
+    """Command names; every flag of every command, with its abbreviations and `=` forms;
+    values; -h, --, an unknown command and an unknown flag."""
+    commands = cli._parser()[1]
+    flags = sorted({flag for p in commands.values() for flag in p._option_string_actions})
+    longs = [flag for flag in flags if flag.startswith("--")]
+    abbreviations = sorted({flag[:n] for flag in longs for n in range(3, len(flag))} - set(flags))
+    equals = [f"{flag}={value}" for flag in longs for value in ("2", "idw", "")]
+    values = ["0", "2", "-1", "idw", "det", "true", "maybe", "c.json", "s.json", "out", ""]
+    specials = ["-d2", "-hd", "-h", "--", "bogus", "--bogus"]
+    return [*commands, *flags, *abbreviations, *equals, *values, *specials]
+
+
+ARGV_TOKENS = argv_tokens()
+
+
+class TestDispatch:
+    """`cli._parse` hands argv to its command's parser; it must act as the full parse."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bounds"],
+            ["spacetime", "--", "s.json"],
+            ["spacetime", "--", "-h"],
+            ["predict", "--config", "c", "extra"],
+            ["bounds", "-d2", "--witness=det"],
+            ["bounds", "--wit", "idw", "--h"],
+            ["report", "--counts", "c", "--seed", "-1"],
+            ["bogus", "--witness", "idw"],
+            ["--", "bounds", "--witness", "idw"],
+        ],
+    )
+    def test_hard_cases_match_the_full_parse(self, argv):
+        assert parse_outcome(cli._parse, argv) == parse_outcome(full_parse, argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        argv=st.one_of(
+            st.lists(st.sampled_from(ARGV_TOKENS), max_size=8),
+            st.builds(
+                lambda command, rest: [command, *rest],
+                st.sampled_from(list(cli._parser()[1])),
+                st.lists(st.sampled_from(ARGV_TOKENS), max_size=8),
+            ),
+        )
+    )
+    def test_dispatch_matches_the_full_parse(self, argv):
+        assert parse_outcome(cli._parse, argv) == parse_outcome(full_parse, argv)
+
+
 def readme_commands():
     """Each `pamsim ...` command of the README's command-line block, as argv."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -1492,7 +1596,7 @@ def test_readme_commands_parse():
     assert commands, "the README has no pamsim command block"
     for argv in commands:
         # the parser exits on a flag the command does not take
-        assert build_parser().parse_args(argv).func
+        assert cli._parse(argv).func
 
 
 def test_readme_commands_run(configs_dir, tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pamsim.spacetime import (
     LIGHT_LIKE_REL_TOL,
     SPACE_LIKE,
     TIME_LIKE,
+    ConditionResult,
     Event,
     Link,
     Schedule,
@@ -126,6 +128,16 @@ class TestValidate:
         report = validate(moved(reference_schedule(), "bob_choice", dt_ns=200.0))
         assert not report["C1"].passed
         assert not report.all_passed
+
+    @pytest.mark.parametrize("dt_ns", [0.0, 200.0], ids=["bundled", "fails-c1"])
+    def test_json_dict_has_every_condition_field(self, configs_dir, dt_ns):
+        # written out by hand, so a field added to the record must be added to it too
+        bundled = Schedule.from_json_file(str(configs_dir / "reference_geometry_schedule.json"))
+        report = validate(moved(bundled, "bob_choice", dt_ns=dt_ns))
+        assert report.all_passed == (dt_ns == 0.0)
+        conditions = report.to_json_dict()["conditions"]
+        assert [list(c) for c in conditions] == [[f.name for f in fields(ConditionResult)]] * 5
+        assert conditions == [vars(c) for c in report.conditions]
 
     def test_colocated_events_fail_spacelike_checks(self):
         origin = (0.0, 0.0, 0.0)
