@@ -25,12 +25,13 @@ Both bounds are closed forms: a table of the bound and its first
 maximiser by message dimension, argued in the bound's docstring and
 checked by enumerations that live in the test suite.  The I_DW bounds
 take the witness as a callable.  The package's own `dimension_witness`
-on `IDW_COEF.shape` is I_DW by definition, so its values at the
-maximisers are read from the tables and it is never called.  Any other
-callable is probed: its affine form (c0, C) in p_e is read once per
-call, refused unless it is I_DW's, and the witness is evaluated at each
-maximiser it returns.  A maximiser's decode table lists only the
-messages its encoder sends, so its size does not grow with d.
+on `IDW_SHAPE` is I_DW by definition, so its values at the maximisers
+are read from the tables and it is never called, nor is numpy.  Any
+other callable is probed: its affine form (c0, C) in p_e is read once
+per call, refused unless it is I_DW's, and the witness is evaluated at
+each maximiser it returns.  The probe's arrays are built on its first
+call.  A maximiser's decode table lists only the messages its encoder
+sends, so its size does not grow with d.
 Outcome encoding: decode entries are 1 for outcome "e" and 0 for
 outcome "d".
 """
@@ -39,12 +40,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
-import numpy as np
-
+from ._lazy import np
 from .scenario import ProbabilityTable
-from .witness import IDW_COEF
+from .witness import IDW_COEF, IDW_SHAPE
 from .witness import dimension_witness as _dimension_witness  # bound once, at import
 
 TableFunctional = Callable[[ProbabilityTable], float]
@@ -131,16 +132,20 @@ def _affine_value(witness: TableFunctional, c0: float, coef: np.ndarray, p_e: np
     return value
 
 
-# I_DW's affine form (c0, C) in p_e: <D_ij> = 2 p_e - 1 without loss, so c0 = -sum(IDW_COEF)
-# = -1 and C = 2 * IDW_COEF.
-_C0, _COEF = -IDW_COEF.sum(), 2 * IDW_COEF
+@cache
+def _idw_affine() -> tuple[float, np.ndarray]:
+    """I_DW's affine form (c0, C) in p_e: <D_ij> = 2 p_e - 1 without loss, so c0 =
+    -sum(IDW_COEF) = -1 and C = 2 * IDW_COEF."""
+    coef = np.asarray(IDW_COEF)
+    return -coef.sum(), 2 * coef
 
 
 def _idw_form(witness: TableFunctional, n_prep: int, n_meas: int) -> tuple[float, np.ndarray]:
     """The affine form (c0, C) of `witness`, refused (ValueError) unless it is I_DW's."""
     c0, coef = _affine_form(witness, n_prep, n_meas)
-    if coef.shape != _COEF.shape or c0 != _C0 or (coef != _COEF).any():
-        why = f"c0 = -1 and C = {_COEF.tolist()}, got {c0!r} and {coef.tolist()}"
+    idw_c0, idw_coef = _idw_affine()
+    if coef.shape != idw_coef.shape or c0 != idw_c0 or (coef != idw_coef).any():
+        why = f"c0 = -1 and C = {idw_coef.tolist()}, got {c0!r} and {coef.tolist()}"
         raise ValueError(f"the bound is a closed form of I_DW, whose affine form in p_e is {why}")
     return c0, coef
 
@@ -154,33 +159,44 @@ _IDW_VERTICES = {
 }
 
 
+# I_DW's setting-aware maximum at min(d, 2) messages: the value of `_aware_max`, which the
+# test suite checks it against.
+_AWARE_VALUES = {1: 1.0, 2: 5.0}
+
+
 def _aware_max(d: int) -> tuple[float, np.ndarray]:
     """(value, p_e) of I_DW's setting-aware maximiser at min(d, 2) messages: "e" wherever the
     cell's coefficient is positive, or at d = 1, where its column's sum is; c0 + sum(C * p_e)."""
-    positive = (_COEF.sum(axis=0) if d == 1 else _COEF) > 0.0
-    p_e = np.broadcast_to(positive, _COEF.shape).astype(float)
-    return float(_C0 + np.sum(_COEF * p_e)), p_e
+    c0, coef = _idw_affine()
+    positive = (coef.sum(axis=0) if d == 1 else coef) > 0.0
+    p_e = np.broadcast_to(positive, coef.shape).astype(float)
+    return float(c0 + np.sum(coef * p_e)), p_e
 
 
-# I_DW's maxima as (value, p_e): the causal one at min(d, 3) messages (`_IDW_VERTICES`) and
-# the setting-aware one at min(d, 2).
-_CAUSAL = {
-    k: (value, np.array(decode, dtype=float)[list(encode)])
-    for k, (value, encode, decode) in _IDW_VERTICES.items()
-}
-_AWARE = {k: _aware_max(k) for k in (1, 2)}
+@cache
+def _maxima_p_e() -> dict:
+    """The p_e of I_DW's maximisers by `_idw_values` key: ("causal", k) at k = min(d, 3)
+    messages (`_IDW_VERTICES`) and ("aware", k), setting-aware, at k = min(d, 2)."""
+    p_e = {
+        ("causal", k): np.array(decode, dtype=float)[list(encode)]
+        for k, (_, encode, decode) in _IDW_VERTICES.items()
+    }
+    return {**p_e, **{("aware", k): _aware_max(k)[1] for k in _AWARE_VALUES}}
 
 
 def _idw_values(witness: TableFunctional, n_prep: int, n_meas: int, maxima) -> list:
-    """The witness at each (value, p_e) of `maxima`, I_DW's maxima.  For the package's own
-    `dimension_witness` on `IDW_COEF.shape`, whose affine form is I_DW's by definition, these
-    are the values, the witness's exact floats on those 0/1 tables.  Any other callable is
+    """The witness at each of `maxima`, I_DW's maximisers as ("causal", min(d, 3)) or
+    ("aware", min(d, 2)).  For the package's own `dimension_witness` on `IDW_SHAPE`, whose
+    affine form is I_DW's by definition, these are the values of `_IDW_VERTICES` and
+    `_AWARE_VALUES`, the witness's exact floats on those 0/1 tables.  Any other callable is
     probed: its affine form is read once and refused unless it is I_DW's, then the witness
-    is evaluated at each p_e and checked against that form."""
-    if witness is _dimension_witness and (n_prep, n_meas) == IDW_COEF.shape:
-        return [value for value, _ in maxima]
+    is evaluated at each maximiser's p_e and checked against that form."""
+    if witness is _dimension_witness and (n_prep, n_meas) == IDW_SHAPE:
+        return [
+            _IDW_VERTICES[k][0] if kind == "causal" else _AWARE_VALUES[k] for kind, k in maxima
+        ]
     c0, coef = _idw_form(witness, n_prep, n_meas)
-    return [_affine_value(witness, c0, coef, p_e.copy()) for _, p_e in maxima]
+    return [_affine_value(witness, c0, coef, _maxima_p_e()[key].copy()) for key in maxima]
 
 
 def classical_max_linear(
@@ -202,14 +218,14 @@ def classical_max_linear(
     is the witness at its table.
 
     Nothing is enumerated.  The package's own `dimension_witness` on
-    `IDW_COEF.shape` is not called: the value is read from the table.
-    Any other witness is evaluated at the 9 tables that read its affine
-    form in p_e and at the maximiser's; ValueError if that form is not
-    I_DW's on `IDW_COEF.shape`.  The strategy's decode table lists only
-    the messages its encoder sends, whatever d.
+    `IDW_SHAPE` is not called: the value is read from the table.  Any
+    other witness is evaluated at the 9 tables that read its affine form
+    in p_e and at the maximiser's; ValueError if that form is not I_DW's
+    on `IDW_SHAPE`.  The strategy's decode table lists only the messages
+    its encoder sends, whatever d.
     """
     _check_dimension(d)
-    [value] = _idw_values(witness, n_prep, n_meas, [_CAUSAL[min(d, 3)]])
+    [value] = _idw_values(witness, n_prep, n_meas, [("causal", min(d, 3))])
     _, encode, decode = _IDW_VERTICES[min(d, 3)]
     return value, DeterministicStrategy(encode=encode, decode=decode)
 
@@ -296,7 +312,7 @@ def setting_aware_max(witness: TableFunctional, d: int, n_prep: int, n_meas: int
     refused with ValueError as `classical_max_linear` refuses it.
     """
     _check_dimension(d)
-    [value] = _idw_values(witness, n_prep, n_meas, [_AWARE[min(d, 2)]])
+    [value] = _idw_values(witness, n_prep, n_meas, [("aware", min(d, 2))])
     return float(value)
 
 
@@ -314,8 +330,8 @@ def retrocausal_max(
         raise ValueError(f"leak must be in [0, 1], got {leak}")
     _check_dimension(d)
     if leak == 0.0:
-        [causal] = _idw_values(witness, n_prep, n_meas, [_CAUSAL[min(d, 3)]])
+        [causal] = _idw_values(witness, n_prep, n_meas, [("causal", min(d, 3))])
         return causal
-    maxima = [_CAUSAL[min(d, 3)], _AWARE[min(d, 2)]]
+    maxima = [("causal", min(d, 3)), ("aware", min(d, 2))]
     causal, leaked = _idw_values(witness, n_prep, n_meas, maxima)
     return (1.0 - leak) * causal + leak * float(leaked)

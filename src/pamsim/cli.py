@@ -36,8 +36,7 @@ from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
 
-import numpy as np
-
+from ._lazy import np
 from .classical import classical_max_det, classical_max_linear
 from .scenario import Scenario, csv_text, json_text, load_json, probability_table, read_section
 from .spacetime import Schedule, validate
@@ -50,7 +49,14 @@ from .trials import (
     non_negative_int,
     sample,
 )
-from .witness import IDW_COEF, SIGMA_BOUNDS, WitnessReport, dimension_witness, report_from_table
+from .witness import (
+    IDW_COEF,
+    IDW_SHAPE,
+    SIGMA_BOUNDS,
+    WitnessReport,
+    dimension_witness,
+    report_from_table,
+)
 
 
 class ConfigError(Exception):
@@ -306,7 +312,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.dimension < least:
         raise ConfigError(f"--dimension must be >= {least}, got {args.dimension}")
     if args.witness == "idw":
-        value, strategy = classical_max_linear(dimension_witness, args.dimension, *IDW_COEF.shape)
+        value, strategy = classical_max_linear(dimension_witness, args.dimension, *IDW_SHAPE)
         name, bound = "I_DW", {"value": value, "strategy": strategy.to_json_dict()}
     else:
         name, bound = "|det W|", classical_max_det(args.dimension).to_json_dict()

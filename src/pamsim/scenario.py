@@ -36,8 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .qubits import Ket2, PHI_PLUS, born, canonical_phase, herald, phase_ket
 
 TABLE_TOL = 1e-12

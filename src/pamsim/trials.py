@@ -17,12 +17,12 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from ._lazy import np
 from .scenario import ProbabilityTable, grid_csv_text, read_section
 # det_witness and dimension_witness are unused here, but perfbench/tracing.py wraps them
 from .witness import (
     DET_CONTRAST,
+    DET_SHAPE,
     IDW_COEF,
     WitnessReport,
     det_witness,
@@ -33,7 +33,7 @@ from .witness import (
 
 ROUND_ROBIN = "round-robin"
 RANDOM_PER_TRIAL = "random-per-trial"
-INT64_MAX = np.iinfo(np.int64).max  # the most trials a cell's counts can hold
+INT64_MAX = 2**63 - 1  # the most trials a cell's int64 counts can hold
 # the range a resample count is checked against: no error reads it, but `--resamples`
 # and the config key `resamples` are accepted, with the limits they always had, until
 # the benchmark stops passing them
@@ -240,9 +240,10 @@ def _det_error(t: ProbabilityTable, n: np.ndarray) -> float:
     and det W = w00 w11 - w01 w10 has Var = Var(w00 w11) + Var(w01 w10), where
     Var(x y) = v_x v_y + v_x mu_y^2 + v_y mu_x^2 for independent x and y.
     """
-    n_rows, n_prep = DET_CONTRAST.shape  # W is square: its columns are measurements
-    mu = DET_CONTRAST @ t.p_d[:n_prep, :n_rows]
-    v = DET_CONTRAST**2 @ (t.p_d * (1.0 - t.p_d) / n)[:n_prep, :n_rows]
+    n_rows, n_prep = DET_SHAPE  # W is square: its columns are measurements
+    contrast = np.asarray(DET_CONTRAST)
+    mu = contrast @ t.p_d[:n_prep, :n_rows]
+    v = contrast**2 @ (t.p_d * (1.0 - t.p_d) / n)[:n_prep, :n_rows]
     pairs = (((0, 0), (1, 1)), ((0, 1), (1, 0)))
     return math.sqrt(sum(v[x] * v[y] + v[x] * mu[y] ** 2 + v[y] * mu[x] ** 2 for x, y in pairs))
 

@@ -20,12 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
+from ._lazy import np
 from .scenario import ProbabilityTable
 
-IDW_COEF = np.array([[1, 1], [1, -1], [-1, 0]])  # on <D_ij>, (preparation, measurement)
-DET_CONTRAST = np.array([[1, -1, 0, 0], [0, 0, 1, -1]])  # on p_d, (row of W, preparation)
+# nested tuples, so that importing pamsim computes nothing with numpy; `np.asarray` of one
+# is the +-1 matrix
+IDW_COEF = ((1, 1), (1, -1), (-1, 0))  # on <D_ij>, (preparation, measurement)
+DET_CONTRAST = ((1, -1, 0, 0), (0, 0, 1, -1))  # on p_d, (row of W, preparation)
+IDW_SHAPE = (len(IDW_COEF), len(IDW_COEF[0]))
+DET_SHAPE = (len(DET_CONTRAST), len(DET_CONTRAST[0]))
 
 I_DW_CLASSICAL_BOUND = 3.0
 DET_CLASSICAL_BOUND = 0.0
@@ -66,13 +69,13 @@ def abs_det(w):
 
 def det_witness(t: ProbabilityTable) -> float:
     """|det W| of the witness matrix."""
-    check_shape("witness matrix", t.p_d.shape, DET_CONTRAST.shape[::-1])
+    check_shape("witness matrix", t.p_d.shape, DET_SHAPE[::-1])
     return float(abs_det(witness_entries(t.p_d)))
 
 
 def dimension_witness(t: ProbabilityTable) -> float:
     """Signed five-term sum of <D_ij> = p_e - p_d."""
-    check_shape("dimension witness", t.p_d.shape, IDW_COEF.shape)
+    check_shape("dimension witness", t.p_d.shape, IDW_SHAPE)
     return float(idw_sum(t.d_values()))
 
 
@@ -155,5 +158,5 @@ class WitnessReport:
 
 def report_from_table(t: ProbabilityTable) -> WitnessReport:
     """Witness report (no uncertainties) of a table; |det W| if it has W's preparations."""
-    det_abs = det_witness(t) if t.n_prep >= DET_CONTRAST.shape[1] else None
+    det_abs = det_witness(t) if t.n_prep >= DET_SHAPE[1] else None
     return WitnessReport(i_dw=dimension_witness(t), det_abs=det_abs)

@@ -137,10 +137,10 @@ def vertex_max(dd, encoders, pairs):
 def vertex_max_det(d):
     """(max |det W|, first maximizing strategy) over every d-message vertex pair on the
     preparations and measurements of `DET_CONTRAST`."""
-    n_meas, n_prep = DET_CONTRAST.shape
+    n_meas, n_prep = np.asarray(DET_CONTRAST).shape
     encoders = lex_grid(d, n_prep)
     decoders = lex_grid(2, d * n_meas).reshape(-1, d, n_meas)
-    pairs = message_pairs(DET_CONTRAST, encoders, d)
+    pairs = message_pairs(np.asarray(DET_CONTRAST), encoders, d)
     value, a, b = vertex_max(1.0 - decoders.astype(float), encoders, pairs)
     return value, grid_strategy(encoders[a], decoders[b])
 
@@ -149,11 +149,11 @@ def independent_mixture_dets(d, n, seed):
     """|det W| of n seeded independent mixtures: a Dirichlet encoder per preparation, and
     per message a Dirichlet mixture of the decode rows."""
     rng = np.random.default_rng(seed)
-    n_meas, n_prep = DET_CONTRAST.shape
+    n_meas, n_prep = np.asarray(DET_CONTRAST).shape
     encoder = rng.dirichlet(np.ones(d), size=(n, n_prep))  # (n, n_prep, d)
     rows = 1.0 - lex_grid(2, n_meas)  # p_d of each decode row
     decoder = rng.dirichlet(np.ones(len(rows)), size=(n, d)) @ rows  # (n, d, n_meas) p_d
-    return abs_det(entries(DET_CONTRAST @ encoder @ decoder))
+    return abs_det(entries(np.asarray(DET_CONTRAST) @ encoder @ decoder))
 
 
 def sequential_bootstrap_report(c, resamples, seed, fair_sampling):

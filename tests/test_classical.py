@@ -131,10 +131,10 @@ def det_vertices(d):
     """(ce, dd, pairs) of every d-message vertex pair on `DET_CONTRAST`: each encoder's
     contrast rows (n_enc, 2, d), each decoder's p_d rows (n_dec, d, 2), and the message
     pairs of the encoders (`message_pairs`)."""
-    encoders = lex_grid(d, DET_CONTRAST.shape[1])
-    ce = DET_CONTRAST @ (encoders[:, :, None] == np.arange(d)).astype(float)
+    encoders = lex_grid(d, np.asarray(DET_CONTRAST).shape[1])
+    ce = np.asarray(DET_CONTRAST) @ (encoders[:, :, None] == np.arange(d)).astype(float)
     dd = 1.0 - lex_grid(2, 2 * d).reshape(-1, d, 2).astype(float)
-    return ce, dd, message_pairs(DET_CONTRAST, encoders, d)
+    return ce, dd, message_pairs(np.asarray(DET_CONTRAST), encoders, d)
 
 
 class TestStrategyTable:
@@ -246,8 +246,8 @@ class TestLinearBounds:
 class TestLinearBoundOracle:
     def test_dimension_witness_coefficients_are_the_idw_matrix(self):
         c0, coef = _affine_form(dimension_witness, 3, 2)
-        assert c0 == -IDW_COEF.sum()
-        np.testing.assert_array_equal(coef, 2 * IDW_COEF)
+        assert c0 == -np.asarray(IDW_COEF).sum()
+        np.testing.assert_array_equal(coef, 2 * np.asarray(IDW_COEF))
 
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_dimension_witness_matches_enumeration(self, case):
@@ -460,8 +460,8 @@ class TestDeterminantBound:
     def test_tables_rest_on_the_literal_witness_matrices(self):
         # `_IDW_VERTICES` is a closed form of these I_DW coefficients, and `_DET_VERTICES` of
         # this contrast: two rows, each one +1 and one -1 preparation, on disjoint preparations
-        assert IDW_COEF.tolist() == [[1, 1], [1, -1], [-1, 0]]
-        assert DET_CONTRAST.tolist() == [[1, -1, 0, 0], [0, 0, 1, -1]]
+        assert IDW_COEF == ((1, 1), (1, -1), (-1, 0))
+        assert DET_CONTRAST == ((1, -1, 0, 0), (0, 0, 1, -1))
 
 
 class TestDetClosedForm:
@@ -590,7 +590,7 @@ class TestRetrocausal:
         if maximiser == "linear":
             target = strategy_table(classical_max_linear(dimension_witness, 2, 3, 2)[1], 3, 2).p_e
         else:
-            target = (IDW_COEF > 0).astype(float)
+            target = (np.asarray(IDW_COEF) > 0).astype(float)
 
         def witness(t):
             return dimension_witness(t) + float(np.array_equal(t.p_e, target))
@@ -670,3 +670,9 @@ class TestOwnWitness:
             call()
             counts.append(len(built) - before)
         assert tuple(counts) == tables
+
+    def test_setting_aware_values_are_the_aware_maxima(self):
+        # the own witness's setting-aware values, against c0 + sum(C * p_e) at each maximiser
+        assert list(classical._AWARE_VALUES) == [1, 2]
+        for k, value in classical._AWARE_VALUES.items():
+            assert value == classical._aware_max(k)[0]

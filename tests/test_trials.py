@@ -13,6 +13,7 @@ from pamsim.scenario import (
     probability_table,
 )
 from pamsim.trials import (
+    INT64_MAX,
     MIN_RESAMPLES,
     RANDOM_PER_TRIAL,
     CountTable,
@@ -356,6 +357,10 @@ class TestCoverage:
 
 
 class TestCountTableCsv:
+    def test_trial_limit_is_the_int64_maximum(self):
+        assert INT64_MAX == np.iinfo(np.int64).max
+        assert type(INT64_MAX) is int
+
     def test_round_trip(self, tmp_path):
         table = probability_table(bundled_scenario(DET, efficiency=0.5, fair_sampling=False))
         counts = sample(table, RunPlan(1000, seed=12))
