@@ -135,6 +135,11 @@ def interval(a: Event, b: Event) -> str:
     """Classify the Minkowski interval between two events."""
     dt = (b.time - a.time) * C_M_PER_NS
     dx = math.dist(a.position, b.position)
+    if not (math.isfinite(dt) and math.isfinite(dx)):
+        # a difference overflowed; quartering is exact above the subnormals and keeps even
+        # the distance between opposite max-float corners finite
+        dt = (b.time / 4 - a.time / 4) * C_M_PER_NS
+        dx = math.dist([c / 4 for c in a.position], [c / 4 for c in b.position])
     # one power-of-two scale for both is exact and puts the larger in [0.5, 1), so its
     # square neither overflows nor underflows
     exponent = math.frexp(max(abs(dt), dx))[1]

@@ -107,6 +107,12 @@ class CountTable:
                     f"counts CSV must have columns {sorted(fields)}; "
                     f"missing {missing} from the header {header!r}"
                 )
+            repeated = [name for name in fields if header.count(name) > 1]
+            if repeated:  # DictReader would read the last of them
+                raise ValueError(
+                    f"counts CSV must have each column once; "
+                    f"repeated {repeated} in the header {header!r}"
+                )
             for row in reader:
                 where = f"line {reader.line_num} of counts CSV"
                 if None in row or None in row.values():

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import stat
 import sys
@@ -1583,9 +1584,12 @@ class TestDispatch:
         assert parse_outcome(cli._parse, argv) == parse_outcome(full_parse, argv)
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def readme_commands():
     """Each `pamsim ...` command of the README's command-line block, as argv."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("pamsim ")]
@@ -1597,6 +1601,23 @@ def test_readme_commands_parse():
     for argv in commands:
         # the parser exits on a flag the command does not take
         assert cli._parse(argv).func
+
+
+def test_readme_flag_list_is_each_parsers_options():
+    # each "- `command`: `--flag`, `-d/--dimension`, ..." line of the README's flag list
+    section = README.read_text(encoding="utf-8").split("### Flags", 1)[1].split("\n#", 1)[0]
+    listed = {}
+    for line in section.splitlines():
+        command, colon, flags = line.removeprefix("- `").partition("`:")
+        if line.startswith("- `") and colon:
+            found = re.findall(r"`(-[^`]*)`", flags)
+            listed[command] = {name for text in found for name in text.split("/")}
+    options = {
+        command: {name for action in parser._actions for name in action.option_strings}
+        - {"-h", "--help"}
+        for command, parser in cli._parser()[1].items()
+    }
+    assert listed == options
 
 
 def test_readme_commands_run(configs_dir, tmp_path, monkeypatch, capsys):

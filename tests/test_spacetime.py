@@ -23,6 +23,9 @@ from pamsim.spacetime import (
     validate,
 )
 
+ORIGIN = Event("a", (0.0, 0.0, 0.0), 0.0)
+MAX = sys.float_info.max
+
 # zero, or either sign at any binary exponent from -520 to 520
 MAGNITUDES = st.one_of(
     st.just(0.0),
@@ -79,18 +82,23 @@ class TestInterval:
                 assert scaled == base
 
     @pytest.mark.parametrize(
-        "b, expected",
+        "a, b, expected",
         [
-            (Event("b", (0.0, 0.0, 0.0), 1e160), TIME_LIKE),
-            (Event("b", (1e200, 0.0, 0.0), 0.0), SPACE_LIKE),
-            (Event("b", (0.0, 0.0, 0.0), 1e-170), TIME_LIKE),
-            (Event("b", (1e-170, 0.0, 0.0), 0.0), SPACE_LIKE),
+            (ORIGIN, Event("b", (0.0, 0.0, 0.0), 1e160), TIME_LIKE),
+            (ORIGIN, Event("b", (1e200, 0.0, 0.0), 0.0), SPACE_LIKE),
+            (ORIGIN, Event("b", (0.0, 0.0, 0.0), 1e-170), TIME_LIKE),
+            (ORIGIN, Event("b", (1e-170, 0.0, 0.0), 0.0), SPACE_LIKE),
+            # the differences themselves overflow to inf
+            (Event("a", (0.0, 0.0, 0.0), -1e308), Event("b", (0.0, 0.0, 0.0), 1e308), TIME_LIKE),
+            (Event("a", (-1e308, 0.0, 0.0), 0.0), Event("b", (1e308, 0.0, 0.0), 0.0), SPACE_LIKE),
+            # halved, the distance still overflows
+            (Event("a", (-MAX,) * 3, 0.0), Event("b", (MAX,) * 3, 0.0), SPACE_LIKE),
         ],
-        ids=["1e160-ns", "1e200-m", "1e-170-ns", "1e-170-m"],
+        ids=["1e160-ns", "1e200-m", "1e-170-ns", "1e-170-m", "2e308-ns", "2e308-m", "max"],
     )
-    def test_squares_out_of_range_keep_their_class(self, b, expected):
+    def test_squares_out_of_range_keep_their_class(self, a, b, expected):
         # dt^2 or dx^2 overflows to inf or underflows to 0, which read as light-like
-        assert interval(Event("a", (0.0, 0.0, 0.0), 0.0), b) == expected
+        assert interval(a, b) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -386,6 +386,16 @@ class TestCountTableCsv:
             "missing ['n_d'] from the header ['i', 'j', 'n_e', 'n_none']"
         )
 
+    def test_repeated_column_is_named_with_the_header(self, tmp_path):
+        # csv.DictReader would read p_e = 9/14 from the second n_e
+        path = tmp_path / "bad.csv"
+        path.write_text("i,j,n_e,n_d,n_none,n_e\n0,0,1,5,0,9\n")
+        with pytest.raises(ValueError) as info:
+            CountTable.from_csv(path)
+        assert str(info.value).endswith(
+            "repeated ['n_e'] in the header ['i', 'j', 'n_e', 'n_d', 'n_none', 'n_e']"
+        )
+
     def test_byte_order_mark_shows_in_the_header(self, tmp_path):
         # a spreadsheet export's UTF-8 BOM sticks to the first column name
         path = tmp_path / "bom.csv"
